@@ -14,14 +14,14 @@
 //! gates (per-plan timings are recorded for humans only):
 //!
 //! * **bounded overhead** — planning visits at most one plan node per
-//!   candidate strategy per query (`plan_nodes_visited / plans ≤ 5`),
+//!   candidate strategy per query (`plan_nodes_visited / plans ≤ 2`),
 //!   regardless of network size;
 //! * **durable statistics** — after `snapshot_now`, a fresh
 //!   `Store::open` adopts the persisted record: plans, node count, and
 //!   per-strategy run counters all round-trip exactly.
 //!
 //! The workload mixes cold whole-network reads with warm point reads so
-//! the recorded run counters show the planner actually switching
+//! the recorded run counters show the planner actually using both
 //! physical strategies, not pinning one.
 
 use std::fmt::Write as _;
@@ -53,10 +53,9 @@ fn median(mut samples: Vec<f64>) -> f64 {
 fn measure(cfg: &Config) -> Row {
     let w = power_law(cfg.users, 2, 4, 0.2, 42 + cfg.users as u64);
     let mut s = Session::new(w.net);
-    s.set_parallelism(4, 1);
 
-    // Cold whole-network reads: the planner routes to a whole-solve
-    // strategy (compact or sharded, by size).
+    // Cold whole-network reads: nothing to patch yet, so the planner
+    // routes to the whole solve.
     s.query(&Query::poss(QueryTarget::All)).expect("resolves");
     s.query(&Query::cert(QueryTarget::All)).expect("resolves");
 
@@ -254,7 +253,7 @@ fn main() {
         );
         assert!(
             r.strategy_runs.iter().filter(|(_, n)| *n > 0).count() >= 2,
-            "acceptance: the workload mix exercised fewer than two strategies"
+            "acceptance: the workload mix did not exercise both strategies"
         );
     }
     assert!(

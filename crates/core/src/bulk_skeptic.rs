@@ -335,20 +335,15 @@ pub fn execute_skeptic_native(
 /// `threads` workers — the signed counterpart of
 /// [`trustmap_relstore`-style](crate::bulk) per-object parallel execution.
 ///
-/// With at least one object per thread, each worker owns a clone of the
-/// BTN and a contiguous object range (object-level parallelism, sequential
-/// Algorithm 2 per object). With *fewer* objects than threads — the
-/// "single huge object" regime — per-object ranges cannot use the
-/// hardware, so each object instead resolves through the
-/// condensation-sharded [`crate::skeptic::SkepticPlannedResolver`]: the
-/// plan is built once
-/// (it depends only on the trust structure) and every reseeded object
-/// spreads its network across all `threads` workers.
-///
-/// The routing decision is [`CostModel::bulk_sharded`] — the same work
-/// threshold the incremental engines use, replacing this module's former
-/// local `num_objects < threads` copy. Either route returns bit-identical
-/// tables.
+/// The one-pass Algorithm 2 schedule
+/// ([`crate::skeptic::SkepticPlannedResolver`]) is planned once — it
+/// depends only on the trust structure — and shared by every reseeded
+/// solve. With at least one object per thread, each worker owns a clone of
+/// the BTN and a contiguous object range, solving each object on its own
+/// thread. With *fewer* objects than threads on a large enough network
+/// ([`CostModel::bulk_sharded`]) — the "single huge object" regime —
+/// objects resolve one after another, each spreading its network across
+/// all `threads` workers. Either route returns bit-identical tables.
 ///
 /// # Panics
 /// Panics if a positive believer lacks seed values.
@@ -360,9 +355,9 @@ pub fn execute_skeptic_parallel(
 ) -> Result<SkepticTable> {
     assert!(threads > 0, "need at least one thread");
     let mut rows: Vec<Vec<RepPoss>> = vec![vec![RepPoss::default(); num_objects]; btn.node_count()];
+    let planned = crate::skeptic::SkepticPlannedResolver::new(btn, Default::default())?;
 
     if CostModel::bulk_sharded(threads, num_objects, btn.node_count()) {
-        let planned = crate::skeptic::SkepticPlannedResolver::new(btn, Default::default())?;
         let mut work = btn.clone();
         // `rows[node][k]` is written per node while `k` drives reseeding.
         #[allow(clippy::needless_range_loop)]
@@ -377,6 +372,7 @@ pub fn execute_skeptic_parallel(
     }
 
     let chunk = num_objects.div_ceil(threads);
+    let planned = &planned;
     let partials: Vec<Result<(usize, Vec<Vec<RepPoss>>)>> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for t in 0..threads {
@@ -391,7 +387,7 @@ pub fn execute_skeptic_parallel(
                     vec![vec![RepPoss::default(); end - start]; btn.node_count()];
                 for k in start..end {
                     seed_object(&mut work, btn, seeds, k);
-                    let res = crate::skeptic::resolve_skeptic(&work)?;
+                    let res = planned.resolve(&work, 1)?;
                     for node in btn.nodes() {
                         part[node as usize][k - start] = res.rep_poss(node).clone();
                     }

@@ -42,8 +42,6 @@ use crate::deltabtn::{DeltaBtn, NodeSideTables};
 use crate::error::{Error, Result};
 use crate::lineage::Lineage;
 use crate::network::TrustNetwork;
-use crate::parallel::{solve_region_compact, BasicRegionPool};
-use crate::policy::ParallelPolicy;
 use crate::resolution::UserResolution;
 use crate::signed::ExplicitBelief;
 use crate::user::User;
@@ -144,12 +142,6 @@ pub struct IncrementalResolver {
     last_dirty_users: Vec<User>,
     /// Region-locally maintained lineage pointers (None = not traced).
     lineage: Option<Lineage>,
-    /// When dirty regions take the sharded parallel path (shared
-    /// configuration type; see [`ParallelPolicy`]).
-    policy: ParallelPolicy,
-    /// Pooled region-compact solve buffers (compaction, planning, local
-    /// slab, scheduler, workers) — all O(region), reused across batches.
-    pool: BasicRegionPool,
     // ---- reusable scratch ----
     dirty: Vec<bool>,
     dirty_list: Vec<NodeId>,
@@ -192,8 +184,6 @@ impl IncrementalResolver {
             reachable: vec![false; n],
             last_dirty_users: Vec::new(),
             lineage: traced.then(|| Lineage::new(n)),
-            policy: ParallelPolicy::default(),
-            pool: BasicRegionPool::default(),
             dirty: vec![false; n],
             dirty_list: Vec::new(),
             closed: vec![false; n],
@@ -263,38 +253,6 @@ impl IncrementalResolver {
     /// [`IncrementalResolver::new_traced`].
     pub fn lineage(&self) -> Option<&Lineage> {
         self.lineage.as_ref()
-    }
-
-    /// Enables the condensation-sharded parallel solve
-    /// ([`crate::parallel`]) for dirty regions of at least `min_region`
-    /// nodes, using `threads` workers. The threshold is purely work-based:
-    /// regions are compacted to dense local ids first
-    /// (`trustmap_graph::region`), so planner and worker scratch scale
-    /// with the region and even a region far smaller than the network pays
-    /// only O(region) setup (the old 1/32-of-the-BTN floor is gone).
-    /// Small regions still keep the sequential path — plan + spawn
-    /// overhead dominates there. Lineage tracing forces the sequential
-    /// path — pointer recording is inherently ordered — so a traced
-    /// engine ignores this setting.
-    pub fn set_parallelism(&mut self, threads: usize, min_region: usize) {
-        self.policy = ParallelPolicy::new(threads, min_region);
-    }
-
-    /// Like [`IncrementalResolver::set_parallelism`] but with the full
-    /// shared [`ParallelPolicy`] (thread count, work threshold, shard
-    /// granularity).
-    pub fn set_parallel_policy(&mut self, policy: ParallelPolicy) {
-        self.policy = policy;
-    }
-
-    /// Bytes of region-scaled scratch currently pooled by the compact
-    /// parallel solve path (compaction maps, local CSR, translated
-    /// parents, plan peel words, local result slab, scheduler queues,
-    /// worker flags). Grows with the largest region solved so far — never
-    /// with the network — which makes it the acceptance signal the
-    /// `region_bench` binary and the scratch-scaling unit test assert on.
-    pub fn region_scratch_bytes(&self) -> usize {
-        self.pool.region_scratch_bytes()
     }
 
     /// Size of the most recent dirty region (in BTN nodes).
@@ -488,19 +446,6 @@ impl IncrementalResolver {
             }
         }
 
-        // Large regions take the condensation-sharded parallel path
-        // (lineage recording is inherently ordered, so traced engines stay
-        // sequential). The threshold is pure work: region compaction made
-        // planner and worker scratch O(region), so no network-relative
-        // floor is needed — see [`IncrementalResolver::set_parallelism`].
-        if self.policy.wants_parallel(self.dirty_list.len()) && self.lineage.is_none() {
-            self.solve_region_parallel();
-            for &x in &self.dirty_list {
-                self.dirty[x as usize] = false;
-            }
-            return;
-        }
-
         // (I) Initialize the region: everything open and empty, then close
         // the roots with their explicit beliefs.
         if let Some(l) = self.lineage.as_mut() {
@@ -652,47 +597,6 @@ impl IncrementalResolver {
         for &x in &self.dirty_list {
             self.dirty[x as usize] = false;
         }
-    }
-
-    /// The condensation-sharded regional solve in compact local id space:
-    /// the region (its reachable dirty nodes) is renumbered to dense local
-    /// ids, planned with the trim-first partitioner, and solved by
-    /// [`crate::parallel::solve_region_compact`] over pooled O(region)
-    /// scratch. Clean nodes freeze at their cached possible sets as
-    /// boundary inputs — a cached set is non-empty exactly when the node
-    /// is closed-reachable, which is the emptiness-as-closedness
-    /// convention the shared solver uses.
-    fn solve_region_parallel(&mut self) {
-        let Self {
-            delta,
-            dirty_list,
-            reachable,
-            poss,
-            pool,
-            empty,
-            policy,
-            ..
-        } = self;
-        let btn = &delta.btn;
-        let region = pool.region_mut();
-        region.clear();
-        for &x in dirty_list.iter() {
-            if reachable[x as usize] {
-                region.push(x);
-            } else {
-                // Region-unreachable dirty nodes must read as empty.
-                poss[x as usize] = Arc::clone(empty);
-            }
-        }
-        solve_region_compact(
-            pool,
-            &btn.parents,
-            &btn.beliefs,
-            poss,
-            empty,
-            policy.threads,
-            policy.shard_target,
-        );
     }
 
     /// Whether `z` counts as closed for the regional solve: solved nodes
@@ -1004,57 +908,5 @@ mod tests {
         assert_lineage_sound(&engine);
         let n1 = engine.btn().node_of(x1);
         assert!(engine.lineage().unwrap().flood_peers(n1).is_some());
-    }
-
-    #[test]
-    fn parallel_region_matches_sequential_engine() {
-        // Force the sharded path on every batch (min_region = 1) and
-        // replay a mixed edit stream: results must equal both the
-        // sequential engine and a from-scratch resolve.
-        let mut net = TrustNetwork::new();
-        let v: Vec<Value> = (0..3).map(|i| net.value(&format!("v{i}"))).collect();
-        let users: Vec<User> = (0..30).map(|i| net.user(&format!("u{i}"))).collect();
-        for i in 1..30 {
-            net.trust(users[i], users[i / 2], (i % 7) as i64 + 1)
-                .unwrap();
-            if i % 5 == 0 {
-                // Cycles so the region planner exercises the residue path.
-                net.trust(users[i / 2], users[i], 1).unwrap();
-            }
-        }
-        net.believe(users[0], v[0]).unwrap();
-        net.believe(users[7], v[1]).unwrap();
-        let mut par_engine = IncrementalResolver::new(&net).unwrap();
-        par_engine.set_parallelism(4, 1);
-        let mut seq_engine = IncrementalResolver::new(&net).unwrap();
-
-        let edits = [
-            Edit::Believe(users[3], v[2]),
-            Edit::Revoke(users[7]),
-            Edit::Believe(users[11], v[1]),
-            Edit::Trust {
-                child: users[20],
-                parent: users[3],
-                priority: 50,
-            },
-            Edit::Believe(users[0], v[2]),
-        ];
-        for edit in edits {
-            match edit {
-                Edit::Believe(u, val) => net.believe(u, val).unwrap(),
-                Edit::Revoke(u) => net.revoke(u).unwrap(),
-                Edit::Trust {
-                    child,
-                    parent,
-                    priority,
-                } => net.trust(child, parent, priority).unwrap(),
-            }
-            par_engine.apply_edits(&net, &[edit]);
-            seq_engine.apply_edits(&net, &[edit]);
-            assert_matches_full(&par_engine, &net);
-            for x in par_engine.btn().nodes() {
-                assert_eq!(par_engine.poss(x), seq_engine.poss(x), "node {x}");
-            }
-        }
     }
 }

@@ -14,16 +14,18 @@
 //!   explicit beliefs);
 //! * [`binary`] — binarization to the two-parent normal form
 //!   (Proposition 2.8);
-//! * [`resolution`] — Algorithm 1: possible/certain beliefs in worst-case
-//!   quadratic time;
-//! * [`parallel`] — the condensation-sharded resolver: one Tarjan pass,
-//!   level-scheduled shards solved by work-stealing scoped threads,
-//!   bit-identical to [`resolution`] at every thread count; plans ride
-//!   the region-compact layer (`trustmap_graph::region` + the internal
-//!   `compact` module), whole networks being the degenerate identity
-//!   view;
-//! * [`policy`] — [`ParallelPolicy`], the shared when-to-parallelize
-//!   configuration of both incremental engines and [`session`];
+//! * [`resolution`] — Algorithm 1 as printed (round-looping Step 1 /
+//!   Step 2): the differential oracles' reference and the traced
+//!   (lineage) resolver;
+//! * [`parallel`] — the production whole-network solver: one
+//!   condensation pass, level-scheduled shards, bit-identical to
+//!   [`resolution`] at every thread count (sessions and the CLI run it
+//!   on one thread); plans ride the region-compact layer
+//!   (`trustmap_graph::region` + the internal `compact` module), whole
+//!   networks being the degenerate identity view;
+//! * [`plan`] / [`stats`] — the query AST, the two-strategy planner
+//!   (patch the live engine, or solve the whole network) and its
+//!   persisted statistics;
 //! * [`stable`] — the stable-solution semantics (Definition 2.4) with an
 //!   exhaustive ground-truth enumerator;
 //! * [`lineage`] — tracing each belief to the explicit assertion it stems
@@ -34,8 +36,7 @@
 //!   re-solving that patches the cached resolution, BTN, and (when
 //!   traced) lineage pointers in place instead of re-running Algorithm 1
 //!   over the whole network (the scalable answer to Section 2.5's
-//!   "simply re-run the algorithm"); large regions re-solve through the
-//!   sharded parallel scheduler;
+//!   "simply re-run the algorithm");
 //! * [`session`] — the editing façade over [`incremental`]: typed edits
 //!   take the delta path, explicit batches (`begin_batch`/`commit`)
 //!   drain as one dirty region with a single change report, arbitrary
@@ -55,9 +56,9 @@
 //! * [`signed`] / [`paradigm`] — constraints as negative beliefs and the
 //!   Agnostic / Eclectic / Skeptic paradigms (Section 3);
 //! * [`skeptic`] — Algorithm 2: PTIME resolution under Skeptic, as the
-//!   sequential reference ([`skeptic::resolve_skeptic`]) *and* in
-//!   plan/solve form ([`skeptic::SkepticPlannedResolver`]) riding the same
-//!   condensation-sharded scheduler as [`parallel`];
+//!   sequential reference ([`skeptic::resolve_skeptic`]) *and* in the
+//!   production plan/solve form ([`skeptic::SkepticPlannedResolver`])
+//!   riding the same condensation-sharded scheduler as [`parallel`];
 //! * [`skeptic_incremental`] — the signed counterpart of [`incremental`]:
 //!   dirty-region re-solving of Algorithm 2, with constraint edits as
 //!   first-class deltas (both engines share the live-BTN maintenance of
@@ -124,7 +125,6 @@ pub mod pairs;
 pub mod paradigm;
 pub mod parallel;
 pub mod plan;
-pub mod policy;
 pub mod resolution;
 pub mod sat;
 pub mod session;
@@ -151,7 +151,6 @@ pub use plan::{
     CostModel, PlanContext, PlanReport, Planner, Query, QueryResult, QueryRow, QueryTarget,
     ReadKind, Strategy,
 };
-pub use policy::ParallelPolicy;
 pub use resolution::{resolve, resolve_network, resolve_with, Options, Resolution, SccMode};
 pub use session::{BatchReport, BeliefChange, Session};
 pub use signed::{BeliefSet, ExplicitBelief, NegSet};

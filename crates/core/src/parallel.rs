@@ -48,19 +48,19 @@
 //!   step cannot influence content;
 //! * units inside a shard are solved in plan order, the same every run.
 //!
-//! `tests/parallel_oracle.rs` checks equality against [`resolve`] and the
-//! incremental engine over random networks at 1–8 threads.
+//! `tests/parallel_oracle.rs` checks equality against [`resolve`] over
+//! random networks at 1–8 threads.
 //!
 //! [`resolve`]: crate::resolution::resolve
 
 use crate::binary::{Btn, Parents};
-use crate::compact::{plan_region, plan_whole, RegionPool};
+use crate::compact::plan_whole;
 use crate::error::{Error, Result};
 use crate::resolution::{Resolution, UserResolution};
 use crate::signed::ExplicitBelief;
 use crate::value::Value;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use trustmap_graph::shard::{DepMode, PlanScratch};
 use trustmap_graph::{Adjacency, NodeId, RegionCompactor, SccScratch, ShardPlan};
@@ -123,7 +123,7 @@ pub fn resolve_parallel_with(btn: &Btn, opts: ParOptions) -> Result<Resolution> 
 ///
 /// The whole-network plan is the degenerate identity case of the
 /// region-compact layer (`trustmap_graph::region`), so it shares the one
-/// planning entry point with the incremental engines' dirty-region solves.
+/// planning entry point with the exact engine's dirty-region solves.
 pub struct PlannedResolver {
     view: RegionCompactor,
     plan: ShardPlan,
@@ -170,11 +170,10 @@ impl PlannedResolver {
             g: &self.view,
             parents: &btn.parents,
             beliefs: &btn.beliefs,
-            globals: None,
             plan: &self.plan,
             poss: SharedSlab::new(&mut poss),
         };
-        run_shards(&ctx, threads, None);
+        run_shards(&ctx, threads);
         let reachable = poss.iter().map(|s| !s.is_empty()).collect();
         Ok(Resolution::from_parts(
             poss,
@@ -278,10 +277,7 @@ const SET_CACHE_CAP: usize = 4096;
 
 /// Per-worker scratch — allocated once per worker, reused across every
 /// unit the worker solves (`SccScratch` per worker, no shared mutable
-/// state). Pooled across solves through [`SchedPool`], so steady-state
-/// regional solves reuse both the node-indexed flags and the interning
-/// cache.
-#[derive(Debug)]
+/// state).
 struct Worker {
     /// Membership flags of the cyclic unit currently being solved.
     in_unit: Vec<bool>,
@@ -311,15 +307,6 @@ impl Worker {
             cache: HashMap::new(),
         }
     }
-
-    /// Grows the node-indexed flags to cover `n` nodes (pooled workers
-    /// from a smaller solve; the all-clean invariant is preserved).
-    fn ensure(&mut self, n: usize) {
-        if self.in_unit.len() < n {
-            self.in_unit.resize(n, false);
-            self.closed.resize(n, false);
-        }
-    }
 }
 
 /// Interns `vals` (sorted, deduplicated) in the worker cache.
@@ -338,31 +325,15 @@ fn intern(cache: &mut HashMap<Vec<Value>, PossSet>, vals: &[Value]) -> PossSet {
 // The shard scheduler.
 // ---------------------------------------------------------------------------
 
-/// Shared solving context (immutable during the parallel phase).
-///
-/// `g`, `parents`, the plan, and the `poss` slab all live in *local* id
-/// space (the compacted region, or the identity view for whole-network
-/// solves); `beliefs` stays globally indexed and is translated through
-/// `globals` on the rare root reads.
-struct Ctx<'a, A: ?Sized> {
-    g: &'a A,
+/// Shared solving context (immutable during the parallel phase): the
+/// whole-network identity view, the BTN's parents and beliefs, the plan,
+/// and the result slab, all in global node ids.
+struct Ctx<'a> {
+    g: &'a RegionCompactor,
     parents: &'a [Parents],
     beliefs: &'a [ExplicitBelief],
-    /// Local → global id map (`None` = identity, whole-network solve).
-    globals: Option<&'a [NodeId]>,
     plan: &'a ShardPlan,
     poss: SharedSlab<PossSet>,
-}
-
-impl<A: ?Sized> Ctx<'_, A> {
-    /// The global id behind local node `x` (for globally indexed tables).
-    #[inline]
-    fn gid(&self, x: NodeId) -> usize {
-        match self.globals {
-            Some(map) => map[x as usize] as usize,
-            None => x as usize,
-        }
-    }
 }
 
 /// A shard-solving backend the generic scheduler can drive.
@@ -373,17 +344,11 @@ impl<A: ?Sized> Ctx<'_, A> {
 /// ([`Ctx`]) and Algorithm 2 ([`crate::skeptic`]'s planned resolver) are
 /// the two backends.
 pub(crate) trait ShardSolver: Sync {
-    /// Worker-local scratch, allocated once per worker thread (`Send` so
-    /// pooled workers can be handed to scoped worker threads).
-    type Worker: Send;
+    /// Worker-local scratch, allocated once per worker thread.
+    type Worker;
 
     /// Allocates a fresh worker scratch.
     fn new_worker(&self) -> Self::Worker;
-
-    /// Prepares a pooled worker from an earlier solve for this solver's
-    /// node space (node-indexed buffers grow; content-keyed caches and
-    /// the all-clean flag invariant persist).
-    fn recycle_worker(&self, worker: &mut Self::Worker);
 
     /// Solves every unit of shard `s`. May read the results of nodes in
     /// sealed shards and must write each of its own nodes exactly once.
@@ -393,133 +358,80 @@ pub(crate) trait ShardSolver: Sync {
     fn plan(&self) -> &ShardPlan;
 }
 
-/// Per-shard readiness state shared by the workers (counter storage is
-/// borrowed from the pool when one is supplied).
-enum DepState<'a> {
-    /// Exact mode: remaining predecessor count per shard.
-    Edges(&'a [AtomicU32]),
-    /// Frontier mode: remaining unsealed shards per level.
-    Frontier(&'a [AtomicU32]),
-}
-
-struct Queue<'a, W> {
+struct Queue {
     ready: Mutex<Vec<u32>>,
     cv: Condvar,
-    deps: DepState<'a>,
+    /// Seal counters, by the plan's [`DepMode`]: remaining predecessors
+    /// per shard (exact edges) or remaining unsealed shards per level
+    /// (frontier).
+    remaining: Vec<AtomicU32>,
     done: AtomicUsize,
     total: usize,
-    /// Idle pooled workers; threads check one out on entry and return it
-    /// on exit, so worker scratch survives across solves.
-    bank: Mutex<Vec<W>>,
+    /// Set when a worker unwinds mid-shard: its shard never seals, so the
+    /// siblings must stop waiting for `done` to reach `total`.
+    aborted: AtomicBool,
 }
 
-/// Pooled scheduler state — dependency counters, the ready queue, and the
-/// per-worker scratches (node flags, SCC scratch, interning caches) —
-/// reused across [`run_shards`] calls so steady-state regional solves
-/// allocate none of it anew.
-#[derive(Debug)]
-pub(crate) struct SchedPool<W> {
-    workers: Vec<W>,
-    ready: Vec<u32>,
-    counters: Vec<AtomicU32>,
-}
+/// Wakes every sibling when its worker unwinds, so a panicking
+/// [`ShardSolver`] surfaces as a panic of [`run_shards`] (the scope
+/// re-raises it once all workers have left) instead of a hang on the
+/// ready-queue condvar.
+struct AbortOnPanic<'a>(&'a Queue);
 
-impl<W> Default for SchedPool<W> {
-    fn default() -> Self {
-        SchedPool {
-            workers: Vec::new(),
-            ready: Vec::new(),
-            counters: Vec::new(),
+impl Drop for AbortOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.aborted.store(true, Ordering::Release);
+            // Hold the lock (poisoned or not) so no sibling can miss the
+            // wake-up between its empty pop and its wait.
+            let _guard = self.0.ready.lock();
+            self.0.cv.notify_all();
         }
-    }
-}
-
-impl<W> SchedPool<W> {
-    /// Bytes retained by the queue/counter buffers (excludes the workers,
-    /// whose footprint is solver-specific).
-    pub(crate) fn queue_bytes(&self) -> usize {
-        self.ready.capacity() * std::mem::size_of::<u32>()
-            + self.counters.capacity() * std::mem::size_of::<AtomicU32>()
-    }
-
-    /// The idle pooled workers (for solver-specific scratch accounting).
-    pub(crate) fn workers(&self) -> &[W] {
-        &self.workers
-    }
-}
-
-/// Checks a worker out of `bank`, recycling a pooled one when available.
-fn checkout<S: ShardSolver>(solver: &S, bank: &mut Vec<S::Worker>) -> S::Worker {
-    match bank.pop() {
-        Some(mut w) => {
-            solver.recycle_worker(&mut w);
-            w
-        }
-        None => solver.new_worker(),
     }
 }
 
 /// Drives every shard of `solver.plan()` to completion over `threads`
 /// workers — the generic scheduler behind both the Algorithm-1 and the
-/// Algorithm-2 (skeptic) parallel resolvers. With a [`SchedPool`] the
-/// ready queue, dependency counters, and worker scratches are drawn from
-/// (and returned to) the pool instead of being allocated per call.
+/// Algorithm-2 (skeptic) planned resolvers.
 ///
 /// With `threads <= 1` the shards run inline on the caller's thread in id
 /// order (ids ascend with level, so that order is dependency-safe).
-pub(crate) fn run_shards<S: ShardSolver>(
-    solver: &S,
-    threads: usize,
-    pool: Option<&mut SchedPool<S::Worker>>,
-) {
+///
+/// # Panics
+/// Re-raises a panic of any [`ShardSolver::solve_shard`] call after every
+/// worker has stopped.
+pub(crate) fn run_shards<S: ShardSolver>(solver: &S, threads: usize) {
     let plan = solver.plan();
     let nshards = plan.shard_count();
     if nshards == 0 {
         return;
     }
     let threads = threads.clamp(1, nshards);
-    let mut local = None;
-    let pool = match pool {
-        Some(p) => p,
-        None => local.insert(SchedPool::default()),
-    };
 
     if threads == 1 {
-        let mut worker = checkout(solver, &mut pool.workers);
+        let mut worker = solver.new_worker();
         for s in 0..nshards as u32 {
             solver.solve_shard(&mut worker, s);
         }
-        pool.workers.push(worker);
         return;
     }
 
-    let mut ready = std::mem::take(&mut pool.ready);
-    plan.initial_ready_into(&mut ready);
+    let mut ready = plan.initial_ready();
     // Pop from the back; reversing keeps the sequential-schedule order as
     // the default claim order (purely a scheduling nicety — results do not
     // depend on it).
     ready.reverse();
-    let counts: &[u32] = match plan.dep_mode() {
+    let counts = match plan.dep_mode() {
         DepMode::Edges => plan.in_counts(),
         DepMode::Frontier => plan.level_counts(),
-    };
-    pool.counters.truncate(counts.len());
-    pool.counters
-        .resize_with(counts.len(), || AtomicU32::new(0));
-    for (slot, &c) in pool.counters.iter().zip(counts) {
-        slot.store(c, Ordering::Relaxed);
-    }
-    let deps = match plan.dep_mode() {
-        DepMode::Edges => DepState::Edges(&pool.counters),
-        DepMode::Frontier => DepState::Frontier(&pool.counters),
     };
     let queue = Queue {
         ready: Mutex::new(ready),
         cv: Condvar::new(),
-        deps,
+        remaining: counts.iter().map(|&c| AtomicU32::new(c)).collect(),
         done: AtomicUsize::new(0),
         total: nshards,
-        bank: Mutex::new(std::mem::take(&mut pool.workers)),
+        aborted: AtomicBool::new(false),
     };
 
     std::thread::scope(|scope| {
@@ -528,18 +440,21 @@ pub(crate) fn run_shards<S: ShardSolver>(
         }
     });
     debug_assert_eq!(queue.done.load(Ordering::Relaxed), nshards);
-    pool.workers = queue.bank.into_inner().expect("bank poisoned");
-    pool.ready = queue.ready.into_inner().expect("queue poisoned");
 }
 
-/// One worker: claim ready shards until every shard is sealed.
-fn worker_loop<S: ShardSolver>(solver: &S, queue: &Queue<'_, S::Worker>) {
+/// One worker: claim ready shards until every shard is sealed (or a
+/// sibling unwound).
+fn worker_loop<S: ShardSolver>(solver: &S, queue: &Queue) {
     let plan = solver.plan();
-    let mut worker = checkout(solver, &mut queue.bank.lock().expect("bank poisoned"));
+    let mut worker = solver.new_worker();
+    let _wake_siblings = AbortOnPanic(queue);
     'claims: loop {
         let s = {
             let mut ready = queue.ready.lock().expect("queue poisoned");
             loop {
+                if queue.aborted.load(Ordering::Acquire) {
+                    break 'claims;
+                }
                 if let Some(s) = ready.pop() {
                     break s;
                 }
@@ -555,16 +470,17 @@ fn worker_loop<S: ShardSolver>(solver: &S, queue: &Queue<'_, S::Worker>) {
         // Seal. The `AcqRel` read-modify-write chain on each counter
         // publishes this shard's writes to whichever worker observes the
         // count reach zero.
-        match &queue.deps {
-            DepState::Edges(counts) => {
+        let remaining = &queue.remaining;
+        match plan.dep_mode() {
+            DepMode::Edges => {
                 for &t in plan.successors(s) {
-                    if counts[t as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
+                    if remaining[t as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
                         queue.ready.lock().expect("queue poisoned").push(t);
                         queue.cv.notify_one();
                     }
                 }
             }
-            DepState::Frontier(remaining) => {
+            DepMode::Frontier => {
                 let l = plan.level_of_shard(s);
                 if remaining[l as usize].fetch_sub(1, Ordering::AcqRel) == 1
                     && (l as usize + 1) < plan.level_count()
@@ -583,21 +499,13 @@ fn worker_loop<S: ShardSolver>(solver: &S, queue: &Queue<'_, S::Worker>) {
             queue.cv.notify_all();
         }
     }
-    queue.bank.lock().expect("bank poisoned").push(worker);
 }
 
-impl<A> ShardSolver for Ctx<'_, A>
-where
-    A: Adjacency + Sync + ?Sized,
-{
+impl ShardSolver for Ctx<'_> {
     type Worker = Worker;
 
     fn new_worker(&self) -> Worker {
         Worker::new(self.poss.len)
-    }
-
-    fn recycle_worker(&self, worker: &mut Worker) {
-        worker.ensure(self.poss.len);
     }
 
     fn solve_shard(&self, worker: &mut Worker, s: u32) {
@@ -609,111 +517,8 @@ where
     }
 }
 
-// ---------------------------------------------------------------------------
-// Compact regional solves (the incremental engine's parallel path).
-// ---------------------------------------------------------------------------
-
-/// Engine-owned pool for region-compact solves of Algorithm 1: the shared
-/// compaction/planning buffers plus the local result slab and the pooled
-/// scheduler state. Everything scales with the regions actually solved,
-/// never with the network; a clone starts with fresh (empty) pools.
-#[derive(Debug, Default)]
-pub(crate) struct BasicRegionPool {
-    /// Compaction + planning buffers (shared layer).
-    pub(crate) shared: RegionPool,
-    /// Local-id result slab (region first, frozen boundary after).
-    poss_local: Vec<PossSet>,
-    /// Pooled workers, ready queue, and dependency counters.
-    sched: SchedPool<Worker>,
-}
-
-impl Clone for BasicRegionPool {
-    /// Pools carry no engine state — a cloned engine starts cold.
-    fn clone(&self) -> Self {
-        BasicRegionPool::default()
-    }
-}
-
-impl BasicRegionPool {
-    /// Bytes currently retained by region-scaled scratch (compaction,
-    /// planning, local slab, scheduler queues). Worker scratches are
-    /// counted by their node-flag arrays.
-    pub(crate) fn region_scratch_bytes(&self) -> usize {
-        self.shared.region_scratch_bytes()
-            + self.poss_local.capacity() * std::mem::size_of::<PossSet>()
-            + self.sched.queue_bytes()
-            + self
-                .sched
-                .workers()
-                .iter()
-                .map(|w| w.in_unit.capacity() + w.closed.capacity())
-                .sum::<usize>()
-    }
-
-    /// The region list the next [`solve_region_compact`] call will solve
-    /// (callers clear and fill it with the solvable dirty nodes).
-    pub(crate) fn region_mut(&mut self) -> &mut Vec<NodeId> {
-        &mut self.shared.region
-    }
-}
-
-/// Solves the dirty region `pool.region_mut()` of an `n`-node BTN in
-/// compact local id space and patches the results back into the global
-/// `poss` slab.
-///
-/// The region must contain only solvable nodes (dirty *and* reachable, no
-/// duplicates); every other node is frozen at its current `poss` value —
-/// non-empty exactly when closed-reachable, the usual emptiness-as-
-/// closedness convention. All scratch (compacted view, translated parents,
-/// plan, local slab, workers) is O(region) and pooled.
-pub(crate) fn solve_region_compact(
-    pool: &mut BasicRegionPool,
-    parents: &[Parents],
-    beliefs: &[ExplicitBelief],
-    poss: &mut [PossSet],
-    empty: &PossSet,
-    threads: usize,
-    shard_target: usize,
-) {
-    if pool.shared.region.is_empty() {
-        return;
-    }
-    let plan = plan_region(&mut pool.shared, parents, poss.len(), shard_target);
-    let comp = &pool.shared.comp;
-    let k = comp.region_len();
-    let total = comp.len();
-
-    // Local slab: open (empty) region slots, frozen boundary copies.
-    pool.poss_local.clear();
-    pool.poss_local.resize(total, Arc::clone(empty));
-    for l in k..total {
-        pool.poss_local[l] = Arc::clone(&poss[comp.global_of(l as u32) as usize]);
-    }
-
-    let ctx = Ctx {
-        g: comp,
-        parents: &pool.shared.parents,
-        beliefs,
-        globals: Some(comp.globals()),
-        plan: &plan,
-        poss: SharedSlab::new(&mut pool.poss_local),
-    };
-    run_shards(&ctx, threads, Some(&mut pool.sched));
-
-    // Move the region results out (boundary copies just drop); the
-    // vector's capacity stays pooled.
-    for (l, set) in pool.poss_local.drain(..).enumerate() {
-        if l < k {
-            poss[comp.global_of(l as u32) as usize] = set;
-        }
-    }
-}
-
 /// Solves every unit of shard `s` in plan order.
-fn solve_shard<A>(ctx: &Ctx<'_, A>, worker: &mut Worker, s: u32)
-where
-    A: Adjacency + Sync + ?Sized,
-{
+fn solve_shard(ctx: &Ctx<'_>, worker: &mut Worker, s: u32) {
     if ctx.plan.singleton_layout() {
         // All-singleton plan (a self-loop can never peel, so none exist
         // here): stream the shard's node list as a two-stage software
@@ -753,13 +558,10 @@ where
 /// so Algorithm 1's Step-1 copy or Step-2 flood collapses to one
 /// expression. An empty parent set marks an unreachable (never-closing)
 /// parent and contributes nothing, exactly as in the sequential resolver.
-fn solve_singleton<A>(ctx: &Ctx<'_, A>, worker: &mut Worker, x: NodeId)
-where
-    A: Adjacency + Sync + ?Sized,
-{
+fn solve_singleton(ctx: &Ctx<'_>, worker: &mut Worker, x: NodeId) {
     let parents = &ctx.parents[x as usize];
     let set = match *parents {
-        Parents::None => match ctx.beliefs[ctx.gid(x)].positive() {
+        Parents::None => match ctx.beliefs[x as usize].positive() {
             // A believing root; beliefless roots stay empty (unreachable).
             Some(v) => intern(&mut worker.cache, &[v]),
             None => return,
@@ -783,10 +585,7 @@ where
 
 /// Sorted union of the parents' final possible sets, reusing existing
 /// allocations whenever one side is redundant.
-fn union_parents<A>(ctx: &Ctx<'_, A>, worker: &mut Worker, parents: &Parents) -> PossSet
-where
-    A: Adjacency + Sync + ?Sized,
-{
+fn union_parents(ctx: &Ctx<'_>, worker: &mut Worker, parents: &Parents) -> PossSet {
     let mut first: Option<&PossSet> = None;
     let mut second: Option<&PossSet> = None;
     for z in parents.iter() {
@@ -850,10 +649,7 @@ fn merge_sorted(a: &[Value], b: &[Value], out: &mut Vec<Value>) {
 /// Algorithm 1's Step-1/Step-2 alternation restricted to one cyclic unit,
 /// with every external node final — the same regional semantics as the
 /// incremental resolver's dirty-region solve.
-fn solve_cyclic<A>(ctx: &Ctx<'_, A>, worker: &mut Worker, u: u32)
-where
-    A: Adjacency + Sync + ?Sized,
-{
+fn solve_cyclic(ctx: &Ctx<'_>, worker: &mut Worker, u: u32) {
     let Worker {
         in_unit,
         closed,
@@ -1187,9 +983,49 @@ mod tests {
     }
 
     #[test]
-    fn tiny_shards_force_cross_shard_dependencies() {
+    fn a_panicking_shard_panics_run_shards_instead_of_hanging() {
+        /// Eight independent one-node shards; shard 0 panics. Its
+        /// siblings drain the other seven and would then wait forever for
+        /// `done` to reach 8.
+        struct Bomb(ShardPlan);
+        impl ShardSolver for Bomb {
+            type Worker = ();
+            fn new_worker(&self) {}
+            fn solve_shard(&self, _: &mut (), s: u32) {
+                assert_ne!(s, 0, "shard 0 blows up");
+            }
+            fn plan(&self) -> &ShardPlan {
+                &self.0
+            }
+        }
+        let g = trustmap_graph::Csr::from_digraph(&trustmap_graph::DiGraph::new(8));
+        let plan = ShardPlan::build(
+            &g,
+            |_| std::iter::empty(),
+            |_| true,
+            0..8,
+            &mut SccScratch::new(),
+            1,
+            false,
+        );
+        assert_eq!(plan.shard_count(), 8);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(|| run_shards(&Bomb(plan), 4));
+            let _ = tx.send(outcome.is_err());
+        });
+        let panicked = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("run_shards hung on a panicked worker");
+        assert!(panicked, "the worker's panic must reach the caller");
+    }
+
+    #[test]
+    fn extreme_shard_targets_match_sequential() {
         // Shard target 1 puts every unit in its own shard: the scheduler
         // must still produce identical results, in both dep modes' reach.
+        // At the other end any `usize` is a legal target; ones past the
+        // u32 unit-id range used to wrap a chunk end and panic a worker.
         let mut net = TrustNetwork::new();
         let v = net.value("v");
         let root = net.user("root");
@@ -1202,19 +1038,25 @@ mod tests {
         }
         let btn = binarize(&net);
         let seq = resolve(&btn).unwrap();
-        for threads in [1, 2, 4] {
-            for exact_deps in [false, true] {
-                let par = resolve_parallel_with(
-                    &btn,
-                    ParOptions {
-                        threads,
-                        shard_target: 1,
-                        exact_deps,
-                    },
-                )
-                .unwrap();
-                for x in btn.nodes() {
-                    assert_eq!(seq.poss(x), par.poss(x), "node {x} exact={exact_deps}");
+        for shard_target in [1, u32::MAX as usize, usize::MAX / 4, usize::MAX] {
+            for threads in [1, 2, 4] {
+                for exact_deps in [false, true] {
+                    let par = resolve_parallel_with(
+                        &btn,
+                        ParOptions {
+                            threads,
+                            shard_target,
+                            exact_deps,
+                        },
+                    )
+                    .unwrap();
+                    for x in btn.nodes() {
+                        assert_eq!(
+                            seq.poss(x),
+                            par.poss(x),
+                            "node {x} target {shard_target} exact={exact_deps}"
+                        );
+                    }
                 }
             }
         }

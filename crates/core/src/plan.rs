@@ -1,13 +1,11 @@
 //! The cost-based query planner: one routing authority for every read.
 //!
-//! The repo grew five execution strategies for the same semantic question
-//! ("what does this user believe?"): incremental dirty-region patching,
-//! the sequential compact solve, the condensation-sharded parallel solve,
-//! the Skeptic pipeline, and the set-oriented bulk executor. The choice
-//! between them used to live in ad-hoc heuristics scattered across
-//! [`crate::policy::ParallelPolicy`], `relstore`'s bulk executor, and
-//! [`crate::Session`]'s sign routing. This module replaces those sites
-//! with one pipeline:
+//! The semantics define one answer per network state, so the planner
+//! chooses only between the two physical ways of producing it: read the
+//! live incremental engine's patched snapshot
+//! ([`Strategy::IncrementalPatch`]), or solve the whole network from
+//! scratch in one condensation pass ([`Strategy::WholeSolve`]). The
+//! pipeline:
 //!
 //! ```text
 //! query text ──lexer/parser──▶ Query (AST)
@@ -21,12 +19,11 @@
 //! same [`Query`] AST and route through [`Planner::plan`].
 //!
 //! Costing is **counter arithmetic over persisted statistics**
-//! ([`crate::stats::PlannerStats`]) — expected dirty-region size,
-//! network size, condensation depth, thread budget — never wall-clock.
-//! Planning chooses among physically identical plans: every strategy
-//! returns bit-identical results for the queries it is applicable to
-//! (enforced by `tests/plan_oracle.rs`), so the planner can never change
-//! semantics, only cost (see `docs/FIDELITY.md`).
+//! ([`crate::stats::PlannerStats`]) — expected dirty-region size and
+//! network size — never wall-clock. Both strategies return bit-identical
+//! results for the queries they are applicable to (enforced by
+//! `tests/plan_oracle.rs`), so the planner can never change semantics,
+//! only cost (see `docs/FIDELITY.md`).
 
 use crate::error::{Error, Result};
 use crate::stats::{PlannerStats, STRATEGY_COUNT};
@@ -44,41 +41,22 @@ pub enum Strategy {
     /// Serve from the live incremental engine's patched snapshot
     /// (Algorithm 1 or 2 deltas; the warm path).
     IncrementalPatch,
-    /// Sequential from-scratch solve through the region-compact layer
-    /// (Algorithm 1 over the whole network as one region).
-    CompactRegionSolve,
-    /// Condensation-sharded parallel whole-network solve
-    /// ([`crate::parallel::PlannedResolver`] /
-    /// [`crate::skeptic::SkepticPlannedResolver`]).
-    ShardedWholeSolve,
-    /// Sequential Algorithm 2 with the Skeptic decode — the only
-    /// sequential full solve on constraint-carrying networks; on positive
-    /// networks it coincides with the basic model (Section 3.3).
-    SkepticResolve,
-    /// The set-oriented bulk executor of Section 4
-    /// ([`crate::bulk::plan_bulk`] + `execute_native`): plan the flood
-    /// schedule once, then seed any number of objects through it.
-    BulkFewObjects,
+    /// One-pass condensation solve of the whole network from scratch, on
+    /// one thread: [`crate::parallel::PlannedResolver`] on positive
+    /// networks, [`crate::skeptic::SkepticPlannedResolver`] on
+    /// constraint-carrying ones.
+    WholeSolve,
 }
 
 impl Strategy {
     /// Every strategy, in planning (and tie-breaking) order.
-    pub const ALL: [Strategy; STRATEGY_COUNT] = [
-        Strategy::IncrementalPatch,
-        Strategy::CompactRegionSolve,
-        Strategy::ShardedWholeSolve,
-        Strategy::SkepticResolve,
-        Strategy::BulkFewObjects,
-    ];
+    pub const ALL: [Strategy; STRATEGY_COUNT] = [Strategy::IncrementalPatch, Strategy::WholeSolve];
 
     /// Stable display / protocol name.
     pub fn name(self) -> &'static str {
         match self {
             Strategy::IncrementalPatch => "incremental-patch",
-            Strategy::CompactRegionSolve => "compact-region-solve",
-            Strategy::ShardedWholeSolve => "sharded-whole-solve",
-            Strategy::SkepticResolve => "skeptic-resolve",
-            Strategy::BulkFewObjects => "bulk-few-objects",
+            Strategy::WholeSolve => "whole-solve",
         }
     }
 
@@ -86,10 +64,7 @@ impl Strategy {
     pub fn index(self) -> usize {
         match self {
             Strategy::IncrementalPatch => 0,
-            Strategy::CompactRegionSolve => 1,
-            Strategy::ShardedWholeSolve => 2,
-            Strategy::SkepticResolve => 3,
-            Strategy::BulkFewObjects => 4,
+            Strategy::WholeSolve => 1,
         }
     }
 
@@ -276,37 +251,22 @@ impl fmt::Display for LogicalPlan {
     }
 }
 
-/// The consolidated cost constants — previously duplicated as
-/// `ParallelPolicy::DEFAULT_MIN_REGION` and `bulkexec`'s implicit
-/// `num_objects < threads` few-objects route, which disagreed on
-/// overlapping inputs (a small network with few objects parallelized
-/// intra-object even though the same region size would have stayed
-/// sequential on the edit path).
+/// The bulk executors' routing constants.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CostModel;
 
 impl CostModel {
-    /// Minimum work (BTN nodes) before a parallel plan pays for its
-    /// plan-build and thread-spawn overhead — the single threshold behind
-    /// both [`crate::policy::ParallelPolicy`]'s region routing and the
-    /// bulk executors' few-objects routing.
+    /// Minimum work (BTN nodes) before spreading one solve over several
+    /// threads pays for its thread-spawn overhead.
     pub const MIN_PARALLEL_WORK: usize = 4096;
 
-    /// Whether `work` BTN nodes across `threads` workers should take a
-    /// parallel path.
-    #[inline]
-    pub fn wants_parallel(threads: usize, work: usize) -> bool {
-        threads > 1 && work >= Self::MIN_PARALLEL_WORK
-    }
-
     /// Whether a bulk workload of `num_objects` objects over a
-    /// `node_count`-node network should resolve each object through the
-    /// sharded whole-network solver (too few objects to fill the
-    /// hardware with per-object fan-out) instead of fanning objects out
-    /// across threads.
+    /// `node_count`-node network should give each object's solve all
+    /// `threads` workers (too few objects to fill the hardware with
+    /// per-object fan-out) instead of fanning objects out across threads.
     #[inline]
     pub fn bulk_sharded(threads: usize, num_objects: usize, node_count: usize) -> bool {
-        num_objects < threads && Self::wants_parallel(threads, node_count)
+        num_objects < threads && node_count >= Self::MIN_PARALLEL_WORK
     }
 }
 
@@ -316,15 +276,10 @@ impl CostModel {
 pub struct PlanContext {
     /// BTN node count of the network (0 if unknown — a cold session).
     pub node_count: usize,
-    /// Worker-thread budget ([`crate::policy::ParallelPolicy::threads`]).
-    pub threads: usize,
     /// Whether the network carries constraints (Skeptic pipeline).
     pub skeptic: bool,
     /// Whether a live incremental engine (warm snapshot) exists.
     pub engine_live: bool,
-    /// Bulk width: how many independent belief assignments (objects) the
-    /// query resolves. Point/all reads are 1.
-    pub objects: usize,
 }
 
 /// One candidate strategy's costing outcome.
@@ -492,107 +447,37 @@ impl Planner {
         }
 
         let n = (ctx.node_count as u64).max(1);
-        let k = (ctx.objects as u64).max(1);
         // Cold sessions have no region history: assume a full solve.
         let region = consulted.expected_region.unwrap_or(n).clamp(1, n);
-        let overhead = CostModel::MIN_PARALLEL_WORK as u64;
 
-        let mut candidates = Vec::with_capacity(Strategy::ALL.len());
-        let mut plan_nodes = 0u64;
-        for strategy in Strategy::ALL {
-            plan_nodes += 1;
-            let est = match strategy {
-                Strategy::IncrementalPatch => {
-                    if !ctx.engine_live {
-                        CostEstimate {
-                            strategy,
-                            cost: u64::MAX,
-                            applicable: false,
-                            detail: "no live engine to patch",
-                        }
-                    } else if ctx.objects > 1 {
-                        CostEstimate {
-                            strategy,
-                            cost: u64::MAX,
-                            applicable: false,
-                            detail: "engines patch one belief assignment, not bulk objects",
-                        }
+        let candidates: Vec<CostEstimate> = Strategy::ALL
+            .into_iter()
+            .map(|strategy| match strategy {
+                Strategy::IncrementalPatch if !ctx.engine_live => CostEstimate {
+                    strategy,
+                    cost: u64::MAX,
+                    applicable: false,
+                    detail: "no live engine to patch",
+                },
+                Strategy::IncrementalPatch => CostEstimate {
+                    strategy,
+                    cost: region,
+                    applicable: true,
+                    detail: "drain pending region, read patched snapshot",
+                },
+                Strategy::WholeSolve => CostEstimate {
+                    strategy,
+                    cost: 2 * n,
+                    applicable: true,
+                    detail: if ctx.skeptic {
+                        "binarize + one-pass Algorithm 2"
                     } else {
-                        CostEstimate {
-                            strategy,
-                            cost: region,
-                            applicable: true,
-                            detail: "drain pending region, read patched snapshot",
-                        }
-                    }
-                }
-                Strategy::CompactRegionSolve => {
-                    if ctx.skeptic {
-                        CostEstimate {
-                            strategy,
-                            cost: u64::MAX,
-                            applicable: false,
-                            detail: "Algorithm 1 cannot represent constraints",
-                        }
-                    } else {
-                        CostEstimate {
-                            strategy,
-                            cost: 2 * n * k,
-                            applicable: true,
-                            detail: "sequential whole-network solve per object",
-                        }
-                    }
-                }
-                Strategy::ShardedWholeSolve => {
-                    if ctx.threads <= 1 {
-                        CostEstimate {
-                            strategy,
-                            cost: u64::MAX,
-                            applicable: false,
-                            detail: "one thread: sharding cannot help",
-                        }
-                    } else {
-                        CostEstimate {
-                            strategy,
-                            cost: k * (2 * n / ctx.threads as u64) + overhead,
-                            applicable: true,
-                            detail: "condensation-sharded solve + plan overhead",
-                        }
-                    }
-                }
-                Strategy::SkepticResolve => {
-                    let cost = if ctx.skeptic { 2 * n * k } else { 3 * n * k };
-                    CostEstimate {
-                        strategy,
-                        cost,
-                        applicable: true,
-                        detail: if ctx.skeptic {
-                            "sequential Algorithm 2"
-                        } else {
-                            "Algorithm 2 coincides with basic here, plus decode"
-                        },
-                    }
-                }
-                Strategy::BulkFewObjects => {
-                    if ctx.skeptic {
-                        CostEstimate {
-                            strategy,
-                            cost: u64::MAX,
-                            applicable: false,
-                            detail: "the POSS table cannot represent constraints",
-                        }
-                    } else {
-                        CostEstimate {
-                            strategy,
-                            cost: 2 * n + k * (n / 4) + 1,
-                            applicable: true,
-                            detail: "plan flood schedule once, seed objects through it",
-                        }
-                    }
-                }
-            };
-            candidates.push(est);
-        }
+                        "binarize + one-pass Algorithm 1"
+                    },
+                },
+            })
+            .collect();
+        let plan_nodes = candidates.len() as u64;
         stats.observe_plan(plan_nodes);
 
         let chosen = match query.force {
@@ -612,7 +497,7 @@ impl Planner {
                     .iter()
                     .filter(|c| c.applicable)
                     .min_by_key(|c| c.cost)
-                    .ok_or_else(|| Error::Plan("no applicable execution strategy".to_owned()))?
+                    .expect("whole-solve is always applicable")
                     .strategy
             }
         };
@@ -659,10 +544,8 @@ mod tests {
     fn ctx() -> PlanContext {
         PlanContext {
             node_count: 10_000,
-            threads: 1,
             skeptic: false,
             engine_live: false,
-            objects: 1,
         }
     }
 
@@ -687,46 +570,13 @@ mod tests {
     }
 
     #[test]
-    fn cold_sequential_positive_takes_the_compact_solve() {
-        let report = plan(&Query::cert(QueryTarget::All), &ctx());
-        assert_eq!(report.strategy, Strategy::CompactRegionSolve);
-    }
-
-    #[test]
-    fn cold_threaded_large_networks_shard() {
-        let c = PlanContext {
-            threads: 4,
-            ..ctx()
-        };
-        let report = plan(&Query::cert(QueryTarget::All), &c);
-        assert_eq!(report.strategy, Strategy::ShardedWholeSolve);
-        // Tiny networks stay sequential even with threads: overhead wins.
-        let small = PlanContext {
-            node_count: 64,
-            ..c
-        };
-        let report = plan(&Query::cert(QueryTarget::All), &small);
-        assert_eq!(report.strategy, Strategy::CompactRegionSolve);
-    }
-
-    #[test]
-    fn constraint_networks_route_to_skeptic() {
-        let c = PlanContext {
-            skeptic: true,
-            ..ctx()
-        };
-        let report = plan(&Query::cert(QueryTarget::All), &c);
-        assert_eq!(report.strategy, Strategy::SkepticResolve);
-    }
-
-    #[test]
-    fn bulk_objects_route_to_the_set_oriented_executor() {
-        let c = PlanContext {
-            objects: 8,
-            ..ctx()
-        };
-        let report = plan(&Query::poss(QueryTarget::All), &c);
-        assert_eq!(report.strategy, Strategy::BulkFewObjects);
+    fn cold_sessions_solve_the_whole_network_whatever_the_sign() {
+        for skeptic in [false, true] {
+            let c = PlanContext { skeptic, ..ctx() };
+            let report = plan(&Query::cert(QueryTarget::All), &c);
+            assert_eq!(report.strategy, Strategy::WholeSolve);
+            assert!(report.candidates.iter().any(|c| !c.applicable));
+        }
     }
 
     #[test]
@@ -747,7 +597,7 @@ mod tests {
         assert_eq!(report.strategy, Strategy::IncrementalPatch);
         assert_eq!(report.plan_nodes, 1);
         let err = Planner::plan(
-            &q.clone().force(Strategy::CompactRegionSolve),
+            &q.clone().force(Strategy::WholeSolve),
             &ctx(),
             &mut PlannerStats::default(),
         )
@@ -759,10 +609,10 @@ mod tests {
     fn render_names_strategy_and_stats() {
         let report = plan(&Query::cert(QueryTarget::Named("alice".into())), &ctx());
         let text = report.render();
-        assert!(text.contains("plan: compact-region-solve"));
+        assert!(text.contains("plan: whole-solve cost=20000"));
         assert!(text.contains("stats: expected_region=none"));
-        assert!(text.contains("candidate: sharded-whole-solve n/a"));
-        assert!(text.contains("plan_nodes: 5"));
+        assert!(text.contains("candidate: incremental-patch n/a"));
+        assert!(text.contains("plan_nodes: 2"));
     }
 
     #[test]
@@ -772,9 +622,9 @@ mod tests {
             .at(42);
         assert_eq!(q.to_string(), "CERT alice EXACT @42");
         let q = Query::poss(QueryTarget::All)
-            .force(Strategy::BulkFewObjects)
+            .force(Strategy::WholeSolve)
             .explain();
-        assert_eq!(q.to_string(), "EXPLAIN POSS * FORCE bulk-few-objects");
+        assert_eq!(q.to_string(), "EXPLAIN POSS * FORCE whole-solve");
     }
 
     #[test]

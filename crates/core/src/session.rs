@@ -55,9 +55,8 @@ use crate::network::TrustNetwork;
 use crate::plan::{
     PlanContext, PlanReport, Planner, Query, QueryResult, QueryRow, QueryTarget, Strategy,
 };
-use crate::policy::ParallelPolicy;
 use crate::resolution::UserResolution;
-use crate::signed::{BeliefSet, ExplicitBelief, NegSet};
+use crate::signed::{BeliefSet, NegSet};
 use crate::skeptic::{RepPoss, SkepticUserResolution};
 use crate::skeptic_incremental::{SignedEdit, SkepticIncremental};
 use crate::stats::{PlannerStats, SharedPlannerStats};
@@ -117,13 +116,6 @@ impl LiveEngine {
             LiveEngine::Skeptic(e) => e.user_count(),
         }
     }
-
-    fn set_parallel_policy(&mut self, policy: ParallelPolicy) {
-        match self {
-            LiveEngine::Basic(e) => e.set_parallel_policy(policy),
-            LiveEngine::Skeptic(e) => e.set_parallel_policy(policy),
-        }
-    }
 }
 
 /// Exact certain-belief maintenance state of a session (see
@@ -159,9 +151,6 @@ pub struct Session {
     stats: DeltaStats,
     batching: bool,
     traced: bool,
-    /// Shared parallelism configuration applied to whichever engine is
-    /// (or becomes) live.
-    policy: ParallelPolicy,
     /// Optional write-ahead sink; see [`crate::durability`]. Not cloned.
     durability: Option<Box<dyn Durability>>,
     /// Publication point for epoch snapshots ([`Session::epoch`]);
@@ -200,7 +189,6 @@ impl Clone for Session {
             stats: self.stats,
             batching: self.batching,
             traced: self.traced,
-            policy: self.policy,
             durability: None,
             epochs: Arc::new(EpochSlot::new()),
             published: None,
@@ -223,7 +211,6 @@ impl Session {
             stats: DeltaStats::default(),
             batching: false,
             traced: false,
-            policy: ParallelPolicy::default(),
             durability: None,
             epochs: Arc::new(EpochSlot::new()),
             published: None,
@@ -491,29 +478,6 @@ impl Session {
         }
     }
 
-    /// Routes dirty regions of at least `min_region` nodes through the
-    /// condensation-sharded parallel solver with `threads` workers (see
-    /// [`IncrementalResolver::set_parallelism`]). Applies to the live
-    /// engine and to any future rebuild.
-    pub fn set_parallelism(&mut self, threads: usize, min_region: usize) {
-        self.set_parallel_policy(ParallelPolicy::new(threads, min_region));
-    }
-
-    /// Like [`Session::set_parallelism`] but with the full shared
-    /// [`ParallelPolicy`] (thread count, work threshold, shard
-    /// granularity) — one configuration type for both pipelines.
-    pub fn set_parallel_policy(&mut self, policy: ParallelPolicy) {
-        self.policy = policy;
-        if let Some(engine) = self.engine.as_mut() {
-            engine.set_parallel_policy(policy);
-        }
-    }
-
-    /// The session's current [`ParallelPolicy`].
-    pub fn parallel_policy(&self) -> ParallelPolicy {
-        self.policy
-    }
-
     /// Whether the session currently runs the Skeptic pipeline (the
     /// network carries constraints).
     pub fn is_skeptic(&self) -> bool {
@@ -648,12 +612,12 @@ impl Session {
     // ------------------------------------------------------------------
 
     /// Executes `query` through the cost-based planner — the single
-    /// routing authority over the five physical execution strategies
+    /// routing authority over the two physical execution strategies
     /// ([`Strategy`]). The planner consults the session's persisted
     /// statistics ([`Session::planner_stats`]) and pure counter
-    /// arithmetic to choose; every applicable strategy returns
-    /// bit-identical rows (`tests/plan_oracle.rs`), so the choice can
-    /// never change semantics.
+    /// arithmetic to choose; both strategies return bit-identical rows
+    /// (`tests/plan_oracle.rs`), so the choice can never change
+    /// semantics.
     ///
     /// `EXPLAIN` queries ([`Query::explain`]) plan without executing and
     /// return empty rows — render the plan with
@@ -662,7 +626,7 @@ impl Session {
     /// ([`Error::Plan`] otherwise). Inside an open batch every read is
     /// isolated at the pre-batch snapshot, which only the live engine
     /// holds: queries silently plan as [`Strategy::IncrementalPatch`],
-    /// and forcing any other strategy is [`Error::Plan`]. The query's
+    /// and forcing [`Strategy::WholeSolve`] is [`Error::Plan`]. The query's
     /// LSN pin is a serve-protocol concern and is ignored here — an
     /// in-process session is always current.
     pub fn query(&mut self, query: &Query) -> Result<QueryResult> {
@@ -695,10 +659,7 @@ impl Session {
         } else {
             match report.strategy {
                 Strategy::IncrementalPatch => self.rows_incremental(&users)?,
-                Strategy::CompactRegionSolve => self.rows_compact(&users)?,
-                Strategy::ShardedWholeSolve => self.rows_sharded(&users)?,
-                Strategy::SkepticResolve => self.rows_skeptic(&users)?,
-                Strategy::BulkFewObjects => self.rows_bulk(&users)?,
+                Strategy::WholeSolve => self.rows_whole(&users)?,
             }
         };
         Ok(QueryResult { rows, report })
@@ -714,8 +675,8 @@ impl Session {
 
     /// The planning context the session hands to [`Planner::plan`]: node
     /// count (live BTN if warm; otherwise the larger of the persisted
-    /// statistics' last build and the network's user count), thread
-    /// budget, pipeline sign, and engine liveness.
+    /// statistics' last build and the network's user count), pipeline
+    /// sign, and engine liveness.
     pub fn plan_context(&self) -> PlanContext {
         let node_count = match self.engine.as_ref() {
             Some(engine) => engine.btn().node_count(),
@@ -723,10 +684,8 @@ impl Session {
         };
         PlanContext {
             node_count,
-            threads: self.policy.threads,
             skeptic: self.net.has_constraints(),
             engine_live: self.engine.is_some(),
-            objects: 1,
         }
     }
 
@@ -789,23 +748,16 @@ impl Session {
             0
         };
         self.observe_run(Strategy::IncrementalPatch, dirty as u64);
+        // Users created mid-batch lie past the snapshot: undefined until
+        // commit.
         if let Some(snap) = self.snapshot.as_ref() {
             return Ok(users
                 .iter()
                 .map(|&u| {
                     if u.index() < snap.cert.len() {
-                        QueryRow {
-                            user: u,
-                            cert: snap.cert(u),
-                            poss: snap.poss(u).to_vec(),
-                        }
+                        basic_row(u, snap.cert(u), snap.poss(u))
                     } else {
-                        // Created mid-batch: undefined until commit.
-                        QueryRow {
-                            user: u,
-                            cert: None,
-                            poss: Vec::new(),
-                        }
+                        undefined_row(u)
                     }
                 })
                 .collect());
@@ -818,170 +770,42 @@ impl Session {
             .iter()
             .map(|&u| {
                 if u.index() < snap.user_count() {
-                    let rep = snap.rep_poss(u);
-                    QueryRow {
-                        user: u,
-                        cert: rep.cert_positive(),
-                        poss: rep.pos.iter().copied().collect(),
-                    }
+                    skeptic_row(u, snap.rep_poss(u))
                 } else {
-                    QueryRow {
-                        user: u,
-                        cert: None,
-                        poss: Vec::new(),
-                    }
+                    undefined_row(u)
                 }
             })
             .collect())
     }
 
-    /// [`Strategy::CompactRegionSolve`]: sequential Algorithm 1 from
-    /// scratch through the region-compact layer.
-    fn rows_compact(&mut self, users: &[User]) -> Result<Vec<QueryRow>> {
+    /// [`Strategy::WholeSolve`]: binarize and run the one-pass
+    /// condensation solver of whichever pipeline the network's sign
+    /// demands, on one thread.
+    fn rows_whole(&mut self, users: &[User]) -> Result<Vec<QueryRow>> {
         let btn = crate::binary::binarize(&self.net);
-        let res = crate::resolution::resolve(&btn)?;
-        self.observe_run(Strategy::CompactRegionSolve, btn.node_count() as u64);
-        Ok(users
-            .iter()
-            .map(|&u| {
-                if u.index() >= btn.user_count {
-                    return QueryRow {
-                        user: u,
-                        cert: None,
-                        poss: Vec::new(),
-                    };
-                }
-                let node = btn.node_of(u);
-                QueryRow {
-                    user: u,
-                    cert: res.cert(node),
-                    poss: res.poss(node).to_vec(),
-                }
-            })
-            .collect())
-    }
-
-    /// [`Strategy::ShardedWholeSolve`]: the condensation-sharded parallel
-    /// solve of whichever pipeline the network's sign demands.
-    fn rows_sharded(&mut self, users: &[User]) -> Result<Vec<QueryRow>> {
-        let btn = crate::binary::binarize(&self.net);
-        let opts = crate::parallel::ParOptions {
-            threads: self.policy.threads,
-            shard_target: self.policy.shard_target,
-            ..Default::default()
-        };
+        let node = |u: User| (u.index() < btn.user_count).then(|| btn.node_of(u));
         let rows = if self.net.has_constraints() {
-            let res = crate::skeptic::SkepticPlannedResolver::new(&btn, opts)?
-                .resolve(&btn, self.policy.threads)?;
+            let res = crate::skeptic::resolve_skeptic_parallel(&btn, 1)?;
             users
                 .iter()
-                .map(|&u| {
-                    if u.index() >= btn.user_count {
-                        return QueryRow {
-                            user: u,
-                            cert: None,
-                            poss: Vec::new(),
-                        };
-                    }
-                    let rep = res.rep_poss(btn.node_of(u));
-                    QueryRow {
-                        user: u,
-                        cert: rep.cert_positive(),
-                        poss: rep.pos.iter().copied().collect(),
-                    }
+                .map(|&u| match node(u) {
+                    Some(x) => skeptic_row(u, res.rep_poss(x)),
+                    None => undefined_row(u),
                 })
                 .collect()
         } else {
-            let res = crate::parallel::PlannedResolver::new(&btn, opts)
-                .resolve(&btn, self.policy.threads)?;
+            let res = crate::parallel::resolve_parallel(&btn, 1)?;
             self.planner.update(|s| s.observe_levels(res.rounds()));
             users
                 .iter()
-                .map(|&u| {
-                    if u.index() >= btn.user_count {
-                        return QueryRow {
-                            user: u,
-                            cert: None,
-                            poss: Vec::new(),
-                        };
-                    }
-                    let node = btn.node_of(u);
-                    QueryRow {
-                        user: u,
-                        cert: res.cert(node),
-                        poss: res.poss(node).to_vec(),
-                    }
+                .map(|&u| match node(u) {
+                    Some(x) => basic_row(u, res.cert(x), res.poss(x)),
+                    None => undefined_row(u),
                 })
                 .collect()
         };
-        self.observe_run(Strategy::ShardedWholeSolve, btn.node_count() as u64);
+        self.observe_run(Strategy::WholeSolve, btn.node_count() as u64);
         Ok(rows)
-    }
-
-    /// [`Strategy::SkepticResolve`]: sequential Algorithm 2 plus the
-    /// Figure 18 decode — on positive networks it coincides with the
-    /// basic model (Section 3.3), so the rows stay bit-identical.
-    fn rows_skeptic(&mut self, users: &[User]) -> Result<Vec<QueryRow>> {
-        let btn = crate::binary::binarize(&self.net);
-        let res = crate::skeptic::resolve_skeptic(&btn)?;
-        self.observe_run(Strategy::SkepticResolve, btn.node_count() as u64);
-        Ok(users
-            .iter()
-            .map(|&u| {
-                if u.index() >= btn.user_count {
-                    return QueryRow {
-                        user: u,
-                        cert: None,
-                        poss: Vec::new(),
-                    };
-                }
-                let rep = res.rep_poss(btn.node_of(u));
-                QueryRow {
-                    user: u,
-                    cert: rep.cert_positive(),
-                    poss: rep.pos.iter().copied().collect(),
-                }
-            })
-            .collect())
-    }
-
-    /// [`Strategy::BulkFewObjects`]: plan the Section-4 flood schedule
-    /// once and push the current explicit beliefs through it as a
-    /// one-object workload.
-    fn rows_bulk(&mut self, users: &[User]) -> Result<Vec<QueryRow>> {
-        let btn = crate::binary::binarize(&self.net);
-        let plan = crate::bulk::plan_bulk(&btn)?;
-        let seeds: Vec<crate::bulk::SeedValues> = plan
-            .seeds
-            .iter()
-            .filter_map(|&(user, node)| match btn.belief(node) {
-                ExplicitBelief::Pos(v) => Some(crate::bulk::SeedValues {
-                    user,
-                    values: vec![*v],
-                }),
-                _ => None,
-            })
-            .collect();
-        let table = crate::bulk::execute_native(&plan, &seeds, 1);
-        self.observe_run(Strategy::BulkFewObjects, btn.node_count() as u64);
-        Ok(users
-            .iter()
-            .map(|&u| {
-                if u.index() >= btn.user_count {
-                    return QueryRow {
-                        user: u,
-                        cert: None,
-                        poss: Vec::new(),
-                    };
-                }
-                let node = btn.node_of(u);
-                QueryRow {
-                    user: u,
-                    cert: table.cert(node, 0),
-                    poss: table.poss(node, 0).to_vec(),
-                }
-            })
-            .collect())
     }
 
     /// The exact read path behind `EXACT` queries (and the
@@ -1005,12 +829,7 @@ impl Session {
                     .iter()
                     .map(|&u| {
                         if u.index() >= btn.user_count {
-                            // Created mid-batch: undefined until commit.
-                            return QueryRow {
-                                user: u,
-                                cert: None,
-                                poss: Vec::new(),
-                            };
+                            return undefined_row(u);
                         }
                         let node = btn.node_of(u);
                         QueryRow {
@@ -1272,7 +1091,7 @@ impl Session {
     ) -> Result<UserResolution> {
         let mut copy = self.net.clone();
         edit(&mut copy)?;
-        crate::resolution::resolve_network(&copy)
+        crate::parallel::resolve_network_parallel(&copy, 1)
     }
 
     /// Queues a typed edit for the incremental path. Without a live engine
@@ -1320,18 +1139,16 @@ impl Session {
             None => {
                 self.pending.clear();
                 if want_skeptic {
-                    let mut engine = SkepticIncremental::new(&self.net)?;
-                    engine.set_parallel_policy(self.policy);
+                    let engine = SkepticIncremental::new(&self.net)?;
                     self.sk_snapshot = Some(engine.user_resolution());
                     self.snapshot = None;
                     self.engine = Some(LiveEngine::Skeptic(engine));
                 } else {
-                    let mut engine = if self.traced {
+                    let engine = if self.traced {
                         IncrementalResolver::new_traced(&self.net)?
                     } else {
                         IncrementalResolver::new(&self.net)?
                     };
-                    engine.set_parallel_policy(self.policy);
                     self.snapshot = Some(engine.user_resolution());
                     self.sk_snapshot = None;
                     self.engine = Some(LiveEngine::Basic(engine));
@@ -1488,6 +1305,34 @@ impl Session {
             };
             self.exact = ExactSlot::Failed(log2);
         }
+    }
+}
+
+/// The row of a user no engine or solve covers yet (created mid-batch).
+fn undefined_row(user: User) -> QueryRow {
+    QueryRow {
+        user,
+        cert: None,
+        poss: Vec::new(),
+    }
+}
+
+/// A basic-model row: the certain value beside the sorted possible set.
+fn basic_row(user: User, cert: Option<Value>, poss: &[Value]) -> QueryRow {
+    QueryRow {
+        user,
+        cert,
+        poss: poss.to_vec(),
+    }
+}
+
+/// A Skeptic row: the Figure 18 certain positive beside the possible
+/// positives of the representation.
+fn skeptic_row(user: User, rep: &RepPoss) -> QueryRow {
+    QueryRow {
+        user,
+        cert: rep.cert_positive(),
+        poss: rep.pos.iter().copied().collect(),
     }
 }
 
@@ -1937,7 +1782,6 @@ mod tests {
         let charlie = s.user("Charlie");
         s.believe(charlie, jar).unwrap();
         s.snapshot().unwrap(); // warm engine → incremental applicable
-        s.set_parallelism(2, 1);
         let q = Query::poss(QueryTarget::All);
         let baseline = s.query(&q).unwrap().rows;
         assert!(!baseline.is_empty());
@@ -1996,7 +1840,7 @@ mod tests {
         assert_eq!(result.rows[0].cert, Some(jar), "isolated at pre-batch");
         // Forcing a from-scratch solve mid-batch would leak the dirty state.
         let err = s
-            .query(&Query::cert(QueryTarget::Handle(alice)).force(Strategy::CompactRegionSolve))
+            .query(&Query::cert(QueryTarget::Handle(alice)).force(Strategy::WholeSolve))
             .unwrap_err();
         assert!(matches!(err, Error::Plan(_)));
         s.commit().unwrap();
@@ -2015,30 +1859,24 @@ mod tests {
         assert_eq!(result.report.strategy, Strategy::IncrementalPatch);
         assert_eq!(result.rows[0].poss, s.poss_exact(alice).unwrap());
         // Exact mode refuses other strategies outright.
-        let err = s
-            .query(&q.clone().force(Strategy::SkepticResolve))
-            .unwrap_err();
+        let err = s.query(&q.clone().force(Strategy::WholeSolve)).unwrap_err();
         assert!(matches!(err, Error::Plan(_)));
         let _ = cow;
     }
 
     #[test]
-    fn skeptic_networks_plan_onto_the_skeptic_pipeline() {
+    fn cold_sessions_plan_a_whole_solve_and_warm_ones_patch() {
         let (mut s, [alice, bob, charlie], jar, _) = session();
         s.believe(charlie, jar).unwrap();
         s.reject(bob, NegSet::of([jar])).unwrap();
-        // Cold session, one thread: the sequential skeptic solve wins.
         let result = s.query(&Query::cert(QueryTarget::Handle(alice))).unwrap();
-        assert_eq!(result.report.strategy, Strategy::SkepticResolve);
-        // Warm session (an engine-building read happened): patching wins.
+        assert_eq!(result.report.strategy, Strategy::WholeSolve);
+        // Warm session (an engine-building read happened): patching wins,
+        // and answers the same row.
         s.skeptic_snapshot().unwrap();
-        let result = s.query(&Query::cert(QueryTarget::Handle(alice))).unwrap();
-        assert_eq!(result.report.strategy, Strategy::IncrementalPatch);
-        // Forcing Algorithm 1 on a constraint network is inapplicable.
-        let err = s
-            .query(&Query::cert(QueryTarget::Handle(alice)).force(Strategy::CompactRegionSolve))
-            .unwrap_err();
-        assert!(matches!(err, Error::Plan(_)));
+        let warm = s.query(&Query::cert(QueryTarget::Handle(alice))).unwrap();
+        assert_eq!(warm.report.strategy, Strategy::IncrementalPatch);
+        assert_eq!(warm.rows, result.rows);
     }
 
     #[test]

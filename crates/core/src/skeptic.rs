@@ -50,9 +50,9 @@
 //! re-solves.
 
 use crate::binary::{Btn, Parents};
-use crate::compact::{plan_region, plan_whole, RegionPool};
+use crate::compact::plan_whole;
 use crate::error::{Error, Result};
-use crate::parallel::{run_shards, ParOptions, SchedPool, ShardSolver, SharedSlab};
+use crate::parallel::{run_shards, ParOptions, ShardSolver, SharedSlab};
 use crate::signed::{BeliefSet, ExplicitBelief, NegSet};
 use crate::user::User;
 use crate::value::Value;
@@ -426,38 +426,20 @@ pub fn resolve_skeptic(btn: &Btn) -> Result<SkepticResolution> {
 
 /// Immutable network view the skeptic solvers share: forward adjacency,
 /// parent structure, explicit beliefs, the preprocessing `prefNeg`, and
-/// static reachability from belief roots.
-///
-/// `g`, `parents`, and `reachable` live in the solve's (possibly
-/// compacted) local id space; `beliefs` and `pref_neg` stay globally
-/// indexed and are translated through `globals` on access.
+/// static reachability from belief roots — all indexed by BTN node id.
 pub(crate) struct SkepticNet<'a, A: ?Sized> {
-    /// Forward adjacency (edges parent → child), local ids.
+    /// Forward adjacency (edges parent → child).
     pub g: &'a A,
-    /// Per-node (≤ 2) parents, local ids.
+    /// Per-node (≤ 2) parents.
     pub parents: &'a [Parents],
-    /// Per-node explicit beliefs (non-`None` only at roots), global ids.
+    /// Per-node explicit beliefs (non-`None` only at roots).
     pub beliefs: &'a [ExplicitBelief],
-    /// Explicit negatives forced through preferred chains (preprocessing),
-    /// global ids.
+    /// Explicit negatives forced through preferred chains (preprocessing).
     pub pref_neg: &'a [NegSet],
-    /// Reachability from belief-carrying roots, local ids. A *final* node
-    /// counts as closed exactly when it is reachable (unreachable nodes
-    /// never close and keep an empty representation forever).
+    /// Reachability from belief-carrying roots. A *final* node counts as
+    /// closed exactly when it is reachable (unreachable nodes never close
+    /// and keep an empty representation forever).
     pub reachable: &'a [bool],
-    /// Local → global id map (`None` = identity).
-    pub globals: Option<&'a [NodeId]>,
-}
-
-impl<A: ?Sized> SkepticNet<'_, A> {
-    /// The global id behind local node `x` (for globally indexed tables).
-    #[inline]
-    fn gid(&self, x: NodeId) -> usize {
-        match self.globals {
-            Some(map) => map[x as usize] as usize,
-            None => x as usize,
-        }
-    }
 }
 
 /// Read/write access to the per-node `repPoss` slab — a plain mutable
@@ -554,13 +536,6 @@ impl SkepticScratch {
         self.mark.resize(n, 0);
         self.in_comp.resize(n, 0);
     }
-
-    /// Bytes retained by the node-indexed scratch arrays.
-    pub(crate) fn scratch_bytes(&self) -> usize {
-        self.in_region.capacity()
-            + self.closed.capacity()
-            + (self.mark.capacity() + self.in_comp.capacity()) * std::mem::size_of::<u32>()
-    }
 }
 
 /// Bumps the epoch counter, clearing the stamp arrays on (astronomically
@@ -627,7 +602,7 @@ pub(crate) fn solve_skeptic_region<A, R>(
             continue;
         }
         let rep = store.rep_mut(x);
-        match &net.beliefs[net.gid(x)] {
+        match &net.beliefs[x as usize] {
             ExplicitBelief::Pos(v) => {
                 rep.pos.insert(*v);
             }
@@ -758,7 +733,7 @@ pub(crate) fn solve_skeptic_region<A, R>(
                     // reachability BFS is skipped.
                     let any_blocked = members_buf
                         .iter()
-                        .any(|&x| net.pref_neg[net.gid(x)].contains(v));
+                        .any(|&x| net.pref_neg[x as usize].contains(v));
                     if !any_blocked {
                         for a in adds.iter_mut() {
                             a.pos.insert(v);
@@ -770,7 +745,7 @@ pub(crate) fn solve_skeptic_region<A, R>(
                     for w in net.g.neighbors(zj) {
                         let ws = w as usize;
                         if in_comp[ws] == comp_stamp
-                            && !net.pref_neg[net.gid(w)].contains(v)
+                            && !net.pref_neg[ws].contains(v)
                             && mark[ws] != bfs
                         {
                             mark[ws] = bfs;
@@ -781,7 +756,7 @@ pub(crate) fn solve_skeptic_region<A, R>(
                         for w in net.g.neighbors(u) {
                             let ws = w as usize;
                             if in_comp[ws] == comp_stamp
-                                && !net.pref_neg[net.gid(w)].contains(v)
+                                && !net.pref_neg[ws].contains(v)
                                 && mark[ws] != bfs
                             {
                                 mark[ws] = bfs;
@@ -852,9 +827,8 @@ pub struct SkepticPlannedResolver {
 
 impl SkepticPlannedResolver {
     /// Plans the condensation shards of `btn`'s structure through the
-    /// degenerate whole-graph region view (the same planning entry point
-    /// the incremental engines use for dirty regions). Fails like
-    /// [`resolve_skeptic`] on tied priorities.
+    /// degenerate whole-graph region view. Fails like [`resolve_skeptic`]
+    /// on tied priorities.
     pub fn new(btn: &Btn, opts: ParOptions) -> Result<SkepticPlannedResolver> {
         if let Some(x) = btn
             .nodes()
@@ -904,12 +878,11 @@ impl SkepticPlannedResolver {
             beliefs: &btn.beliefs,
             pref_neg: &pref_neg,
             reachable: &reachable,
-            globals: None,
             plan: &self.plan,
             rep: SharedSlab::new(&mut rep),
             nodes: n,
         };
-        run_shards(&ctx, threads, None);
+        run_shards(&ctx, threads);
         Ok(SkepticResolution { rep, pref_neg })
     }
 }
@@ -927,35 +900,20 @@ pub fn resolve_skeptic_parallel(btn: &Btn, threads: usize) -> Result<SkepticReso
     planned.resolve(btn, threads)
 }
 
-/// Shared solving context of the parallel skeptic workers. Structure
-/// (`g`, `parents`, `reachable`, the plan, the `rep` slab) lives in local
-/// id space; `beliefs`/`pref_neg` stay global and translate through
-/// `globals`.
-struct SkepticShardCtx<'a, A: ?Sized> {
-    g: &'a A,
+/// Shared solving context of the parallel skeptic workers, all tables
+/// indexed by BTN node id.
+struct SkepticShardCtx<'a> {
+    g: &'a RegionCompactor,
     parents: &'a [Parents],
     beliefs: &'a [ExplicitBelief],
     pref_neg: &'a [NegSet],
     reachable: &'a [bool],
-    globals: Option<&'a [NodeId]>,
     plan: &'a ShardPlan,
     rep: SharedSlab<RepPoss>,
     nodes: usize,
 }
 
-impl<A> SkepticShardCtx<'_, A>
-where
-    A: Adjacency + Sync + ?Sized,
-{
-    /// The global id behind local node `x` (for globally indexed tables).
-    #[inline]
-    fn gid(&self, x: NodeId) -> usize {
-        match self.globals {
-            Some(map) => map[x as usize] as usize,
-            None => x as usize,
-        }
-    }
-
+impl SkepticShardCtx<'_> {
     /// Closed-form solve of an acyclic singleton unit: every parent is
     /// final, so Algorithm 2's Step-1 copy or Step-2 singleton flood
     /// collapses to one expression.
@@ -967,7 +925,7 @@ where
         let parents = &self.parents[xs];
         let mut rep = RepPoss::empty();
         match *parents {
-            Parents::None => match &self.beliefs[self.gid(x)] {
+            Parents::None => match &self.beliefs[xs] {
                 ExplicitBelief::Pos(v) => {
                     rep.pos.insert(*v);
                 }
@@ -1000,7 +958,7 @@ where
                             // SAFETY: ancestor shard is sealed.
                             let zrep = unsafe { self.rep.read(z) };
                             for &v in &zrep.pos {
-                                if self.pref_neg[self.gid(x)].contains(v) {
+                                if self.pref_neg[xs].contains(v) {
                                     rep.bottom = true;
                                 } else {
                                     rep.pos.insert(v);
@@ -1018,18 +976,11 @@ where
     }
 }
 
-impl<A> ShardSolver for SkepticShardCtx<'_, A>
-where
-    A: Adjacency + Sync + ?Sized,
-{
+impl ShardSolver for SkepticShardCtx<'_> {
     type Worker = SkepticScratch;
 
     fn new_worker(&self) -> SkepticScratch {
         SkepticScratch::new(self.nodes)
-    }
-
-    fn recycle_worker(&self, worker: &mut SkepticScratch) {
-        worker.grow(self.nodes);
     }
 
     fn solve_shard(&self, worker: &mut SkepticScratch, s: u32) {
@@ -1048,7 +999,6 @@ where
                 beliefs: self.beliefs,
                 pref_neg: self.pref_neg,
                 reachable: self.reachable,
-                globals: self.globals,
             };
             let mut store = SlabStore(&self.rep);
             solve_skeptic_region(&net, &mut store, worker, members);
@@ -1058,114 +1008,6 @@ where
     fn plan(&self) -> &ShardPlan {
         self.plan
     }
-}
-
-// ---------------------------------------------------------------------------
-// Compact regional solves (the incremental skeptic engine's parallel path).
-// ---------------------------------------------------------------------------
-
-/// Engine-owned pool for region-compact solves of Algorithm 2: the shared
-/// compaction/planning buffers plus the local result slab, local
-/// reachability, and the pooled scheduler state. Everything scales with
-/// the regions actually solved, never with the network; a clone starts
-/// with fresh (empty) pools.
-#[derive(Debug, Default)]
-pub(crate) struct SkepticRegionPool {
-    /// Compaction + planning buffers (shared layer).
-    pub(crate) shared: RegionPool,
-    /// Local-id representation slab (region first, frozen boundary after).
-    rep_local: Vec<RepPoss>,
-    /// Local-id reachability (region locals are solvable by construction;
-    /// boundary locals carry the cached global flag).
-    reach_local: Vec<bool>,
-    /// Pooled workers, ready queue, and dependency counters.
-    sched: SchedPool<SkepticScratch>,
-}
-
-impl Clone for SkepticRegionPool {
-    /// Pools carry no engine state — a cloned engine starts cold.
-    fn clone(&self) -> Self {
-        SkepticRegionPool::default()
-    }
-}
-
-impl SkepticRegionPool {
-    /// Bytes currently retained by region-scaled scratch.
-    pub(crate) fn region_scratch_bytes(&self) -> usize {
-        self.shared.region_scratch_bytes()
-            + self.rep_local.capacity() * std::mem::size_of::<RepPoss>()
-            + self.reach_local.capacity()
-            + self.sched.queue_bytes()
-            + self
-                .sched
-                .workers()
-                .iter()
-                .map(SkepticScratch::scratch_bytes)
-                .sum::<usize>()
-    }
-
-    /// The region list the next [`solve_skeptic_region_compact`] call will
-    /// solve (callers clear and fill it with the solvable dirty nodes).
-    pub(crate) fn region_mut(&mut self) -> &mut Vec<NodeId> {
-        &mut self.shared.region
-    }
-}
-
-/// Solves the dirty region `pool.region_mut()` under Algorithm 2 in
-/// compact local id space and patches the representations back into the
-/// global `rep` slab.
-///
-/// The region must contain only solvable nodes (dirty *and* reachable, no
-/// duplicates); every other node is frozen at its cached representation
-/// and counts as closed exactly when `reachable` marks it. All scratch is
-/// O(region) and pooled.
-#[allow(clippy::too_many_arguments)] // one internal funnel, mirrors solve_region_compact
-pub(crate) fn solve_skeptic_region_compact(
-    pool: &mut SkepticRegionPool,
-    parents: &[Parents],
-    beliefs: &[ExplicitBelief],
-    pref_neg: &[NegSet],
-    reachable: &[bool],
-    rep: &mut [RepPoss],
-    threads: usize,
-    shard_target: usize,
-) {
-    if pool.shared.region.is_empty() {
-        return;
-    }
-    let plan = plan_region(&mut pool.shared, parents, rep.len(), shard_target);
-    let comp = &pool.shared.comp;
-    let k = comp.region_len();
-    let total = comp.len();
-
-    pool.reach_local.clear();
-    pool.reach_local.resize(total, true);
-    pool.rep_local.clear();
-    pool.rep_local.resize(total, RepPoss::default());
-    for l in k..total {
-        let g = comp.global_of(l as u32) as usize;
-        pool.reach_local[l] = reachable[g];
-        pool.rep_local[l] = rep[g].clone();
-    }
-
-    let ctx = SkepticShardCtx {
-        g: comp,
-        parents: &pool.shared.parents,
-        beliefs,
-        pref_neg,
-        reachable: &pool.reach_local,
-        globals: Some(comp.globals()),
-        plan: &plan,
-        rep: SharedSlab::new(&mut pool.rep_local),
-        nodes: total,
-    };
-    run_shards(&ctx, threads, Some(&mut pool.sched));
-
-    for l in 0..k {
-        rep[comp.global_of(l as u32) as usize] = std::mem::take(&mut pool.rep_local[l]);
-    }
-    // Drop the boundary clones; the capacity stays pooled.
-    pool.rep_local.clear();
 }
 
 #[cfg(test)]

@@ -19,11 +19,11 @@
 //!    change, exactly as in the basic model.
 //! 3. **Boundary freeze + regional re-solve.** Region-local passes refresh
 //!    reachability and `prefNeg`, then Algorithm 2's Step-1/Step-2
-//!    alternation ([`crate::skeptic`]'s shared regional replay) re-runs
-//!    inside the region with clean nodes frozen at their cached
-//!    representations. Regions past the parallel threshold route through
-//!    the same condensation-sharded scheduler as
-//!    [`SkepticPlannedResolver`](crate::skeptic::SkepticPlannedResolver).
+//!    alternation ([`crate::skeptic`]'s shared regional replay, also the
+//!    cyclic-unit solver of
+//!    [`SkepticPlannedResolver`](crate::skeptic::SkepticPlannedResolver))
+//!    re-runs inside the region with clean nodes frozen at their cached
+//!    representations.
 //!
 //! `tests/skeptic_oracle.rs` checks equivalence with a from-scratch
 //! [`resolve_skeptic`](crate::skeptic::resolve_skeptic) over random signed
@@ -34,11 +34,9 @@ use crate::deltabtn::{DeltaBtn, NodeSideTables};
 use crate::error::{Error, Result};
 use crate::incremental::{BeliefChange, Edit};
 use crate::network::TrustNetwork;
-use crate::policy::ParallelPolicy;
 use crate::signed::{ExplicitBelief, NegSet};
 use crate::skeptic::{
-    solve_skeptic_region, solve_skeptic_region_compact, RepPoss, SkepticNet, SkepticRegionPool,
-    SkepticScratch, SkepticUserResolution, VecStore,
+    solve_skeptic_region, RepPoss, SkepticNet, SkepticScratch, SkepticUserResolution, VecStore,
 };
 use crate::user::User;
 use crate::value::Value;
@@ -129,12 +127,6 @@ pub struct SkepticIncremental {
     /// Users whose nodes were in the last dirty region (for snapshot
     /// patching).
     last_dirty_users: Vec<User>,
-    /// When dirty regions take the sharded parallel path (shared
-    /// configuration type; see [`ParallelPolicy`]).
-    policy: ParallelPolicy,
-    /// Pooled region-compact solve buffers — all O(region), reused across
-    /// batches (mirrors the basic engine).
-    pool: SkepticRegionPool,
     // ---- reusable scratch ----
     dirty: Vec<bool>,
     dirty_list: Vec<NodeId>,
@@ -155,8 +147,6 @@ impl SkepticIncremental {
             pref_neg: vec![NegSet::empty(); n],
             reachable: vec![false; n],
             last_dirty_users: Vec::new(),
-            policy: ParallelPolicy::default(),
-            pool: SkepticRegionPool::default(),
             dirty: vec![false; n],
             dirty_list: Vec::new(),
             region: SkepticScratch::new(n),
@@ -214,28 +204,6 @@ impl SkepticIncremental {
     /// ([`crate::exact`]) re-solves exactly this region.
     pub fn last_dirty_nodes(&self) -> &[NodeId] {
         &self.dirty_list
-    }
-
-    /// Enables the condensation-sharded parallel solve for dirty regions
-    /// of at least `min_region` nodes — a pure work threshold, exactly as
-    /// in [`crate::incremental::IncrementalResolver::set_parallelism`]
-    /// (regions compact to dense local ids, so parallel scratch is
-    /// O(region) and no network-relative floor applies).
-    pub fn set_parallelism(&mut self, threads: usize, min_region: usize) {
-        self.policy = ParallelPolicy::new(threads, min_region);
-    }
-
-    /// Like [`SkepticIncremental::set_parallelism`] but with the full
-    /// shared [`ParallelPolicy`].
-    pub fn set_parallel_policy(&mut self, policy: ParallelPolicy) {
-        self.policy = policy;
-    }
-
-    /// Bytes of region-scaled scratch currently pooled by the compact
-    /// parallel solve path (see
-    /// [`crate::incremental::IncrementalResolver::region_scratch_bytes`]).
-    pub fn region_scratch_bytes(&self) -> usize {
-        self.pool.region_scratch_bytes()
     }
 
     /// Extracts a full per-user snapshot (deep-clones the per-user
@@ -498,65 +466,19 @@ impl SkepticIncremental {
         self.update_reachability();
         self.update_pref_neg();
 
-        // Pure work threshold — region compaction removed the old
-        // network-relative floor (see `set_parallelism`).
-        if self.policy.wants_parallel(self.dirty_list.len()) {
-            self.solve_region_parallel();
-        } else {
-            let net = SkepticNet {
-                g: &self.delta.children[..],
-                parents: &self.delta.btn.parents,
-                beliefs: &self.delta.btn.beliefs,
-                pref_neg: &self.pref_neg,
-                reachable: &self.reachable,
-                globals: None,
-            };
-            let mut store = VecStore(&mut self.rep);
-            solve_skeptic_region(&net, &mut store, &mut self.region, &self.dirty_list);
-        }
+        let net = SkepticNet {
+            g: &self.delta.children[..],
+            parents: &self.delta.btn.parents,
+            beliefs: &self.delta.btn.beliefs,
+            pref_neg: &self.pref_neg,
+            reachable: &self.reachable,
+        };
+        let mut store = VecStore(&mut self.rep);
+        solve_skeptic_region(&net, &mut store, &mut self.region, &self.dirty_list);
 
         for &x in &self.dirty_list {
             self.dirty[x as usize] = false;
         }
-    }
-
-    /// The condensation-sharded regional solve in compact local id space:
-    /// the reachable dirty nodes are renumbered to dense local ids,
-    /// planned with the trim-first partitioner, and solved by
-    /// [`solve_skeptic_region_compact`] over pooled O(region) scratch,
-    /// clean nodes frozen as boundary inputs.
-    fn solve_region_parallel(&mut self) {
-        let Self {
-            delta,
-            dirty_list,
-            reachable,
-            rep,
-            pref_neg,
-            pool,
-            policy,
-            ..
-        } = self;
-        let btn = &delta.btn;
-        let region = pool.region_mut();
-        region.clear();
-        for &x in dirty_list.iter() {
-            if reachable[x as usize] {
-                region.push(x);
-            } else {
-                // Region-unreachable dirty nodes must read as empty.
-                rep[x as usize] = RepPoss::default();
-            }
-        }
-        solve_skeptic_region_compact(
-            pool,
-            &btn.parents,
-            &btn.beliefs,
-            pref_neg,
-            reachable,
-            rep,
-            policy.threads,
-            policy.shard_target,
-        );
     }
 }
 
@@ -736,59 +658,6 @@ mod tests {
             }],
         );
         assert!(matches!(err, Err(Error::TiesUnsupported(_))));
-    }
-
-    #[test]
-    fn parallel_region_matches_sequential_engine() {
-        // Force the sharded path on every batch (min_region = 1) over a
-        // mixed signed edit stream.
-        let mut net = TrustNetwork::new();
-        let v: Vec<Value> = (0..3).map(|i| net.value(&format!("v{i}"))).collect();
-        let users: Vec<User> = (0..30).map(|i| net.user(&format!("u{i}"))).collect();
-        for i in 1..30 {
-            net.trust(users[i], users[i / 2], (i % 7) as i64 + 1)
-                .unwrap();
-            if i % 5 == 0 {
-                net.trust(users[i / 2], users[i], 101 + i as i64).unwrap();
-            }
-        }
-        net.believe(users[0], v[0]).unwrap();
-        net.reject(users[7], NegSet::of([v[0]])).unwrap();
-        let mut par_engine = SkepticIncremental::new(&net).unwrap();
-        par_engine.set_parallelism(4, 1);
-        let mut seq_engine = SkepticIncremental::new(&net).unwrap();
-
-        let edits = [
-            SignedEdit::Believe(users[3], v[2]),
-            SignedEdit::Reject(users[11], NegSet::of([v[2]])),
-            SignedEdit::Revoke(users[7]),
-            SignedEdit::Trust {
-                child: users[20],
-                parent: users[3],
-                priority: 50,
-            },
-            SignedEdit::Reject(users[0], NegSet::all_but(v[1])),
-        ];
-        for edit in edits {
-            match &edit {
-                SignedEdit::Believe(u, val) => net.believe(*u, *val).unwrap(),
-                SignedEdit::Revoke(u) => net.revoke(*u).unwrap(),
-                SignedEdit::Reject(u, neg) => net.reject(*u, neg.clone()).unwrap(),
-                SignedEdit::Trust {
-                    child,
-                    parent,
-                    priority,
-                } => net.trust(*child, *parent, *priority).unwrap(),
-            }
-            par_engine
-                .apply_edits(&net, std::slice::from_ref(&edit))
-                .unwrap();
-            seq_engine.apply_edits(&net, &[edit]).unwrap();
-            assert_matches_full(&par_engine, &net);
-            for x in par_engine.btn().nodes() {
-                assert_eq!(par_engine.rep_poss(x), seq_engine.rep_poss(x), "node {x}");
-            }
-        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex};
 
 /// Number of strategies the planner chooses among — must match
 /// [`crate::plan::Strategy::ALL`].
-pub const STRATEGY_COUNT: usize = 5;
+pub const STRATEGY_COUNT: usize = 2;
 
 /// Buckets of the dirty-region size histogram (`bucket = floor(log2 len)`,
 /// saturating): region sizes span "one belief flip" to "whole network",
@@ -54,8 +54,8 @@ pub struct PlannerStats {
     pub full_builds: u64,
     /// BTN node count at the last observation (build or solve).
     pub node_count: u64,
-    /// Topological level count of the last condensation-sharded plan —
-    /// the depth knob of parallel solves.
+    /// Topological level count of the last whole-network condensation
+    /// plan.
     pub condensation_levels: u64,
     /// Queries planned.
     pub plans: u64,
@@ -84,8 +84,10 @@ impl Default for PlannerStats {
     }
 }
 
-/// Magic + version prefix of the binary encoding.
-const MAGIC: &[u8; 8] = b"TMSTAT\x00\x01";
+/// Magic + version prefix of the binary encoding. Version 1 carried five
+/// per-strategy slots; its records are refused (cold defaults), never
+/// reinterpreted.
+const MAGIC: &[u8; 8] = b"TMSTAT\x00\x02";
 
 /// Encoded size: magic + 8 scalar fields + histogram + per-strategy pairs.
 const ENCODED_LEN: usize = 8 + 8 * (8 + REGION_BUCKETS + 2 * STRATEGY_COUNT);
@@ -257,9 +259,9 @@ mod tests {
         }
         s.observe_build(123_456);
         s.observe_levels(17);
-        s.observe_plan(5);
+        s.observe_plan(2);
         s.observe_run(0, 42);
-        s.observe_run(4, 9000);
+        s.observe_run(1, 9000);
         let bytes = s.encode();
         assert_eq!(bytes.len(), ENCODED_LEN);
         assert_eq!(PlannerStats::decode(&bytes), Some(s));
@@ -273,6 +275,20 @@ mod tests {
         bytes[0] ^= 0xff;
         assert!(PlannerStats::decode(&bytes).is_none());
         assert!(PlannerStats::decode(&[]).is_none());
+    }
+
+    #[test]
+    fn decode_refuses_the_five_slot_v1_record() {
+        // What a pre-census store left in `planner.tm`: version byte 1,
+        // eight scalars, the histogram, and five (runs, nodes) pairs.
+        let mut v1 = b"TMSTAT\x00\x01".to_vec();
+        for word in 0..(8 + REGION_BUCKETS + 2 * 5) as u64 {
+            v1.extend_from_slice(&(word + 1).to_le_bytes());
+        }
+        assert!(PlannerStats::decode(&v1).is_none());
+        // Not by length alone: a v1 prefix cut to today's width is still
+        // refused by its version byte.
+        assert!(PlannerStats::decode(&v1[..ENCODED_LEN]).is_none());
     }
 
     #[test]

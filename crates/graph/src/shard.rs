@@ -387,6 +387,10 @@ impl ShardPlan {
     {
         let n = g.node_count();
         let target_nodes = target_nodes.max(1);
+        // Unit ids are u32 positions: a target past that range (any
+        // `usize` is a legal `ParOptions::shard_target`) means "one shard
+        // per level", not a wrapped chunk end.
+        let target_units = u32::try_from(target_nodes).unwrap_or(u32::MAX);
 
         // (1) Trim peel. `state[x]` packs the node's unfinished-active-
         // parent count and its level into one word — one cache line per
@@ -543,7 +547,7 @@ impl ShardPlan {
                 let hi = level_unit_starts[l + 1];
                 let mut start = lo;
                 while start < hi {
-                    let end = (start + target_nodes as u32).min(hi);
+                    let end = start.saturating_add(target_units).min(hi);
                     shard_unit_starts.push(end);
                     shard_level.push(l as u32);
                     start = end;
@@ -817,28 +821,15 @@ impl ShardPlan {
     /// Shards ready before any sealing: exact mode returns zero-in-count
     /// shards, frontier mode the level-0 shards. Ascending order.
     pub fn initial_ready(&self) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.initial_ready_into(&mut out);
-        out
-    }
-
-    /// [`ShardPlan::initial_ready`] into a caller-pooled vector (cleared
-    /// first).
-    pub fn initial_ready_into(&self, out: &mut Vec<u32>) {
-        out.clear();
         match &self.deps {
-            Deps::Edges { in_counts, .. } => out.extend(
-                in_counts
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &d)| d == 0)
-                    .map(|(s, _)| s as u32),
-            ),
-            Deps::Frontier { .. } => {
-                if self.levels > 0 {
-                    out.extend(self.level_shards(0));
-                }
-            }
+            Deps::Edges { in_counts, .. } => in_counts
+                .iter()
+                .enumerate()
+                .filter(|(_, &d)| d == 0)
+                .map(|(s, _)| s as u32)
+                .collect(),
+            Deps::Frontier { .. } if self.levels > 0 => self.level_shards(0).collect(),
+            Deps::Frontier { .. } => Vec::new(),
         }
     }
 }
@@ -987,6 +978,21 @@ mod tests {
         let sizes: Vec<usize> = (0..4u32).map(|s| plan.units(s).len()).collect();
         assert_eq!(sizes, vec![3, 3, 3, 1]);
         assert_eq!(plan.initial_ready().len(), 4);
+    }
+
+    #[test]
+    fn targets_past_u32_saturate_to_one_shard_per_level() {
+        // A chain has one unit per level, so every level after the first
+        // chunks from a non-zero start: a wrapped `start + target` used to
+        // end the chunk before it began.
+        let edges: Vec<(NodeId, NodeId)> = (0..5).map(|i| (i, i + 1)).collect();
+        for target in [u32::MAX as usize, usize::MAX / 4, usize::MAX] {
+            let plan = plan_of(6, &edges, target);
+            assert_eq!(plan.shard_count(), 6, "target {target}");
+            for s in 0..6u32 {
+                assert_eq!(plan.units(s).len(), 1, "shard {s} at target {target}");
+            }
+        }
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //!   linear in the number of matching rows, so total cost is linear in the
 //!   number of objects.
 //! * [`resolve_objects_sequential`] — the naive baseline: run Algorithm 1
-//!   once per object.
-//! * [`resolve_objects_parallel`] — the same, fanned out over threads with
-//!   crossbeam (an ablation the paper doesn't run but a natural systems
-//!   question: does set-orientation still win once the naive loop is
-//!   parallelized?).
+//!   as printed once per object.
+//! * [`resolve_objects_parallel`] — one solve per object over `threads`
+//!   scoped threads, through the one-pass condensation solver planned
+//!   once for the whole workload (an ablation the paper doesn't run but a
+//!   natural systems question: does set-orientation still win once the
+//!   naive loop is parallelized?).
 
 use crate::engine::{Database, EngineError};
 use crate::relation::SqlValue;
@@ -160,22 +161,19 @@ pub fn resolve_objects_sequential(
     PossTable { rows, num_objects }
 }
 
-/// The naive baseline fanned out over `threads` scoped threads.
+/// One solve per object over `threads` scoped threads.
 ///
-/// With at least one object per thread, each worker owns a clone of the
-/// BTN and a contiguous object range (object-level parallelism). With
-/// *fewer* objects than threads — the "single huge object" regime —
-/// per-object ranges cannot use the hardware, so the work is routed
-/// through the condensation-sharded resolver instead: objects resolve one
-/// after another, each spreading its trust network across all `threads`
-/// workers ([`trustmap_core::parallel::resolve_parallel`]).
-///
-/// The routing decision is the planner's
-/// [`CostModel::bulk_sharded`] — the same work threshold that routes
-/// incremental dirty regions, so a network too small to parallelize on
-/// the edit path no longer intra-object-parallelizes here (this module
-/// used to carry its own `num_objects < threads` copy that disagreed).
-/// Either route returns bit-identical tables.
+/// The trust structure is identical across objects — only the root
+/// beliefs change — so the one-pass solver's shard schedule
+/// ([`trustmap_core::parallel::PlannedResolver`]) is planned once and
+/// shared by every reseeded solve. With at least one object per thread,
+/// each worker owns a clone of the BTN and a contiguous object range,
+/// solving each object on its own thread. With *fewer* objects than
+/// threads on a network past [`CostModel::MIN_PARALLEL_WORK`]
+/// ([`CostModel::bulk_sharded`]) — the "single huge object" regime —
+/// objects resolve one after another, each spreading its trust network
+/// across all `threads` workers. Either route returns tables
+/// bit-identical to [`resolve_objects_sequential`].
 pub fn resolve_objects_parallel(
     btn: &Btn,
     seeds: &[SeedValues],
@@ -183,13 +181,10 @@ pub fn resolve_objects_parallel(
     threads: usize,
 ) -> PossTable {
     assert!(threads > 0, "need at least one thread");
+    let planned = trustmap_core::parallel::PlannedResolver::new(btn, Default::default());
+    let mut rows: Vec<Vec<Vec<Value>>> = vec![vec![Vec::new(); num_objects]; btn.node_count()];
     if CostModel::bulk_sharded(threads, num_objects, btn.node_count()) {
-        let mut rows: Vec<Vec<Vec<Value>>> = vec![vec![Vec::new(); num_objects]; btn.node_count()];
         let mut work = btn.clone();
-        // The trust structure is identical across objects — only the root
-        // beliefs change — so the shard schedule is planned once and
-        // reused for every reseed.
-        let planned = trustmap_core::parallel::PlannedResolver::new(btn, Default::default());
         // `rows[node][k]` is written per node while `k` drives reseeding.
         #[allow(clippy::needless_range_loop)]
         for k in 0..num_objects {
@@ -204,7 +199,7 @@ pub fn resolve_objects_parallel(
         return PossTable { rows, num_objects };
     }
     let chunk = num_objects.div_ceil(threads);
-    let mut rows: Vec<Vec<Vec<Value>>> = vec![vec![Vec::new(); num_objects]; btn.node_count()];
+    let planned = &planned;
 
     let mut partials: Vec<(usize, Vec<Vec<Vec<Value>>>)> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -220,7 +215,7 @@ pub fn resolve_objects_parallel(
                     vec![vec![Vec::new(); end - start]; btn.node_count()];
                 for k in start..end {
                     seed_object(&mut work, btn, seeds, k);
-                    let res = trustmap_core::resolution::resolve(&work).expect("positive beliefs");
+                    let res = planned.resolve(&work, 1).expect("positive beliefs");
                     for node in btn.nodes() {
                         part[node as usize][k - start] = res.poss(node).to_vec();
                     }
@@ -250,10 +245,10 @@ pub fn resolve_objects_parallel(
 /// The relational `POSS` table cannot represent negative beliefs, so
 /// signed bulk work bypasses the SQL path and produces the dense
 /// [`trustmap_core::bulk_skeptic::SkepticTable`] directly. Routing matches
-/// [`resolve_objects_parallel`]: object-level fan-out when objects ≥
-/// threads, and the condensation-sharded Algorithm 2
-/// ([`trustmap_core::skeptic::SkepticPlannedResolver`]) per object in the
-/// few-objects/many-threads regime.
+/// [`resolve_objects_parallel`]: one plan of the one-pass Algorithm 2
+/// ([`trustmap_core::skeptic::SkepticPlannedResolver`]) for the whole
+/// workload, object-level fan-out when objects ≥ threads, and all
+/// `threads` workers per object in the few-objects regime.
 pub fn resolve_objects_skeptic(
     btn: &Btn,
     seeds: &[SeedValues],
@@ -334,10 +329,8 @@ mod tests {
 
     #[test]
     fn few_objects_stay_on_fan_out_below_the_work_threshold() {
-        // 2 objects on 4 threads, but a 6-node network: the consolidated
-        // cost model keeps this tiny workload on object fan-out (the old
-        // local `num_objects < threads` copy would have intra-object
-        // parallelized it, disagreeing with the edit path's threshold).
+        // 2 objects on 4 threads, but a 6-node network: too little work
+        // to spread one solve over threads, so objects fan out.
         let (btn, _, seeds) = setup(2);
         assert!(!CostModel::bulk_sharded(4, 2, btn.node_count()));
         let seq = resolve_objects_sequential(&btn, &seeds, 2);

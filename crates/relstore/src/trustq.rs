@@ -13,17 +13,20 @@
 //!
 //! Keywords are case-insensitive; user names are case-preserved and may
 //! be any whitespace-free word that is not a keyword. Each modifier may
-//! appear at most once, in any order. `Query`'s `Display` impl renders
-//! the canonical form back, so `parse(q.to_string()) == q`.
+//! appear at most once, in any order. `<strategy>` is `incremental-patch`
+//! or `whole-solve`; any other name — the strategies retired by the
+//! census included — is a parse error naming those two. `Query`'s
+//! `Display` impl renders the canonical form back, so
+//! `parse(q.to_string()) == q`.
 //!
 //! ```
 //! use trustmap_relstore::trustq::parse_query;
 //! use trustmap_core::{QueryTarget, Strategy};
 //!
-//! let q = parse_query("explain poss * force bulk-few-objects").unwrap();
+//! let q = parse_query("explain poss * force whole-solve").unwrap();
 //! assert!(q.explain);
 //! assert_eq!(q.target, QueryTarget::All);
-//! assert_eq!(q.force, Some(Strategy::BulkFewObjects));
+//! assert_eq!(q.force, Some(Strategy::WholeSolve));
 //! ```
 
 use std::fmt;
@@ -168,7 +171,13 @@ pub fn parse_query(input: &str) -> Result<Query, ParseError> {
             Token::Force if query.force.is_none() => match next(&mut pos) {
                 Some(Token::Word(name)) => match Strategy::parse(name) {
                     Some(s) => query.force = Some(s),
-                    None => return err(format!("unknown strategy {name:?}"), pos - 1),
+                    None => {
+                        let known = Strategy::ALL.map(Strategy::name).join(" or ");
+                        return err(
+                            format!("unknown strategy {name:?} (expected {known})"),
+                            pos - 1,
+                        );
+                    }
                 },
                 Some(t) => return err(format!("expected a strategy name, found {t}"), pos - 1),
                 None => return err("FORCE needs a strategy name", pos),
@@ -209,9 +218,9 @@ mod tests {
             parse_query("CERT #7").unwrap().target,
             QueryTarget::Handle(User(7))
         );
-        let q = parse_query("explain cert * force compact_region_solve").unwrap();
+        let q = parse_query("explain cert * force whole_solve").unwrap();
         assert!(q.explain);
-        assert_eq!(q.force, Some(Strategy::CompactRegionSolve));
+        assert_eq!(q.force, Some(Strategy::WholeSolve));
     }
 
     #[test]
@@ -226,12 +235,31 @@ mod tests {
             "CERT alice",
             "POSS *",
             "CERT #7 EXACT",
-            "EXPLAIN POSS * FORCE bulk-few-objects",
+            "EXPLAIN POSS * FORCE whole-solve",
             "CERT alice EXACT @42",
         ] {
             let q = parse_query(text).unwrap();
             assert_eq!(q.to_string(), text);
             assert_eq!(parse_query(&q.to_string()).unwrap(), q);
+        }
+    }
+
+    #[test]
+    fn retired_strategy_names_get_the_unknown_strategy_error() {
+        for retired in [
+            "compact-region-solve",
+            "skeptic-resolve",
+            "bulk-few-objects",
+            "sharded-whole-solve",
+        ] {
+            let e = parse_query(&format!("CERT alice FORCE {retired}")).unwrap_err();
+            assert_eq!(
+                e.to_string(),
+                format!(
+                    "unknown strategy {retired:?} (expected incremental-patch or \
+                     whole-solve) (at word 3)"
+                )
+            );
         }
     }
 

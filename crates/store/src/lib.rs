@@ -1656,6 +1656,21 @@ mod tests {
         std::fs::write(dir.join(snapshot::STATS_FILE), b"garbage").unwrap();
         let back = Store::open(&dir).expect("damage is advisory");
         assert_eq!(back.session.planner_stats().plans, 0);
+        drop(back);
+        // A CRC-valid record of the five-strategy era (version byte 1,
+        // 50 words) is refused the same way — never misparsed into the
+        // two-slot layout.
+        let mut v1 = b"TMSTAT\x00\x01".to_vec();
+        for word in 1..=50u64 {
+            v1.extend_from_slice(&word.to_le_bytes());
+        }
+        let crc = record::crc32(&v1);
+        v1.extend_from_slice(&crc.to_le_bytes());
+        std::fs::write(dir.join(snapshot::STATS_FILE), &v1).unwrap();
+        let back = Store::open(&dir).expect("an old record is advisory too");
+        let stats = back.session.planner_stats();
+        assert_eq!(stats.plans, 0);
+        assert!(stats.strategies.iter().all(|c| c.runs == 0 && c.nodes == 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

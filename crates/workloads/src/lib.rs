@@ -22,9 +22,6 @@
 //! * [`edit_stream`] — seeded believe/revoke/trust edit sequences over an
 //!   existing workload, the input of the incremental-resolution benchmark
 //!   (`edits`) and the incremental-vs-full equivalence oracle;
-//! * [`flip_stream`] — belief-flip-only probe streams at existing
-//!   believers (non-structural, region-sized dirty sets), the input of the
-//!   `region_bench` per-edit region-cost measurement;
 //! * [`power_law_signed`] / [`signed_edit_stream`] — the constraint-laden
 //!   variants: a fraction of believers assert negative beliefs, and edit
 //!   streams mix in constraint assertions — the inputs of the
@@ -362,27 +359,6 @@ pub fn edit_stream(w: &Workload, steps: usize, mix: EditMix, seed: u64) -> Vec<E
                     Edit::Believe(user, Value(rng.gen_range(0..values) as u32))
                 }
             }
-        })
-        .collect()
-}
-
-/// A seeded stream of pure belief flips at *existing* believers: every
-/// edit hits a persistent belief root, so the BTN never changes shape and
-/// each dirty region is exactly the believer's forward closure — the probe
-/// stream `region_bench` uses to measure per-edit region-solve cost
-/// (scratch bytes and touched nodes as a function of region size, not
-/// network size).
-pub fn flip_stream(w: &Workload, steps: usize, seed: u64) -> Vec<Edit> {
-    let values = w.net.domain().len();
-    assert!(
-        !w.believers.is_empty() && values >= 1,
-        "workload has no believers to flip"
-    );
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..steps)
-        .map(|_| {
-            let user = w.believers[rng.gen_range(0..w.believers.len())];
-            Edit::Believe(user, Value(rng.gen_range(0..values) as u32))
         })
         .collect()
 }

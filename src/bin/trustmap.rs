@@ -3,7 +3,9 @@
 //!
 //! ```text
 //! trustmap resolve  <file>            # per-user certain/possible beliefs
+//!                                     # (Algorithm 1, one-pass solver)
 //! trustmap skeptic  <file>            # Algorithm 2 with constraints
+//!                                     # (one-pass solver)
 //! trustmap cert     <file> [--exact]  # certain beliefs; --exact solves the
 //!                                     # per-region enumeration instead of
 //!                                     # Algorithm 2's approximation
@@ -14,7 +16,7 @@
 //! trustmap stats    <file>            # network and binarization statistics
 //! trustmap query    <file> <query…>   # run one unified-language query,
 //!                                     # e.g. `CERT alice`, `POSS * EXACT`,
-//!                                     # `CERT bob FORCE skeptic-resolve`
+//!                                     # `CERT bob FORCE whole-solve`
 //! trustmap explain  <file> <query…>   # plan (don't run) the query: show
 //!                                     # the chosen strategy, the candidate
 //!                                     # costs, and the statistics consulted
@@ -498,7 +500,7 @@ fn cmd_follow(dir: &str, rest: &[String]) -> std::result::Result<(), String> {
 }
 
 fn cmd_resolve(net: &TrustNetwork) -> std::result::Result<(), String> {
-    let r = resolve_network(net).map_err(|e| e.to_string())?;
+    let r = trustmap::parallel::resolve_network_parallel(net, 1).map_err(|e| e.to_string())?;
     println!("{:<16} {:<14} possible", "user", "certain");
     for u in net.users() {
         let cert = r
@@ -519,7 +521,7 @@ fn cmd_resolve(net: &TrustNetwork) -> std::result::Result<(), String> {
 
 fn cmd_skeptic(net: &TrustNetwork) -> std::result::Result<(), String> {
     let btn = binarize(net);
-    let sk = resolve_skeptic(&btn).map_err(|e| e.to_string())?;
+    let sk = resolve_skeptic_parallel(&btn, 1).map_err(|e| e.to_string())?;
     println!(
         "{:<16} {:<24} possible positives",
         "user", "certain beliefs"
@@ -647,6 +649,8 @@ fn cmd_lp(net: &TrustNetwork) -> std::result::Result<(), String> {
 
 fn cmd_stats(net: &TrustNetwork) -> std::result::Result<(), String> {
     let btn = binarize(net);
+    // Algorithm 1 as printed: the one-pass solver has no Step-2 rounds to
+    // report.
     let r = resolve(&btn).map_err(|e| e.to_string())?;
     let (mut certain, mut conflicted, mut empty) = (0, 0, 0);
     for u in net.users() {

@@ -60,15 +60,15 @@ pub mod serve;
 pub use trustmap_core::format;
 pub use trustmap_core::{
     acyclic, binary, bulk, bulk_skeptic, durability, error, exact, gates, incremental, lineage,
-    network, pairs, paradigm, policy, resolution, sat, session, signed, skeptic,
+    network, pairs, paradigm, parallel, resolution, sat, session, signed, skeptic,
     skeptic_incremental, stable, stable_signed, user, value,
 };
 pub use trustmap_core::{
     binarize, resolve, resolve_network, resolve_with, BeliefChange, BeliefSet, Btn, DeltaStats,
     Durability, Edit, Error, ExactCounters, ExactEngine, ExactUserResolution, ExplicitBelief,
-    IncrementalResolver, Mapping, NegSet, Options, Paradigm, ParallelPolicy, Parents, Resolution,
-    Result, SccMode, Session, SignedEdit, SkepticIncremental, SkepticPlannedResolver,
-    SkepticResolution, SkepticUserResolution, TrustNetwork, User, Value,
+    IncrementalResolver, Mapping, NegSet, Options, Paradigm, Parents, Resolution, Result, SccMode,
+    Session, SignedEdit, SkepticIncremental, SkepticPlannedResolver, SkepticResolution,
+    SkepticUserResolution, TrustNetwork, User, Value,
 };
 pub use trustmap_core::{
     plan, stats, PlanContext, PlanReport, Planner, PlannerStats, Query, QueryResult, QueryTarget,

@@ -184,7 +184,7 @@ pub struct Frontend {
     /// hub, and `EXPLAIN` renders plans from the same live record.
     planner: Option<SharedPlannerStats>,
     /// Planning context captured when the writer session was handed
-    /// over (thread budget, pipeline sign); the node count refreshes
+    /// over (pipeline sign, engine liveness); the node count refreshes
     /// from the shared statistics at `EXPLAIN` time.
     plan_ctx: PlanContext,
 }
@@ -231,10 +231,8 @@ impl Frontend {
             planner: None,
             plan_ctx: PlanContext {
                 node_count: 0,
-                threads: 1,
                 skeptic: false,
                 engine_live: false,
-                objects: 1,
             },
         }
     }
@@ -1042,12 +1040,21 @@ mod tests {
         let explain = line(&f, &mut r, "EXPLAIN CERT bob");
         assert!(explain.starts_with("OK plan: "), "{explain}");
         assert!(explain.contains(" | stats: "), "{explain}");
-        let forced = line(&f, &mut r, "EXPLAIN CERT bob FORCE skeptic-resolve");
-        assert!(forced.contains("skeptic-resolve (forced)"), "{forced}");
+        let forced = line(&f, &mut r, "EXPLAIN CERT bob FORCE whole-solve");
+        assert!(forced.contains("whole-solve (forced)"), "{forced}");
+        // A retired strategy name is the parser's unknown-strategy error,
+        // word for word what `trustq` and `trustmap query` print.
+        assert_eq!(
+            line(&f, &mut r, "EXPLAIN CERT bob FORCE skeptic-resolve"),
+            format!(
+                "ERR {}",
+                trustq::parse_query("EXPLAIN CERT bob FORCE skeptic-resolve").unwrap_err()
+            )
+        );
 
         // FORCE on an executing read is refused: serving reads come from
         // the epoch snapshot, never a strategy dispatch.
-        assert!(line(&f, &mut r, "CERT bob FORCE skeptic-resolve").starts_with("ERR FORCE"));
+        assert!(line(&f, &mut r, "CERT bob FORCE whole-solve").starts_with("ERR FORCE"));
         // `*` spans every user — pointed at the CLI, not silently truncated.
         assert!(line(&f, &mut r, "POSS *").starts_with("ERR `*`"));
         let _ = std::fs::remove_dir_all(&dir);

@@ -9,11 +9,12 @@
 //!   certain positives, possible positives, and outcome multiplicity —
 //!   after every step of a random signed edit stream;
 //! * **containment**: the incrementally patched exact engine must satisfy
-//!   `exact ⊆ repPoss` against all five Algorithm-2 strategies
-//!   (sequential incremental, compact-forced parallel incremental,
-//!   sequential whole-network, condensation-sharded whole-network, and
-//!   the bulk executor) at 1–4 threads, with exact cert agreeing with the
-//!   unique acyclic evaluation on DAG networks;
+//!   `exact ⊆ repPoss` against all five Algorithm-2 implementations
+//!   (the incremental engine, the sequential whole-network reference,
+//!   the one-pass condensation-sharded solver, the per-object bulk
+//!   executor, and the compiled bulk schedule) at 1–4 threads, with
+//!   exact cert agreeing with the unique acyclic evaluation on DAG
+//!   networks;
 //! * **fixed seeds**: the FIDELITY F1 `prefNeg` family — networks where
 //!   Algorithm 2 provably over-approximates — as explicit regression
 //!   cases asserting the exact engine strictly tightens them, plus
@@ -28,6 +29,7 @@ use trustmap::workloads::oscillators;
 use trustmap::workloads::power_law;
 use trustmap_core::acyclic::evaluate_acyclic;
 use trustmap_core::bulk::SeedValues;
+use trustmap_core::bulk_skeptic::{execute_skeptic_native, plan_bulk_skeptic};
 use trustmap_core::exact::ExactEngine;
 use trustmap_core::signed::NegSet;
 use trustmap_core::skeptic::{resolve_skeptic, resolve_skeptic_parallel, SkepticResolution};
@@ -35,8 +37,7 @@ use trustmap_core::stable_signed::{
     certain_positives, enumerate_signed, possible_positives, Limits,
 };
 use trustmap_core::{
-    binarize, Btn, Error, Paradigm, ParallelPolicy, SignedEdit, SkepticIncremental, TrustNetwork,
-    User, Value,
+    binarize, Btn, Error, Paradigm, SignedEdit, SkepticIncremental, TrustNetwork, User, Value,
 };
 
 const NUM_VALUES: usize = 3;
@@ -163,16 +164,6 @@ fn apply_to_net(net: &mut TrustNetwork, edit: &SignedEdit) {
     }
 }
 
-/// The compact-forcing policy of `region_oracle.rs`: every region
-/// parallelizes, and the tiny shard target forces multi-shard plans.
-fn forced_compact(threads: usize) -> ParallelPolicy {
-    ParallelPolicy {
-        threads,
-        min_region: 1,
-        shard_target: 2,
-    }
-}
-
 /// Exact-vs-enumeration agreement on every node of `btn`. Returns false
 /// when the brute-force enumerator overflows its caps (case skipped).
 fn matches_enumeration(engine: &ExactEngine, btn: &Btn) -> Result<(), String> {
@@ -286,8 +277,8 @@ proptest! {
     }
 
     /// The incrementally patched exact engine stays contained in the
-    /// repPoss of all five Algorithm-2 strategies at every step, at every
-    /// thread count.
+    /// repPoss of all five Algorithm-2 implementations at every step, at
+    /// every thread count.
     #[test]
     fn exact_contained_in_all_five_strategies(
         raw in raw_net(7, 12),
@@ -295,12 +286,10 @@ proptest! {
         threads in 1usize..=4,
     ) {
         let (mut net, values) = build(&raw);
-        // Strategies 1–2: sequential and compact-forced incremental.
+        // Implementation 1: the incremental engine.
         let Ok(mut inc_seq) = SkepticIncremental::new(&net) else {
             return Ok(()); // tied priorities: out of Algorithm 2's domain
         };
-        let mut inc_par = SkepticIncremental::new(&net).expect("tie-free above");
-        inc_par.set_parallel_policy(forced_compact(threads.max(2)));
         let mut exact = match ExactEngine::new(inc_seq.btn()) {
             Ok(e) => e,
             Err(Error::EnumerationTooLarge { .. }) => return Ok(()),
@@ -312,9 +301,6 @@ proptest! {
             if inc_seq.apply_edits(&net, std::slice::from_ref(&edit)).is_err() {
                 return Ok(()); // a trust edit created a tie: contract ends
             }
-            inc_par
-                .apply_edits(&net, std::slice::from_ref(&edit))
-                .expect("same stream stayed tie-free for the sequential engine");
             exact.grow(inc_seq.btn().node_count());
             match exact.update(inc_seq.btn(), inc_seq.last_dirty_nodes()) {
                 Ok(()) => {}
@@ -323,12 +309,13 @@ proptest! {
             }
 
             let btn = binarize(&net);
-            // Strategy 3: sequential whole-network Algorithm 2.
+            // Implementation 2: sequential whole-network Algorithm 2.
             let full = resolve_skeptic(&btn).expect("tie-free");
-            // Strategy 4: condensation-sharded whole-network.
+            // Implementation 3: the one-pass condensation-sharded solver.
             let sharded = resolve_skeptic_parallel(&btn, threads).expect("tie-free");
-            // Strategy 5: the bulk executor, seeded with each positive
-            // believer's value for a single object.
+            // Implementations 4–5: the per-object bulk executor and the
+            // compiled bulk schedule, seeded with each positive believer's
+            // value for a single object.
             let seeds: Vec<SeedValues> = net
                 .users()
                 .filter_map(|u| {
@@ -339,32 +326,25 @@ proptest! {
                 .collect();
             let bulk = resolve_objects_skeptic(&btn, &seeds, 1, threads)
                 .expect("tie-free");
+            let compiled =
+                execute_skeptic_native(&plan_bulk_skeptic(&btn).expect("tie-free"), &seeds, 1);
 
-            // Strategies 1–2 expose rep_poss per node directly.
+            // The engine and the bulk tables expose rep_poss directly.
             for u in net.users() {
                 let en = inc_seq.btn().node_of(u);
-                let seq_pos = &inc_seq.rep_poss(en).pos;
-                let par_pos = &inc_par.rep_poss(inc_par.btn().node_of(u)).pos;
-                for v in exact.poss(en) {
-                    prop_assert!(
-                        seq_pos.contains(&v),
-                        "step {} ({:?}): exact {:?} at {} escapes incremental repPoss",
-                        step, edit, v, u
-                    );
-                    prop_assert!(
-                        par_pos.contains(&v),
-                        "step {} ({:?}): exact {:?} at {} escapes compact repPoss",
-                        step, edit, v, u
-                    );
-                }
                 let fn_ = btn.node_of(u);
-                let bulk_pos = &bulk.rep(fn_, 0).pos;
-                for v in exact.poss(en) {
-                    prop_assert!(
-                        bulk_pos.contains(&v),
-                        "step {} ({:?}): exact {:?} at {} escapes bulk repPoss",
-                        step, edit, v, u
-                    );
+                for (label, pos) in [
+                    ("incremental", &inc_seq.rep_poss(en).pos),
+                    ("bulk", &bulk.rep(fn_, 0).pos),
+                    ("compiled bulk", &compiled.rep(fn_, 0).pos),
+                ] {
+                    for v in exact.poss(en) {
+                        prop_assert!(
+                            pos.contains(&v),
+                            "step {} ({:?}): exact {:?} at {} escapes {} repPoss",
+                            step, edit, v, u, label
+                        );
+                    }
                 }
             }
             assert_contained(&exact, inc_seq.btn(), &full, &btn, &net, "sequential full")

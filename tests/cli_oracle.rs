@@ -1,0 +1,170 @@
+//! Pins the `trustmap` binary's whole-network commands to the reference
+//! solvers: `resolve` and `skeptic` run the one-pass condensation solver,
+//! and every row they print must be the row rendered from
+//! `resolve_network` (Algorithm 1 as printed) and `resolve_skeptic` (the
+//! sequential Algorithm 2) — on the shipped example and on generated
+//! power-law networks of both signs — with the references' own error text
+//! where they refuse.
+
+use std::path::PathBuf;
+use std::process::Command;
+use trustmap::format::{parse_network, render_network};
+use trustmap::relstore::parse_query;
+use trustmap::skeptic::resolve_skeptic;
+use trustmap::workloads::{power_law, power_law_signed};
+use trustmap::{binarize, resolve_network, NegSet, TrustNetwork};
+
+/// Runs `trustmap <args>`; `Ok(stdout)` on success, `Err(first stderr
+/// line)` on failure.
+fn trustmap(args: &[&str]) -> Result<String, String> {
+    let out = Command::new(env!("CARGO_BIN_EXE_trustmap"))
+        .args(args)
+        .output()
+        .expect("spawn trustmap");
+    if out.status.success() {
+        Ok(String::from_utf8(out.stdout).expect("utf-8 stdout"))
+    } else {
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        Err(stderr.lines().next().unwrap_or_default().to_owned())
+    }
+}
+
+/// Writes `net` in the text format and returns the path (id-exact round
+/// trip, so the binary resolves the same network).
+fn write_net(name: &str, net: &TrustNetwork) -> PathBuf {
+    let path = std::env::temp_dir().join(format!(
+        "trustmap-cli-oracle-{}-{name}.tn",
+        std::process::id()
+    ));
+    std::fs::write(&path, render_network(net)).expect("write network file");
+    path
+}
+
+/// What `trustmap resolve` must print, from Algorithm 1 as printed.
+fn reference_resolve(net: &TrustNetwork) -> Result<String, String> {
+    let r = resolve_network(net).map_err(|e| format!("error: {e}"))?;
+    let mut out = format!("{:<16} {:<14} possible\n", "user", "certain");
+    for u in net.users() {
+        let cert = match (r.cert(u), r.poss(u).is_empty()) {
+            (Some(v), _) => net.domain().name(v).to_owned(),
+            (None, true) => "-".to_owned(),
+            (None, false) => "(conflict)".to_owned(),
+        };
+        let poss: Vec<&str> = r.poss(u).iter().map(|&v| net.domain().name(v)).collect();
+        out += &format!("{:<16} {:<14} {:?}\n", net.user_name(u), cert, poss);
+    }
+    Ok(out)
+}
+
+/// What `trustmap skeptic` must print, from the sequential Algorithm 2.
+fn reference_skeptic(net: &TrustNetwork) -> Result<String, String> {
+    let btn = binarize(net);
+    let sk = resolve_skeptic(&btn).map_err(|e| format!("error: {e}"))?;
+    let mut out = format!(
+        "{:<16} {:<24} possible positives\n",
+        "user", "certain beliefs"
+    );
+    for u in net.users() {
+        let node = btn.node_of(u);
+        let pos: Vec<&str> = sk
+            .rep_poss(node)
+            .pos
+            .iter()
+            .map(|&v| net.domain().name(v))
+            .collect();
+        out += &format!(
+            "{:<16} {:<24} {:?}\n",
+            net.user_name(u),
+            sk.cert(node).display(net.domain()).to_string(),
+            pos
+        );
+    }
+    Ok(out)
+}
+
+#[test]
+fn resolve_and_skeptic_print_the_reference_rows() {
+    let indus = parse_network(
+        &std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/examples/indus.tn"))
+            .expect("shipped example"),
+    )
+    .expect("example parses");
+    let nets = [
+        ("indus", indus),
+        ("power-law", power_law(1_500, 3, 4, 0.1, 42).net),
+        (
+            "power-law-signed",
+            power_law_signed(1_500, 3, 4, 0.1, 0.3, 42).net,
+        ),
+    ];
+    for (name, net) in &nets {
+        let path = write_net(name, net);
+        let file = path.to_str().expect("utf-8 temp path");
+        // `resolve` refuses the signed network: same error, same text.
+        assert_eq!(
+            trustmap(&["resolve", file]),
+            reference_resolve(net),
+            "{name}"
+        );
+        assert_eq!(
+            trustmap(&["skeptic", file]),
+            reference_skeptic(net),
+            "{name}"
+        );
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+#[test]
+fn skeptic_rejects_ties_with_the_reference_error() {
+    let mut net = TrustNetwork::new();
+    let (a, b, c) = (net.user("a"), net.user("b"), net.user("c"));
+    let v = net.value("v");
+    net.trust(a, b, 5).unwrap();
+    net.trust(a, c, 5).unwrap();
+    net.believe(b, v).unwrap();
+    net.reject(c, NegSet::of([v])).unwrap();
+    let expected = reference_skeptic(&net);
+    assert!(
+        expected.as_ref().is_err_and(|e| e.contains("tie")),
+        "{expected:?}"
+    );
+    let path = write_net("tied", &net);
+    assert_eq!(trustmap(&["skeptic", path.to_str().unwrap()]), expected);
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn query_refuses_retired_strategy_names_like_the_parser() {
+    let indus = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/indus.tn");
+    for retired in [
+        "compact-region-solve",
+        "skeptic-resolve",
+        "bulk-few-objects",
+        "sharded-whole-solve",
+    ] {
+        let text = format!("CERT Alice FORCE {retired}");
+        let parse_error = parse_query(&text).unwrap_err().to_string();
+        assert!(
+            parse_error.contains("incremental-patch or whole-solve"),
+            "{parse_error}"
+        );
+        let words: Vec<&str> = text.split(' ').collect();
+        assert_eq!(
+            trustmap(&[&["query", indus], &words[..]].concat()),
+            Err(format!("error: {parse_error}"))
+        );
+    }
+    // The surviving names still route: a file has no live engine to
+    // patch, and the whole solve answers.
+    assert_eq!(
+        trustmap(&["query", indus, "CERT * FORCE incremental-patch"]),
+        Err(
+            "error: plan: forced strategy incremental-patch is inapplicable: \
+             no live engine to patch"
+                .to_owned()
+        )
+    );
+    let whole = trustmap(&["query", indus, "CERT * FORCE whole-solve"]).expect("runs");
+    assert!(whole.contains("plan: whole-solve (forced)"), "{whole}");
+}

@@ -1,14 +1,11 @@
 //! Determinism oracle for the condensation-sharded parallel resolver:
 //! on random networks, [`trustmap_core::parallel::resolve_parallel`] must
 //! produce byte-identical possible sets to the sequential `resolve` at
-//! every thread count, and an [`IncrementalResolver`] forced onto the
-//! parallel regional path must stay equivalent to a from-scratch
-//! resolution across random edit streams.
+//! every thread count.
 
 use proptest::prelude::*;
-use trustmap::{resolve_network, Edit, TrustNetwork, User, Value};
+use trustmap::{TrustNetwork, User, Value};
 use trustmap_core::parallel::{resolve_parallel, resolve_parallel_with, ParOptions};
-use trustmap_core::IncrementalResolver;
 
 /// A raw network description proptest can generate.
 #[derive(Debug, Clone)]
@@ -16,15 +13,6 @@ struct RawNet {
     users: usize,
     mappings: Vec<(usize, usize, i64)>,
     beliefs: Vec<(usize, usize)>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct RawEdit {
-    kind: u8,
-    user: usize,
-    other: usize,
-    value: usize,
-    priority: i64,
 }
 
 const NUM_VALUES: usize = 3;
@@ -45,21 +33,6 @@ fn raw_net(max_users: usize, max_maps: usize) -> impl Strategy<Value = RawNet> {
     })
 }
 
-fn raw_edits(steps: usize) -> impl Strategy<Value = Vec<RawEdit>> {
-    proptest::collection::vec(
-        (0u8..10, 0usize..64, 0usize..64, 0usize..NUM_VALUES, 1..5i64).prop_map(
-            |(kind, user, other, value, priority)| RawEdit {
-                kind,
-                user,
-                other,
-                value,
-                priority,
-            },
-        ),
-        steps..=steps,
-    )
-}
-
 fn build(raw: &RawNet) -> (TrustNetwork, Vec<Value>) {
     let mut net = TrustNetwork::new();
     let users: Vec<User> = (0..raw.users).map(|i| net.user(&format!("u{i}"))).collect();
@@ -75,26 +48,6 @@ fn build(raw: &RawNet) -> (TrustNetwork, Vec<Value>) {
         net.believe(users[u], values[v]).expect("valid");
     }
     (net, values)
-}
-
-fn concretize(raw: RawEdit, users: usize, values: &[Value]) -> Edit {
-    let user = User((raw.user % users) as u32);
-    match raw.kind {
-        0..=5 => Edit::Believe(user, values[raw.value % values.len()]),
-        6 | 7 => Edit::Revoke(user),
-        _ => {
-            let parent = User((raw.other % users) as u32);
-            if parent == user {
-                Edit::Believe(user, values[raw.value % values.len()])
-            } else {
-                Edit::Trust {
-                    child: user,
-                    parent,
-                    priority: raw.priority,
-                }
-            }
-        }
-    }
 }
 
 proptest! {
@@ -122,39 +75,6 @@ proptest! {
                     );
                     prop_assert_eq!(seq.is_reachable(x), par.is_reachable(x), "reach {}", x);
                 }
-            }
-        }
-    }
-
-    /// The incremental engine with parallel dirty regions (forced on with
-    /// min_region = 1) equals a from-scratch resolution after every step
-    /// of a random edit stream.
-    #[test]
-    fn parallel_incremental_equals_full_resolution(
-        raw in raw_net(6, 10),
-        edits in raw_edits(16),
-        threads in 2usize..=6,
-    ) {
-        let (mut net, values) = build(&raw);
-        let mut engine = IncrementalResolver::new(&net).expect("positive network");
-        engine.set_parallelism(threads, 1);
-        for (step, &raw_edit) in edits.iter().enumerate() {
-            let edit = concretize(raw_edit, raw.users, &values);
-            match edit {
-                Edit::Believe(u, v) => net.believe(u, v).expect("valid"),
-                Edit::Revoke(u) => net.revoke(u).expect("valid"),
-                Edit::Trust { child, parent, priority } => {
-                    net.trust(child, parent, priority).expect("valid")
-                }
-            }
-            engine.apply_edits(&net, &[edit]);
-            let reference = resolve_network(&net).expect("resolves");
-            for u in net.users() {
-                let node = engine.btn().node_of(u);
-                prop_assert_eq!(
-                    engine.poss(node), reference.poss(u),
-                    "step {} ({:?}): poss diverged for user {}", step, edit, u
-                );
             }
         }
     }

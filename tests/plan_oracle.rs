@@ -1,16 +1,17 @@
 //! Differential oracle for the cost-based query planner (PR 10).
 //!
 //! The planner is a *routing* decision, never a semantic one: whatever
-//! strategy it picks, the rows must be bit-for-bit what every other
-//! applicable strategy would have produced. Three layers of evidence:
+//! strategy it picks, the rows must be bit-for-bit what the other
+//! strategy would have produced. Three layers of evidence:
 //!
 //! 1. Proptest: on random positive and signed networks, the
 //!    planner-chosen result equals each forced strategy byte-identically
 //!    (inapplicable forces error with `Error::Plan`, they never
-//!    silently reroute).
-//! 2. Fixed fixtures: the planner reaches *all five* strategies — four
-//!    through real `Session::query` calls, the bulk strategy through the
-//!    multi-object context the bulk executors cost with.
+//!    silently reroute) — and equals the rows rendered from the
+//!    sequential reference solvers (`resolve_network`,
+//!    `resolve_skeptic`), which no strategy runs.
+//! 2. Fixed fixtures: the planner (not a FORCE) reaches both strategies
+//!    through real `Session::query` calls, on either sign.
 //! 3. Counter gates: planning visits at most one plan node per
 //!    candidate strategy, and `EXPLAIN` does zero solver work.
 
@@ -18,17 +19,55 @@ mod common;
 
 use common::{random_network, NetSpec};
 use proptest::prelude::*;
+use trustmap::plan::QueryRow;
+use trustmap::skeptic::resolve_skeptic;
 use trustmap::{
-    Error, NegSet, PlanContext, Planner, PlannerStats, Query, QueryTarget, Session, Strategy,
-    TrustNetwork, User,
+    binarize, resolve_network, Error, NegSet, Query, QueryTarget, Session, Strategy, User,
 };
 
+/// The rows of every user as the sequential reference solvers define
+/// them: Algorithm 1 as printed on positive networks, the sequential
+/// Algorithm 2 on constraint-carrying ones.
+fn reference_rows(s: &Session) -> Vec<QueryRow> {
+    let net = s.network();
+    if net.has_constraints() {
+        let btn = binarize(net);
+        let res = resolve_skeptic(&btn).expect("tie-free network");
+        net.users()
+            .map(|u| {
+                let rep = res.rep_poss(btn.node_of(u));
+                QueryRow {
+                    user: u,
+                    cert: rep.cert_positive(),
+                    poss: rep.pos.iter().copied().collect(),
+                }
+            })
+            .collect()
+    } else {
+        let res = resolve_network(net).expect("positive network");
+        net.users()
+            .map(|u| QueryRow {
+                user: u,
+                cert: res.cert(u),
+                poss: res.poss(u).to_vec(),
+            })
+            .collect()
+    }
+}
+
 /// Verifies every forced strategy against the planner's own choice on
-/// one query: applicable forces must agree bit-for-bit, inapplicable
-/// ones must refuse with a plan error.
+/// one all-users query: applicable forces must agree bit-for-bit with it
+/// and with the reference solvers, inapplicable ones must refuse with a
+/// plan error.
 fn check_forced_agree(s: &mut Session, q: &Query) -> Result<(), TestCaseError> {
     let baseline = s.query(q).expect("planner-chosen query");
     prop_assert!(!baseline.report.forced);
+    prop_assert_eq!(
+        &baseline.rows,
+        &reference_rows(s),
+        "{} diverged from the reference solver",
+        baseline.report.strategy
+    );
     for strategy in Strategy::ALL {
         match s.query(&q.clone().force(strategy)) {
             Ok(forced) => {
@@ -53,22 +92,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Positive networks: planner-chosen CERT/POSS over all users equals
-    /// every applicable forced strategy, warm or cold, serial or
-    /// parallel.
+    /// every applicable forced strategy, warm or cold.
     #[test]
     fn forced_strategies_agree_on_positive_networks(
         seed in any::<u64>(),
         users in 2usize..12,
         mappings in 0usize..24,
         warm in any::<bool>(),
-        threads in 1usize..4,
     ) {
         let net = random_network(
             NetSpec { users, values: 3, mappings, believer_p: 0.5, tie_free: true },
             seed,
         );
         let mut s = Session::new(net);
-        s.set_parallelism(threads, 1);
         if warm {
             s.snapshot().expect("positive network resolves");
         }
@@ -77,7 +113,7 @@ proptest! {
     }
 
     /// Signed (constraint) networks: same contract on the skeptic
-    /// pipeline, where Compact and Bulk must refuse and the rest agree.
+    /// pipeline.
     #[test]
     fn forced_strategies_agree_on_signed_networks(
         seed in any::<u64>(),
@@ -85,7 +121,6 @@ proptest! {
         mappings in 0usize..20,
         rejects in proptest::collection::vec((0usize..16, 0usize..3), 1..4),
         warm in any::<bool>(),
-        threads in 1usize..4,
     ) {
         let mut net = random_network(
             NetSpec { users, values: 3, mappings, believer_p: 0.4, tie_free: true },
@@ -99,7 +134,6 @@ proptest! {
             let _ = net.reject(User((u % users) as u32), NegSet::of([values[v]]));
         }
         let mut s = Session::new(net);
-        s.set_parallelism(threads, 1);
         if warm {
             s.skeptic_snapshot().expect("tie-free network resolves");
         }
@@ -108,99 +142,42 @@ proptest! {
     }
 }
 
-/// Fixed fixtures where the planner (not a FORCE) picks each strategy.
-///
-/// Four strategies route through real sessions; [`Strategy::BulkFewObjects`]
-/// is costed the way the bulk executors call the planner — with a
-/// multi-object context — because a single-object session read is
-/// exactly the workload bulk seeding cannot beat.
+/// Fixed fixtures where the planner (not a FORCE) picks each strategy,
+/// on each sign: a cold session has nothing to patch and solves the whole
+/// network; once a read has built the engine, patching its (here empty)
+/// dirty region undercuts any whole-network solve.
 #[test]
-fn planner_reaches_all_five_strategies() {
-    // IncrementalPatch: warm engine, point read — the dirty region (here
-    // empty) is always cheaper than any whole-network solve.
-    let warm = random_network(
-        NetSpec {
-            users: 8,
-            values: 3,
-            mappings: 12,
-            believer_p: 0.5,
-            tie_free: true,
-        },
-        7,
-    );
-    let mut s = Session::new(warm);
-    s.snapshot().expect("resolves");
-    let r = s.query(&Query::cert(QueryTarget::Handle(User(0)))).unwrap();
-    assert_eq!(r.report.strategy, Strategy::IncrementalPatch);
-
-    // CompactRegionSolve: cold positive session, one thread — the
-    // sequential Algorithm 1 solve undercuts skeptic decode and bulk
-    // seeding for one object.
-    let cold = random_network(
-        NetSpec {
-            users: 8,
-            values: 3,
-            mappings: 12,
-            believer_p: 0.5,
-            tie_free: true,
-        },
-        7,
-    );
-    let mut s = Session::new(cold);
-    s.set_parallelism(1, 1);
-    let r = s.query(&Query::poss(QueryTarget::All)).unwrap();
-    assert_eq!(r.report.strategy, Strategy::CompactRegionSolve);
-
-    // ShardedWholeSolve: cold, parallel, and big enough that splitting
-    // the solve across threads amortizes the planning overhead.
-    let mut chain = TrustNetwork::new();
-    let head = chain.user("u0");
-    let v = chain.value("v");
-    chain.believe(head, v).expect("fresh user");
-    for i in 1..3000 {
-        let child = chain.user(&format!("u{i}"));
-        let parent = chain.find_user(&format!("u{}", i - 1)).unwrap();
-        chain.trust(child, parent, 1).expect("distinct users");
-    }
-    let mut s = Session::new(chain);
-    s.set_parallelism(4, 1);
-    let r = s.query(&Query::cert(QueryTarget::All)).unwrap();
-    assert_eq!(r.report.strategy, Strategy::ShardedWholeSolve);
-    // Routing-only: the sharded answer equals the sequential ones.
-    for forced in [Strategy::CompactRegionSolve, Strategy::SkepticResolve] {
-        let alt = s
-            .query(&Query::cert(QueryTarget::All).force(forced))
-            .unwrap();
-        assert_eq!(alt.rows, r.rows, "{forced} diverged on the chain");
-    }
-
-    // SkepticResolve: constraints rule out Algorithm 1 and the POSS
-    // table; one thread rules out sharding; a cold session rules out
-    // patching. Algorithm 2 is the only candidate left.
-    let mut signed = TrustNetwork::new();
-    let a = signed.user("a");
-    let b = signed.user("b");
-    let jar = signed.value("jar");
-    signed.believe(a, jar).expect("fresh user");
-    signed.reject(b, NegSet::of([jar])).expect("fresh user");
-    signed.trust(b, a, 1).expect("distinct users");
-    let mut s = Session::new(signed);
-    s.set_parallelism(1, 1);
-    let r = s.query(&Query::cert(QueryTarget::All)).unwrap();
-    assert_eq!(r.report.strategy, Strategy::SkepticResolve);
-
-    // BulkFewObjects: the context the bulk executors plan with — many
-    // independent belief assignments over one flood schedule.
-    let mut stats = PlannerStats::default();
-    let bulk_ctx = PlanContext {
-        node_count: 1_000,
-        threads: 1,
-        skeptic: false,
-        engine_live: false,
-        objects: 16,
+fn planner_reaches_both_strategies() {
+    let spec = NetSpec {
+        users: 8,
+        values: 3,
+        mappings: 12,
+        believer_p: 0.5,
+        tie_free: true,
     };
-    let report = Planner::plan(&Query::poss(QueryTarget::All), &bulk_ctx, &mut stats).unwrap();
-    assert_eq!(report.strategy, Strategy::BulkFewObjects);
+    let positive = random_network(spec, 7);
+    let mut signed = random_network(spec, 7);
+    let jar = signed.value("jar");
+    signed
+        .reject(User(0), NegSet::of([jar]))
+        .expect("known user");
+
+    for net in [positive, signed] {
+        let skeptic = net.has_constraints();
+        let mut s = Session::new(net);
+        let cold = s.query(&Query::poss(QueryTarget::All)).unwrap();
+        assert_eq!(cold.report.strategy, Strategy::WholeSolve);
+        assert_eq!(s.stats().full_rebuilds, 0, "a whole solve builds no engine");
+
+        if skeptic {
+            s.skeptic_snapshot().expect("resolves");
+        } else {
+            s.snapshot().expect("resolves");
+        }
+        let warm = s.query(&Query::poss(QueryTarget::All)).unwrap();
+        assert_eq!(warm.report.strategy, Strategy::IncrementalPatch);
+        assert_eq!(warm.rows, cold.rows, "routing changed the answer");
+    }
 }
 
 /// Planner overhead is bounded counter arithmetic: at most one plan node

@@ -144,12 +144,7 @@ fn measure(cfg: &Config) -> Row {
     let append_us_per_edit = t.elapsed().as_secs_f64() * 1e6 / TAIL as f64;
 
     // Crash point: capture the ground truth, then drop everything.
-    let live_cert = live
-        .session
-        .snapshot()
-        .expect("positive network")
-        .cert
-        .clone();
+    let live_snapshot = live.session.snapshot().expect("positive network").clone();
     let last_lsn = live.store.last_committed_lsn();
     let wal_bytes = live.store.wal_len();
     drop(live);
@@ -157,7 +152,7 @@ fn measure(cfg: &Config) -> Row {
     // Snapshot + tail recovery, through the incremental engines.
     let t = Instant::now();
     let mut recovered = Store::open(&dir).expect("recovery");
-    let recovered_cert = &recovered.session.snapshot().expect("read").cert;
+    let recovered_snapshot = recovered.session.snapshot().expect("read");
     let recover_us = t.elapsed().as_secs_f64() * 1e6;
     assert_eq!(
         recovered.stats.last_lsn, last_lsn,
@@ -172,8 +167,8 @@ fn measure(cfg: &Config) -> Row {
         "exactly the tail replays on top of the snapshot"
     );
     assert_eq!(
-        recovered_cert, &live_cert,
-        "recovered certain beliefs must be byte-identical to the live session"
+        recovered_snapshot, &live_snapshot,
+        "the recovered snapshot must be byte-identical to the live session's"
     );
     let recover_replay_us = recovered.stats.replay_us;
     drop(recovered);
@@ -183,11 +178,11 @@ fn measure(cfg: &Config) -> Row {
     let t = Instant::now();
     let (cold_net, cold_lsn) = cold_replay(&dir).expect("cold replay");
     let mut cold_session = Session::new(cold_net);
-    let cold_cert = &cold_session.snapshot().expect("read").cert;
+    let cold_snapshot = cold_session.snapshot().expect("read");
     let cold_us = t.elapsed().as_secs_f64() * 1e6;
     assert_eq!(cold_lsn, last_lsn);
     assert_eq!(
-        cold_cert, &live_cert,
+        cold_snapshot, &live_snapshot,
         "cold replay must agree with the live session"
     );
 
@@ -206,8 +201,8 @@ fn measure(cfg: &Config) -> Row {
     }
     let reresolve_us = t.elapsed().as_secs_f64() * 1e6;
     assert_eq!(
-        last.expect("tail is nonempty").cert,
-        live_cert,
+        last.expect("tail is nonempty"),
+        live_snapshot,
         "the re-resolve baseline must agree too"
     );
 

@@ -6,11 +6,15 @@
 //! the resulting snapshot never changes — only a *newer* snapshot can
 //! supersede it. This module turns that property into an MVCC read path:
 //!
-//! * [`EpochView`] — one committed resolution, frozen: the possible-set
-//!   slabs (already `Arc`-shared per user, so freezing is a pointer copy,
-//!   not a deep copy), the certain beliefs, the skeptic representation
-//!   when the network carries constraints, the name tables needed to
+//! * [`EpochView`] — one committed resolution, frozen: a clone of the
+//!   session's per-user result table (possible sets and certain beliefs,
+//!   or the skeptic representation when the network carries constraints,
+//!   plus the exact table in exact mode), the name tables needed to
 //!   answer point queries, and the durable commit LSN the state reflects.
+//!   The tables are chunked copy-on-write ([`crate::cow`]): freezing one
+//!   copies a pointer per 256 users, and the edit that follows copies
+//!   only the chunks holding the users it dirtied — publishing costs
+//!   O(region) rows plus an O(users / 256) spine, never O(users) rows.
 //! * [`EpochSlot`] — the publication point. The writer swaps in a new
 //!   `Arc<EpochView>` after each commit; readers clone the current handle
 //!   without ever touching the writer's session. A monotonic epoch
@@ -25,6 +29,10 @@
 //! [`crate::Session`]; [`crate::Session::epoch`] builds and publishes the
 //! view (reusing the published handle when no edits intervened, so
 //! repeated publication of a quiet session is O(1)).
+//!
+//! What stays O(users) on this path: [`EpochNames::of`] re-renders every
+//! name and both lookup maps whenever a write interns a *new* user or
+//! value (pure belief/trust churn shares the table across epochs).
 //!
 //! The `trustmap-store` crate's group-commit hub drives this from a
 //! dedicated writer thread: one durable WAL unit per edit group, one
@@ -119,7 +127,7 @@ impl EpochNames {
 /// The resolved state carried by an epoch: one of the two pipelines'
 /// snapshot shapes (mirroring [`crate::Session`]'s sign-state routing).
 #[derive(Debug)]
-enum EpochState {
+pub(crate) enum EpochState {
     /// Basic model (positive network): possible sets + certain beliefs.
     Basic(UserResolution),
     /// Skeptic paradigm (constraint-carrying network).
@@ -129,11 +137,11 @@ enum EpochState {
 /// One committed resolution, frozen for lock-free concurrent reads.
 ///
 /// An `EpochView` is immutable by construction; cloning the `Arc` handle
-/// is the only sharing mechanism. Freezing is cheap: the per-user
-/// possible sets are `Arc<[Value]>` slabs shared with the live engine, so
-/// a view costs O(users) pointer copies, not O(users × values) deep
-/// copies — and group commit amortizes even that over the whole edit
-/// window.
+/// is the only sharing mechanism. Freezing is cheap: the view's tables
+/// are clones of the session's chunked copy-on-write tables
+/// ([`crate::cow`]), so a view costs one pointer copy per 256 users and
+/// shares every row with the session — and with the views before it —
+/// until an edit rewrites that row's chunk.
 #[derive(Debug)]
 pub struct EpochView {
     epoch: u64,
@@ -143,43 +151,24 @@ pub struct EpochView {
     /// Exact certain/possible positives, published when the session has
     /// exact mode enabled ([`crate::Session::enable_exact`]) — the table
     /// behind `CERT <user> EXACT` reads on leaders and replicas.
-    exact: Option<Arc<ExactUserResolution>>,
+    exact: Option<ExactUserResolution>,
 }
 
 impl EpochView {
-    /// Builds a basic-model view. `lsn` is the durable commit LSN the
-    /// state reflects (0 for an in-memory-only session).
-    pub(crate) fn basic(
+    /// Freezes `state` (table clones of the publishing session's
+    /// snapshot). `lsn` is the durable commit LSN the state reflects (0
+    /// for an in-memory-only session).
+    pub(crate) fn new(
         epoch: u64,
         lsn: u64,
-        snap: &UserResolution,
+        state: EpochState,
         names: Arc<EpochNames>,
-        exact: Option<Arc<ExactUserResolution>>,
+        exact: Option<ExactUserResolution>,
     ) -> Self {
         EpochView {
             epoch,
             lsn,
-            state: EpochState::Basic(UserResolution {
-                poss: snap.poss.clone(),
-                cert: snap.cert.clone(),
-            }),
-            names,
-            exact,
-        }
-    }
-
-    /// Builds a skeptic-paradigm view.
-    pub(crate) fn skeptic(
-        epoch: u64,
-        lsn: u64,
-        snap: &SkepticUserResolution,
-        names: Arc<EpochNames>,
-        exact: Option<Arc<ExactUserResolution>>,
-    ) -> Self {
-        EpochView {
-            epoch,
-            lsn,
-            state: EpochState::Skeptic(snap.clone()),
+            state,
             names,
             exact,
         }
@@ -205,7 +194,7 @@ impl EpochView {
     /// Number of users covered by the view.
     pub fn user_count(&self) -> usize {
         match &self.state {
-            EpochState::Basic(r) => r.cert.len(),
+            EpochState::Basic(r) => r.user_count(),
             EpochState::Skeptic(r) => r.user_count(),
         }
     }
@@ -218,33 +207,23 @@ impl EpochView {
     /// The certain positive value of `user` (both pipelines decode to
     /// this; users beyond the view read as undefined).
     pub fn cert(&self, user: User) -> Option<Value> {
+        if user.index() >= self.user_count() {
+            return None;
+        }
         match &self.state {
-            EpochState::Basic(r) => r.cert.get(user.index()).copied().flatten(),
-            EpochState::Skeptic(r) => {
-                if user.index() < r.user_count() {
-                    r.rep_poss(user).cert_positive()
-                } else {
-                    None
-                }
-            }
+            EpochState::Basic(r) => r.cert(user),
+            EpochState::Skeptic(r) => r.cert_positive(user),
         }
     }
 
     /// The possible positive values of `user`, sorted.
     pub fn poss(&self, user: User) -> Vec<Value> {
+        if user.index() >= self.user_count() {
+            return Vec::new();
+        }
         match &self.state {
-            EpochState::Basic(r) => r
-                .poss
-                .get(user.index())
-                .map(|s| s.to_vec())
-                .unwrap_or_default(),
-            EpochState::Skeptic(r) => {
-                if user.index() < r.user_count() {
-                    r.rep_poss(user).pos.iter().copied().collect()
-                } else {
-                    Vec::new()
-                }
-            }
+            EpochState::Basic(r) => r.poss(user).to_vec(),
+            EpochState::Skeptic(r) => r.rep_poss(user).pos.iter().copied().collect(),
         }
     }
 
@@ -289,7 +268,7 @@ impl EpochView {
     /// The exact certain/possible table, when the publishing session had
     /// exact mode enabled (and the state fit the enumeration caps).
     pub fn exact(&self) -> Option<&ExactUserResolution> {
-        self.exact.as_deref()
+        self.exact.as_ref()
     }
 
     /// The **exact** certain positive value of `user` from the published
@@ -298,7 +277,7 @@ impl EpochView {
     /// epoch carries no exact table at all (exact mode off, or the state
     /// overflowed the enumeration caps at publication time).
     pub fn cert_exact(&self, user: User) -> Option<Option<Value>> {
-        let table = self.exact.as_deref()?;
+        let table = self.exact.as_ref()?;
         Some(if user.index() < table.user_count() {
             table.cert(user)
         } else {
@@ -310,16 +289,13 @@ impl EpochView {
 /// Genesis view: epoch 0 over an empty network (what readers see before
 /// the first publication).
 fn genesis() -> Arc<EpochView> {
-    Arc::new(EpochView {
-        epoch: 0,
-        lsn: 0,
-        state: EpochState::Basic(UserResolution {
-            poss: Vec::new(),
-            cert: Vec::new(),
-        }),
-        names: Arc::new(EpochNames::default()),
-        exact: None,
-    })
+    Arc::new(EpochView::new(
+        0,
+        0,
+        EpochState::Basic(UserResolution::default()),
+        Arc::new(EpochNames::default()),
+        None,
+    ))
 }
 
 /// The publication point readers attach to.
@@ -603,16 +579,13 @@ mod tests {
             let view = s.epoch().unwrap();
             // Re-stamp with an LSN for the test (sessions without a sink
             // publish lsn 0): build a view directly.
-            publisher.publish(Arc::new(EpochView {
-                epoch: view.epoch() + 1,
-                lsn: 7,
-                state: EpochState::Basic(UserResolution {
-                    poss: Vec::new(),
-                    cert: Vec::new(),
-                }),
-                names: Arc::new(EpochNames::default()),
-                exact: None,
-            }));
+            publisher.publish(Arc::new(EpochView::new(
+                view.epoch() + 1,
+                7,
+                EpochState::Basic(UserResolution::default()),
+                Arc::new(EpochNames::default()),
+                None,
+            )));
         });
         let got = slot.wait_for_lsn(5, Duration::from_secs(5));
         handle.join().unwrap();

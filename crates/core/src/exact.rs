@@ -41,6 +41,7 @@
 
 use crate::binary::{Btn, Parents};
 use crate::compact::{plan_region, RegionPool};
+use crate::cow::{CowCopies, CowTable};
 use crate::error::{Error, Result};
 use crate::paradigm::Paradigm;
 use crate::signed::BeliefSet;
@@ -48,6 +49,7 @@ use crate::stable_signed::Limits;
 use crate::user::User;
 use crate::value::Value;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use trustmap_graph::NodeId;
 
 /// Work accounting of an [`ExactEngine`] — the counter-arithmetic
@@ -94,6 +96,9 @@ pub struct ExactEngine {
     /// `stamp` and likewise excluded from scratch accounting).
     region_slot: Vec<u32>,
     epoch: u32,
+    /// The nodes whose outcome sets the last update rewrote: its dirty
+    /// region plus the ambiguous ancestors it was widened over.
+    last_region: Vec<NodeId>,
     /// Pooled region-scaled solve buffers, reused across updates.
     b0: Vec<BeliefSet>,
     frozen: Vec<BeliefSet>,
@@ -113,6 +118,7 @@ impl Clone for ExactEngine {
             stamp: Vec::new(),
             region_slot: Vec::new(),
             epoch: 0,
+            last_region: self.last_region.clone(),
             b0: Vec::new(),
             frozen: Vec::new(),
             children: Vec::new(),
@@ -139,6 +145,7 @@ impl ExactEngine {
             stamp: Vec::new(),
             region_slot: Vec::new(),
             epoch: 0,
+            last_region: Vec::new(),
             b0: Vec::new(),
             frozen: Vec::new(),
             children: Vec::new(),
@@ -167,6 +174,14 @@ impl ExactEngine {
                 .map(|c| c.capacity() * std::mem::size_of::<u32>())
                 .sum::<usize>();
         self.pool.region_scratch_bytes() + sets + kids
+    }
+
+    /// The nodes the most recent [`ExactEngine::update`] re-solved — its
+    /// dirty region plus any ambiguous ancestors it widened over; every
+    /// other node's outcome set is as it was, which is what lets the
+    /// session patch its [`ExactUserResolution`] instead of re-rendering.
+    pub fn last_region(&self) -> &[NodeId] {
+        &self.last_region
     }
 
     /// Number of nodes the engine tracks.
@@ -216,6 +231,7 @@ impl ExactEngine {
     /// no duplicates) against the current `btn`. An empty region returns
     /// immediately without planning, compacting, or touching any node.
     pub fn update(&mut self, btn: &Btn, dirty: &[NodeId]) -> Result<()> {
+        self.last_region.clear();
         if dirty.is_empty() {
             return Ok(());
         }
@@ -237,8 +253,7 @@ impl ExactEngine {
         // Assemble the region, widening upward over ambiguous boundary
         // ancestors: a frozen input must be constant across all stable
         // solutions, i.e. have a singleton outcome list.
-        let mut region = std::mem::take(&mut self.pool.region);
-        region.clear();
+        let mut region = std::mem::take(&mut self.last_region);
         region.extend_from_slice(dirty);
         for &x in region.iter() {
             self.stamp[x as usize] = epoch;
@@ -305,7 +320,8 @@ impl ExactEngine {
         let single = (1..region.len() as u32).all(|i| find(&mut uf, i) == root0);
 
         let result = if single {
-            self.pool.region = region;
+            self.pool.region.clear();
+            self.pool.region.extend_from_slice(&region);
             self.solve(btn)
         } else {
             let mut by_root: Vec<(u32, NodeId)> = region
@@ -334,6 +350,7 @@ impl ExactEngine {
             }
             result
         };
+        self.last_region = region;
 
         // Whole-network solves are rare (the build, caller-forced
         // refreshes) and would otherwise pin network-sized capacity in the
@@ -738,42 +755,75 @@ impl ExactEngine {
 /// coarse target keeps the plan flat (the solve is sequential anyway).
 const EXACT_SHARD: usize = 4096;
 
-/// A user-indexed snapshot of exact certain/possible positives, published
+/// One user's row of an [`ExactUserResolution`]. The default row is a
+/// user with no beliefs — what a freshly grown user is until an edit
+/// lands it in a region.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct ExactRow {
+    cert: Option<Value>,
+    /// Sorted; behind `Arc` so copying a chunk of rows copies no set.
+    poss: Arc<[Value]>,
+}
+
+impl ExactRow {
+    fn of(engine: &ExactEngine, node: NodeId) -> Self {
+        ExactRow {
+            cert: engine.cert(node),
+            poss: engine.poss(node).into(),
+        }
+    }
+}
+
+/// A user-indexed table of exact certain/possible positives, published
 /// alongside `repPoss` in [`crate::epoch::EpochView`]s so `CERT … EXACT`
-/// reads are servable from leaders and replicas at a pinned LSN.
+/// reads are servable from leaders and replicas at a pinned LSN. Rows
+/// live in a chunked copy-on-write table ([`crate::cow`]): the session
+/// keeps one, patches the rows each exact update re-solved, and every
+/// view takes a clone.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExactUserResolution {
-    pub(crate) cert: Vec<Option<Value>>,
-    pub(crate) poss: Vec<Vec<Value>>,
+    rows: CowTable<ExactRow>,
 }
 
 impl ExactUserResolution {
-    /// Snapshots the engine's current state, user-indexed through `btn`.
+    /// Renders the engine's current state from scratch, user-indexed
+    /// through `btn`.
     pub fn snapshot(engine: &ExactEngine, btn: &Btn) -> ExactUserResolution {
-        let users = btn.user_count();
-        let mut cert = Vec::with_capacity(users);
-        let mut poss = Vec::with_capacity(users);
-        for u in 0..users {
-            let node = btn.node_of(User(u as u32));
-            cert.push(engine.cert(node));
-            poss.push(engine.poss(node));
+        let users = btn.user_count() as u32;
+        ExactUserResolution {
+            rows: (0..users)
+                .map(|u| ExactRow::of(engine, btn.node_of(User(u))))
+                .collect(),
         }
-        ExactUserResolution { cert, poss }
+    }
+
+    /// Brings a table rendered before `engine`'s most recent
+    /// [`ExactEngine::update`] up to date with it: extends it for users
+    /// created since and re-reads the users among
+    /// [`ExactEngine::last_region`].
+    pub(crate) fn patch(&mut self, engine: &ExactEngine, btn: &Btn) -> CowCopies {
+        self.rows.grow(btn.user_count(), ExactRow::default());
+        for &x in engine.last_region() {
+            if let Some(u) = btn.origin(x) {
+                self.rows.set(u.index(), ExactRow::of(engine, x));
+            }
+        }
+        self.rows.take_copies()
     }
 
     /// Number of users covered.
     pub fn user_count(&self) -> usize {
-        self.cert.len()
+        self.rows.len()
     }
 
     /// The exact certain positive value of `user`, if any.
     pub fn cert(&self, user: User) -> Option<Value> {
-        self.cert[user.index()]
+        self.rows[user.index()].cert
     }
 
     /// The exact possible positive values of `user`, sorted.
     pub fn poss(&self, user: User) -> &[Value] {
-        &self.poss[user.index()]
+        &self.rows[user.index()].poss
     }
 }
 

@@ -38,11 +38,12 @@
 //! [`resolve_network`]: crate::resolution::resolve_network
 
 use crate::binary::Btn;
+use crate::cow::CowCopies;
 use crate::deltabtn::{DeltaBtn, NodeSideTables};
 use crate::error::{Error, Result};
 use crate::lineage::Lineage;
 use crate::network::TrustNetwork;
-use crate::resolution::UserResolution;
+use crate::resolution::{UserResolution, UserRow};
 use crate::signed::ExplicitBelief;
 use crate::user::User;
 use crate::value::Value;
@@ -83,8 +84,28 @@ pub struct DeltaStats {
     pub dirty_nodes: u64,
     /// Dirty-region size of the most recent incremental batch.
     pub last_dirty_nodes: usize,
+    /// Users among those nodes: the rows the batch rewrote in each
+    /// snapshot table.
+    pub last_dirty_users: usize,
     /// Explicit batches committed through [`crate::Session::commit`].
     pub batch_commits: u64,
+    /// Epoch views rendered by [`crate::Session::epoch_at`] (a quiet
+    /// re-publish returns the cached handle and renders nothing).
+    pub epochs_rendered: u64,
+    /// Snapshot-table chunks copied because a published view (or a cloned
+    /// session) still shared them when an edit rewrote one of their rows
+    /// ([`crate::cow`]) — what publishing costs beyond the spine.
+    pub publish_chunks_copied: u64,
+    /// Rows those chunks held.
+    pub publish_rows_copied: u64,
+}
+
+impl DeltaStats {
+    /// Adds what patching one snapshot table had to un-share.
+    pub(crate) fn count_copies(&mut self, copies: CowCopies) {
+        self.publish_chunks_copied += copies.chunks;
+        self.publish_rows_copied += copies.rows;
+    }
 }
 
 /// A change in one user's certain belief produced by an edit batch.
@@ -267,34 +288,34 @@ impl IncrementalResolver {
         &self.dirty_list
     }
 
-    /// Extracts a full per-user snapshot (O(users) refcount bumps).
+    /// The snapshot row of `user`: a shared handle to its node's set.
+    fn user_row(&self, user: User) -> UserRow {
+        let node = self.delta.btn.node_of(user);
+        UserRow::of(Arc::clone(&self.poss[node as usize]))
+    }
+
+    /// Extracts a full per-user snapshot (one refcount bump per user).
     pub fn user_resolution(&self) -> UserResolution {
-        let users = self.delta.btn.user_count;
-        let mut poss = Vec::with_capacity(users);
-        let mut cert = Vec::with_capacity(users);
-        for u in 0..users as u32 {
-            let node = self.delta.btn.node_of(User(u));
-            let set = Arc::clone(&self.poss[node as usize]);
-            cert.push(if set.len() == 1 { Some(set[0]) } else { None });
-            poss.push(set);
+        let users = self.delta.btn.user_count as u32;
+        UserResolution {
+            rows: (0..users).map(|u| self.user_row(User(u))).collect(),
         }
-        UserResolution { poss, cert }
     }
 
     /// Patches `res` in place after an edit batch: extends it for users
-    /// created since it was built and overwrites entries of users whose
-    /// nodes were in the last dirty region.
-    pub fn patch_user_resolution(&self, res: &mut UserResolution) {
-        while res.poss.len() < self.delta.btn.user_count {
-            res.poss.push(Arc::clone(&self.empty));
-            res.cert.push(None);
-        }
+    /// created since it was built and overwrites the rows of users whose
+    /// nodes were in the last dirty region — nothing else is touched, so
+    /// a copy-on-write `res` un-shares only those users' chunks. Returns
+    /// what that un-sharing copied.
+    pub fn patch_user_resolution(&self, res: &mut UserResolution) -> CowCopies {
+        res.rows.grow(
+            self.delta.btn.user_count,
+            UserRow::of(Arc::clone(&self.empty)),
+        );
         for &u in &self.last_dirty_users {
-            let node = self.delta.btn.node_of(u);
-            let set = Arc::clone(&self.poss[node as usize]);
-            res.cert[u.index()] = if set.len() == 1 { Some(set[0]) } else { None };
-            res.poss[u.index()] = set;
+            res.rows.set(u.index(), self.user_row(u));
         }
+        res.rows.take_copies()
     }
 
     /// Applies a batch of edits that have already been committed to `net`,

@@ -50,6 +50,9 @@
 //!   (`Arc`-swapped through an [`EpochSlot`]) that readers clone
 //!   lock-free, so reads never block on the writer and never observe a
 //!   torn mid-batch state;
+//! * [`cow`] — the chunked copy-on-write table behind every user-indexed
+//!   result table, which is what makes publishing an epoch cost the
+//!   edit's dirty chunks instead of the whole table;
 //! * [`mod@format`] — the line-oriented text format for networks (id-exact
 //!   round trips), shared by the CLI, fixtures, and the snapshot text
 //!   flavor;
@@ -111,6 +114,7 @@ pub mod binary;
 pub mod bulk;
 pub mod bulk_skeptic;
 pub(crate) mod compact;
+pub mod cow;
 pub(crate) mod deltabtn;
 pub mod durability;
 pub mod epoch;

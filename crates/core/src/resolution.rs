@@ -36,6 +36,7 @@
 //! worker threads, bit-identical to this resolver at every thread count.
 
 use crate::binary::Btn;
+use crate::cow::CowTable;
 use crate::error::{Error, Result};
 use crate::lineage::Lineage;
 use crate::value::Value;
@@ -328,40 +329,68 @@ pub fn resolve_network(net: &crate::network::TrustNetwork) -> Result<UserResolut
     ))
 }
 
+/// One user's row of a [`UserResolution`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct UserRow {
+    /// Sorted possible beliefs (a slice shared with the resolver's
+    /// per-node cache).
+    poss: Arc<[Value]>,
+    /// The certain belief: `poss`'s only element, if it has exactly one.
+    cert: Option<Value>,
+}
+
+impl UserRow {
+    /// The row of a user whose possible set is `poss`.
+    pub(crate) fn of(poss: Arc<[Value]>) -> Self {
+        let cert = match *poss {
+            [v] => Some(v),
+            _ => None,
+        };
+        UserRow { poss, cert }
+    }
+}
+
 /// Per-user resolution results (possible and certain beliefs).
 ///
-/// Possible sets are shared `Arc<[Value]>` slices aliasing the resolver's
-/// per-node cache, so extracting per-user results is O(users) refcount
-/// bumps rather than a deep copy of every possible set.
-#[derive(Debug, Clone)]
+/// Rows live in a chunked copy-on-write table ([`crate::cow`]), so a
+/// clone — an epoch view, a cloned session — copies one pointer per 256
+/// users, and patching a clone's rows copies only the chunks written to.
+/// Possible sets are `Arc<[Value]>` slices aliasing the resolver's
+/// per-node cache: building a table bumps one refcount per user and
+/// never deep-copies a set.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UserResolution {
-    /// `poss[u]` = sorted possible beliefs of user `u` (shared slice).
-    pub poss: Vec<Arc<[Value]>>,
-    /// `cert[u]` = the certain belief of user `u`, if any.
-    pub cert: Vec<Option<Value>>,
+    pub(crate) rows: CowTable<UserRow>,
 }
 
 impl UserResolution {
     /// Extracts per-user results from a node-level [`Resolution`].
     pub fn from_resolution(btn: &Btn, res: &Resolution, user_count: usize) -> Self {
-        let mut poss = Vec::with_capacity(user_count);
-        let mut cert = Vec::with_capacity(user_count);
-        for u in 0..user_count as u32 {
-            let node = btn.node_of(crate::user::User(u));
-            poss.push(res.share_poss(node));
-            cert.push(res.cert(node));
-        }
-        UserResolution { poss, cert }
+        let rows = (0..user_count as u32)
+            .map(|u| UserRow::of(res.share_poss(btn.node_of(crate::user::User(u)))))
+            .collect();
+        UserResolution { rows }
+    }
+
+    /// Number of users covered.
+    pub fn user_count(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Number of row chunks (`ceil(users / 256)`): the pointers a clone
+    /// of this table copies.
+    pub fn spine_len(&self) -> usize {
+        self.rows.spine_len()
     }
 
     /// The possible beliefs of `user`.
     pub fn poss(&self, user: crate::user::User) -> &[Value] {
-        &self.poss[user.index()]
+        &self.rows[user.index()].poss
     }
 
     /// The certain belief of `user`.
     pub fn cert(&self, user: crate::user::User) -> Option<Value> {
-        self.cert[user.index()]
+        self.rows[user.index()].cert
     }
 }
 

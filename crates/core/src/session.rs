@@ -46,7 +46,7 @@
 //! session after a crash.
 
 use crate::durability::Durability;
-use crate::epoch::{EpochNames, EpochSlot, EpochView};
+use crate::epoch::{EpochNames, EpochSlot, EpochState, EpochView};
 use crate::error::{Error, Result};
 use crate::exact::{ExactCounters, ExactEngine, ExactUserResolution};
 use crate::incremental::{DeltaStats, Edit, IncrementalResolver};
@@ -129,8 +129,10 @@ enum ExactSlot {
     /// or invalidated by a rebuild); the next refresh builds it.
     Pending,
     /// Live and patched per dirty region alongside the main engine
-    /// (boxed: the engine dwarfs every other variant).
-    Live(Box<ExactEngine>),
+    /// (boxed: the engine dwarfs every other variant), with the
+    /// user-indexed table epoch views publish — rendered once when the
+    /// engine is built, then patched over each region it re-solves.
+    Live(Box<ExactEngine>, ExactUserResolution),
     /// The last build or update overflowed the enumeration caps
     /// (carries the reported `log2_candidates`); exact reads error until
     /// an edit shrinks the offending region or the session rebuilds.
@@ -157,7 +159,7 @@ pub struct Session {
     /// readers hold their own `Arc` and never touch the session.
     epochs: Arc<EpochSlot>,
     /// The view published for the current state, reused verbatim while no
-    /// edits intervene (publishing a quiet session is O(1), not O(users)).
+    /// edits intervene (publishing a quiet session renders nothing).
     published: Option<Arc<EpochView>>,
     /// Name tables shared across epochs until a new user/value interns.
     names_cache: Option<Arc<EpochNames>>,
@@ -178,7 +180,9 @@ impl Clone for Session {
     /// slot would interleave two divergent histories under its readers.
     /// Planner statistics stay **shared** (same record): they are
     /// advisory monotone counters, and a clone serving the same network
-    /// should keep planning from the same observed workload.
+    /// should keep planning from the same observed workload. The snapshot
+    /// tables are copy-on-write ([`crate::cow`]): the copy shares every
+    /// row with the original until one of them edits.
     fn clone(&self) -> Self {
         Session {
             net: self.net.clone(),
@@ -465,7 +469,7 @@ impl Session {
     /// O(region) bench gates read.
     pub fn exact_counters(&self) -> Option<ExactCounters> {
         match &self.exact {
-            ExactSlot::Live(exact) => Some(exact.counters()),
+            ExactSlot::Live(exact, _) => Some(exact.counters()),
             _ => None,
         }
     }
@@ -473,7 +477,7 @@ impl Session {
     /// Bytes of region-scaled scratch retained by the live exact engine.
     pub fn exact_region_scratch_bytes(&self) -> Option<usize> {
         match &self.exact {
-            ExactSlot::Live(exact) => Some(exact.region_scratch_bytes()),
+            ExactSlot::Live(exact, _) => Some(exact.region_scratch_bytes()),
             _ => None,
         }
     }
@@ -580,14 +584,8 @@ impl Session {
                 .snapshot
                 .as_ref()
                 .expect("refresh always fills one of the snapshots");
-            let rep = snap
-                .poss
-                .iter()
-                .map(|set| RepPoss {
-                    pos: set.iter().copied().collect(),
-                    neg: NegSet::empty(),
-                    bottom: false,
-                })
+            let rep = (0..snap.user_count() as u32)
+                .map(|u| positive_rep(snap.poss(User(u))))
                 .collect();
             self.sk_snapshot = Some(SkepticUserResolution { rep });
         }
@@ -754,7 +752,7 @@ impl Session {
             return Ok(users
                 .iter()
                 .map(|&u| {
-                    if u.index() < snap.cert.len() {
+                    if u.index() < snap.user_count() {
                         basic_row(u, snap.cert(u), snap.poss(u))
                     } else {
                         undefined_row(u)
@@ -819,7 +817,7 @@ impl Session {
             ExactSlot::Failed(log2) => Err(Error::EnumerationTooLarge {
                 log2_candidates: *log2,
             }),
-            ExactSlot::Live(exact) => {
+            ExactSlot::Live(exact, _) => {
                 let btn = self
                     .engine
                     .as_ref()
@@ -952,12 +950,15 @@ impl Session {
     /// the live engine maintains.
     fn cert_positive_vec(&self) -> Vec<Option<Value>> {
         match &self.engine {
-            Some(LiveEngine::Basic(_)) => self
-                .snapshot
-                .as_ref()
-                .expect("basic engine keeps a snapshot")
-                .cert
-                .clone(),
+            Some(LiveEngine::Basic(_)) => {
+                let snap = self
+                    .snapshot
+                    .as_ref()
+                    .expect("basic engine keeps a snapshot");
+                (0..snap.user_count() as u32)
+                    .map(|u| snap.cert(User(u)))
+                    .collect()
+            }
             Some(LiveEngine::Skeptic(e)) => (0..e.user_count() as u32)
                 .map(|u| e.rep_poss(e.btn().node_of(User(u))).cert_positive())
                 .collect(),
@@ -989,8 +990,12 @@ impl Session {
     /// deployment (see [`crate::epoch`]).
     ///
     /// When no edits intervened since the last publication the published
-    /// handle is returned as-is (pointer-equal) instead of re-rendering
-    /// the O(users) view. The view's LSN is the durability sink's last
+    /// handle is returned as-is (pointer-equal) and nothing is rendered.
+    /// Rendering a view clones the session's copy-on-write snapshot
+    /// tables ([`crate::cow`]) — a pointer per 256 users, no row — so the
+    /// cost of publishing an edit is the chunks its dirty users live in
+    /// ([`DeltaStats::publish_rows_copied`]), whatever the network's
+    /// size. The view's LSN is the durability sink's last
     /// committed LSN (0 without a sink), so acknowledged writes can be
     /// located in epochs via [`EpochSlot::wait_for_lsn`].
     pub fn epoch(&mut self) -> Result<Arc<EpochView>> {
@@ -1035,29 +1040,19 @@ impl Session {
         // Exact mode publishes its user-indexed table alongside the
         // approximate snapshot, so `CERT … EXACT` reads serve from the
         // same immutable view (leader and replica alike).
-        let exact = match (&self.exact, self.engine.as_ref()) {
-            (ExactSlot::Live(exact), Some(engine)) => {
-                Some(Arc::new(ExactUserResolution::snapshot(exact, engine.btn())))
-            }
+        let exact = match &self.exact {
+            ExactSlot::Live(_, table) => Some(table.clone()),
             _ => None,
         };
+        let state = match self.engine.as_ref() {
+            Some(LiveEngine::Skeptic(_)) => {
+                EpochState::Skeptic(self.sk_snapshot.clone().expect("skeptic keeps a snapshot"))
+            }
+            _ => EpochState::Basic(self.snapshot.clone().expect("basic keeps a snapshot")),
+        };
         let epoch = self.epochs.epoch() + 1;
-        let view = Arc::new(match self.engine.as_ref() {
-            Some(LiveEngine::Skeptic(_)) => EpochView::skeptic(
-                epoch,
-                lsn,
-                self.sk_snapshot.as_ref().expect("skeptic keeps a snapshot"),
-                names,
-                exact,
-            ),
-            _ => EpochView::basic(
-                epoch,
-                lsn,
-                self.snapshot.as_ref().expect("basic keeps a snapshot"),
-                names,
-                exact,
-            ),
-        });
+        let view = Arc::new(EpochView::new(epoch, lsn, state, names, exact));
+        self.stats.epochs_rendered += 1;
         self.epochs.publish(Arc::clone(&view));
         self.published = Some(Arc::clone(&view));
         Ok(view)
@@ -1192,7 +1187,10 @@ impl Session {
             return;
         };
         self.exact = match ExactEngine::new(engine.btn()) {
-            Ok(exact) => ExactSlot::Live(Box::new(exact)),
+            Ok(exact) => {
+                let table = ExactUserResolution::snapshot(&exact, engine.btn());
+                ExactSlot::Live(Box::new(exact), table)
+            }
             Err(Error::EnumerationTooLarge { log2_candidates }) => {
                 ExactSlot::Failed(log2_candidates)
             }
@@ -1240,31 +1238,28 @@ impl Session {
                     .collect();
                 let changes = engine.apply_edits(&self.net, &converted);
                 self.stats.last_dirty_nodes = engine.last_dirty_len();
-                engine.patch_user_resolution(
-                    self.snapshot.as_mut().expect("snapshot exists with engine"),
-                );
+                self.stats.last_dirty_users = engine.last_dirty_users().len();
+                let snap = self.snapshot.as_mut().expect("snapshot exists with engine");
+                self.stats.count_copies(engine.patch_user_resolution(snap));
                 // Keep any synthesized skeptic view fresh region-locally
                 // too (positive networks: rep = possible positives), so a
                 // reader interleaving edits with `skeptic_cert` never pays
                 // an O(users) resynthesis per edit.
                 if let Some(sk) = self.sk_snapshot.as_mut() {
-                    let snap = self.snapshot.as_ref().expect("patched above");
-                    sk.rep.resize(snap.poss.len(), RepPoss::default());
+                    sk.rep.grow(snap.user_count(), RepPoss::default());
                     for &u in engine.last_dirty_users() {
-                        sk.rep[u.index()] = RepPoss {
-                            pos: snap.poss[u.index()].iter().copied().collect(),
-                            neg: NegSet::empty(),
-                            bottom: false,
-                        };
+                        sk.rep.set(u.index(), positive_rep(snap.poss(u)));
                     }
+                    self.stats.count_copies(sk.rep.take_copies());
                 }
                 Ok(changes)
             }
             LiveEngine::Skeptic(engine) => match engine.apply_edits(&self.net, edits) {
                 Ok(changes) => {
                     self.stats.last_dirty_nodes = engine.last_dirty_len();
+                    self.stats.last_dirty_users = engine.last_dirty_users().len();
                     if let Some(snap) = self.sk_snapshot.as_mut() {
-                        engine.patch_user_resolution(snap);
+                        self.stats.count_copies(engine.patch_user_resolution(snap));
                     }
                     Ok(changes)
                 }
@@ -1291,20 +1286,38 @@ impl Session {
     /// just patched. An enumeration overflow demotes the slot to `Failed`
     /// without disturbing the main (approximate) pipeline.
     fn patch_exact(&mut self) {
-        let Session { engine, exact, .. } = self;
-        let ExactSlot::Live(ex) = exact else {
+        let Session {
+            engine,
+            exact,
+            stats,
+            ..
+        } = self;
+        let ExactSlot::Live(ex, table) = exact else {
             return;
         };
         let engine = engine.as_ref().expect("drain requires an engine");
         let btn = engine.btn();
         ex.grow(btn.node_count());
-        if let Err(err) = ex.update(btn, engine.last_dirty_nodes()) {
-            let log2 = match err {
-                Error::EnumerationTooLarge { log2_candidates } => log2_candidates,
-                _ => 0,
-            };
-            self.exact = ExactSlot::Failed(log2);
+        match ex.update(btn, engine.last_dirty_nodes()) {
+            Ok(()) => stats.count_copies(table.patch(ex, btn)),
+            Err(err) => {
+                let log2 = match err {
+                    Error::EnumerationTooLarge { log2_candidates } => log2_candidates,
+                    _ => 0,
+                };
+                self.exact = ExactSlot::Failed(log2);
+            }
         }
+    }
+}
+
+/// The skeptic representation of a positive network's possible set (the
+/// paradigms coincide there, Section 3.3).
+fn positive_rep(poss: &[Value]) -> RepPoss {
+    RepPoss {
+        pos: poss.iter().copied().collect(),
+        neg: NegSet::empty(),
+        bottom: false,
     }
 }
 
@@ -1358,9 +1371,9 @@ mod tests {
     fn snapshot_caches_until_edit() {
         let (mut s, [_, _, charlie], jar, _) = session();
         s.believe(charlie, jar).unwrap();
-        let first = s.snapshot().unwrap().cert.clone();
+        let first = s.snapshot().unwrap().clone();
         // No edit: snapshot is stable (and cheap — same cache).
-        assert_eq!(s.snapshot().unwrap().cert, first);
+        assert_eq!(*s.snapshot().unwrap(), first);
         assert_eq!(s.stats().full_rebuilds, 1);
     }
 
@@ -1877,6 +1890,43 @@ mod tests {
         let warm = s.query(&Query::cert(QueryTarget::Handle(alice))).unwrap();
         assert_eq!(warm.report.strategy, Strategy::IncrementalPatch);
         assert_eq!(warm.rows, result.rows);
+    }
+
+    #[test]
+    fn cloned_sessions_share_rows_until_one_edits() {
+        // 600 independent believers: three snapshot chunks (256/256/88).
+        let mut net = TrustNetwork::new();
+        let (v, w) = (net.value("v"), net.value("w"));
+        let users: Vec<User> = (0..600).map(|i| net.user(&format!("u{i}"))).collect();
+        for &u in &users {
+            net.believe(u, v).unwrap();
+        }
+        let mut original = Session::new(net);
+        original.snapshot().unwrap();
+
+        let mut copy = original.clone();
+        copy.believe(users[300], w).unwrap();
+        assert_eq!(copy.snapshot().unwrap().cert(users[300]), Some(w));
+        let stats = copy.stats();
+        assert_eq!(
+            (stats.publish_chunks_copied, stats.publish_rows_copied),
+            (1, 256),
+            "the clone copied its one dirty chunk, not the table"
+        );
+        // The original's rows are untouched, and it copied nothing.
+        assert_eq!(original.snapshot().unwrap().cert(users[300]), Some(v));
+        assert_eq!(original.stats().publish_rows_copied, 0);
+
+        // The clone now owns its middle chunk, so the original's is no
+        // longer shared; the outer chunks still are.
+        original.believe(users[301], w).unwrap();
+        original.snapshot().unwrap();
+        assert_eq!(original.stats().publish_rows_copied, 0);
+        original.believe(users[599], w).unwrap();
+        original.snapshot().unwrap();
+        assert_eq!(original.stats().publish_rows_copied, 88);
+        assert_eq!(copy.snapshot().unwrap().cert(users[599]), Some(v));
+        assert_eq!(copy.snapshot().unwrap().cert(users[301]), Some(v));
     }
 
     #[test]

@@ -51,6 +51,7 @@
 
 use crate::binary::{Btn, Parents};
 use crate::compact::plan_whole;
+use crate::cow::CowTable;
 use crate::error::{Error, Result};
 use crate::parallel::{run_shards, ParOptions, ShardSolver, SharedSlab};
 use crate::signed::{BeliefSet, ExplicitBelief, NegSet};
@@ -203,10 +204,12 @@ impl SkepticResolution {
 
 /// Per-user skeptic results — the decoded, user-indexed counterpart of
 /// [`SkepticResolution`] maintained by [`crate::skeptic_incremental`] and
-/// served through [`crate::Session`].
+/// served through [`crate::Session`]. Rows live in a chunked
+/// copy-on-write table ([`crate::cow`]): a clone shares every user's
+/// representation until one side patches it.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SkepticUserResolution {
-    pub(crate) rep: Vec<RepPoss>,
+    pub(crate) rep: CowTable<RepPoss>,
 }
 
 impl SkepticUserResolution {

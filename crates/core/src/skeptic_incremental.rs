@@ -30,6 +30,7 @@
 //! edit streams; the `skeptic_bench` binary measures the per-edit win.
 
 use crate::binary::Btn;
+use crate::cow::CowCopies;
 use crate::deltabtn::{DeltaBtn, NodeSideTables};
 use crate::error::{Error, Result};
 use crate::incremental::{BeliefChange, Edit};
@@ -206,28 +207,31 @@ impl SkepticIncremental {
         &self.dirty_list
     }
 
+    /// The snapshot row of `user`: a copy of its node's representation.
+    fn user_row(&self, user: User) -> RepPoss {
+        self.rep[self.delta.btn.node_of(user) as usize].clone()
+    }
+
     /// Extracts a full per-user snapshot (deep-clones the per-user
     /// representations; O(users · set sizes)).
     pub fn user_resolution(&self) -> SkepticUserResolution {
-        let users = self.delta.btn.user_count;
-        let mut rep = Vec::with_capacity(users);
-        for u in 0..users as u32 {
-            let node = self.delta.btn.node_of(User(u));
-            rep.push(self.rep[node as usize].clone());
+        let users = self.delta.btn.user_count as u32;
+        SkepticUserResolution {
+            rep: (0..users).map(|u| self.user_row(User(u))).collect(),
         }
-        SkepticUserResolution { rep }
     }
 
     /// Patches `res` in place after an edit batch: extends it for users
-    /// created since it was built and overwrites entries of users whose
-    /// nodes were in the last dirty region.
-    pub fn patch_user_resolution(&self, res: &mut SkepticUserResolution) {
-        res.rep
-            .resize(self.delta.btn.user_count, RepPoss::default());
+    /// created since it was built and overwrites the rows of users whose
+    /// nodes were in the last dirty region — nothing else is touched, so
+    /// a copy-on-write `res` un-shares only those users' chunks. Returns
+    /// what that un-sharing copied.
+    pub fn patch_user_resolution(&self, res: &mut SkepticUserResolution) -> CowCopies {
+        res.rep.grow(self.delta.btn.user_count, RepPoss::default());
         for &u in &self.last_dirty_users {
-            let node = self.delta.btn.node_of(u);
-            res.rep[u.index()] = self.rep[node as usize].clone();
+            res.rep.set(u.index(), self.user_row(u));
         }
+        res.rep.take_copies()
     }
 
     /// Applies a batch of edits that have already been committed to `net`,

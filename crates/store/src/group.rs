@@ -48,7 +48,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use trustmap_core::epoch::EpochSlot;
 use trustmap_core::signed::NegSet;
-use trustmap_core::{Error, Result, Session, SignedEdit};
+use trustmap_core::{DeltaStats, Error, Result, Session, SignedEdit};
 
 /// The group-commit window: flush when `max_edits` ops are pending or the
 /// oldest pending op has waited `max_wait`, whichever comes first.
@@ -159,6 +159,11 @@ pub struct HubStats {
     pub ops_failed: u64,
     /// Largest group flushed so far.
     pub largest_group: usize,
+    /// The writer session's own counters as of the last flushed group
+    /// (dirty-region sizes, epochs rendered, snapshot rows copied): the
+    /// session lives on the writer thread, so this copy is how the rest
+    /// of the process reads them.
+    pub session: DeltaStats,
 }
 
 #[derive(Debug)]
@@ -209,7 +214,10 @@ impl WriteHub {
                 results: HashMap::new(),
                 next_ticket: 0,
                 shutdown: false,
-                stats: HubStats::default(),
+                stats: HubStats {
+                    session: session.stats(),
+                    ..Default::default()
+                },
             }),
             arrived: Condvar::new(),
             finished: Condvar::new(),
@@ -345,6 +353,7 @@ fn writer_loop(mut session: Session, shared: Arc<Shared>) -> Session {
         }
         q.stats.groups += 1;
         q.stats.largest_group = q.stats.largest_group.max(group.len());
+        q.stats.session = session.stats();
         drop(q);
         shared.finished.notify_all();
     }

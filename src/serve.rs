@@ -30,7 +30,7 @@
 //! REVOKE <user>                   → OK lsn=<l> epoch=<e> group=<n>
 //! REJECT <user> <value>           → OK lsn=<l> epoch=<e> group=<n>
 //! EPOCH                           → OK epoch=<e> lsn=<l> users=<n>
-//! STATS                           → OK fsyncs=… units=… records=… groups=… acked=… failed=…
+//! STATS                           → OK fsyncs=… units=… records=… groups=… acked=… failed=… epochs=… rows_copied=…
 //! PING                            → OK pong
 //! QUIT                            → OK bye (connection closes)
 //! SHIP <wm> [<seg> <off> <max> [<term>]]
@@ -65,7 +65,11 @@
 //! stale-term leaders (missing fields parse as term 0 for
 //! pre-failover peers).
 //!
-//! Failures reply `ERR <message>` and keep the connection open. The
+//! Failures reply `ERR <message>` and keep the connection open — except
+//! a request line longer than 64 KiB, which is answered `ERR line too
+//! long` and closes it (the server never buffers more of one line than
+//! that; the ship client caps the reply headers it reads the same way).
+//! The
 //! request logic lives in [`Frontend::handle`], a pure function of
 //! (frontend, per-connection reader, line) — the protocol is fully
 //! testable without sockets; [`Server`] adds the thread-pool TCP layer
@@ -77,7 +81,7 @@
 //! verb with `ERR read-only replica`, so clients discover the topology
 //! instead of silently forking history.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -322,13 +326,16 @@ impl Frontend {
                     .unwrap_or_default();
                 let stats = self.hub.as_ref().map(|h| h.stats()).unwrap_or_default();
                 Ok(format!(
-                    "OK fsyncs={} units={} records={} groups={} acked={} failed={}",
+                    "OK fsyncs={} units={} records={} groups={} acked={} failed={} \
+                     epochs={} rows_copied={}",
                     counters.fsync_count,
                     counters.units_committed,
                     counters.records_appended,
                     stats.groups,
                     stats.ops_acked,
-                    stats.ops_failed
+                    stats.ops_failed,
+                    stats.session.epochs_rendered,
+                    stats.session.publish_rows_copied
                 ))
             }
             ("PING", []) => Ok("OK pong".into()),
@@ -654,13 +661,32 @@ impl Server {
     }
 }
 
+/// The longest line either end buffers: a request line on the server, a
+/// reply header line in the ship client.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// `read_line` that stops appending once `line` (which may hold a partial
+/// line from an earlier timed-out call) is one byte over
+/// [`MAX_LINE_BYTES`]; [`overlong`] then tells that case apart.
+fn read_line_capped<R: BufRead>(input: &mut R, line: &mut String) -> std::io::Result<usize> {
+    let room = (MAX_LINE_BYTES + 1).saturating_sub(line.len());
+    input.by_ref().take(room as u64).read_line(line)
+}
+
+/// Whether [`read_line_capped`] gave up on `line` before its newline.
+fn overlong(line: &str) -> bool {
+    line.len() > MAX_LINE_BYTES && !line.ends_with('\n')
+}
+
 /// One connection: read request lines, write one reply line each.
 ///
 /// Reads tick at [`ServeConfig::read_timeout`] so the worker notices a
 /// server shutdown mid-connection (drain) and reaps clients that make
 /// no progress for [`ServeConfig::idle_timeout`] — including
 /// byte-dribbling ones. A partial request line survives ticks: the
-/// buffer accumulates across timeouts until the newline arrives.
+/// buffer accumulates across timeouts until the newline arrives, or
+/// until it passes [`MAX_LINE_BYTES`] — then the client is told `ERR line
+/// too long` and the connection closes.
 fn serve_connection(
     frontend: &Frontend,
     stream: TcpStream,
@@ -681,8 +707,26 @@ fn serve_connection(
         if stop.load(Ordering::Acquire) {
             return Ok(()); // drain: the last reply was flushed whole
         }
-        match input.read_line(&mut line) {
+        match read_line_capped(&mut input, &mut line) {
             Ok(0) => return Ok(()), // client hung up
+            Ok(_) if overlong(&line) => {
+                writeln!(output, "ERR line too long")?;
+                output.flush()?;
+                // Closing over unread input resets the connection, which
+                // can take the reply with it: stop sending, then swallow
+                // what the client already pushed — until it notices, goes
+                // quiet for a tick, or has used up its allowance.
+                output.get_ref().shutdown(std::net::Shutdown::Write)?;
+                let mut allowance = 64 * MAX_LINE_BYTES;
+                let mut sink = [0u8; 8192];
+                while allowance > 0 {
+                    match input.read(&mut sink) {
+                        Ok(0) | Err(_) => break,
+                        Ok(n) => allowance = allowance.saturating_sub(n),
+                    }
+                }
+                return Ok(());
+            }
             Ok(_) => {
                 idle = Duration::ZERO;
                 partial_len = 0;
@@ -769,10 +813,16 @@ impl TcpTransport {
             stream.write_all(request.as_bytes())?;
             stream.write_all(b"\n")?;
             let mut line = String::new();
-            if conn.read_line(&mut line)? == 0 {
+            if read_line_capped(conn, &mut line)? == 0 {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "leader closed the connection",
+                ));
+            }
+            if overlong(&line) {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    "reply header line too long",
                 ));
             }
             Ok(line.trim_end().to_string())
@@ -958,6 +1008,11 @@ mod tests {
         // interned `dave` before validation rejected the mapping).
         assert!(stats.contains("fsyncs=5"), "{stats}");
         assert!(stats.contains("acked=4 failed=1"), "{stats}");
+        // One view per group besides the hub's initial publication; four
+        // users in one chunk, so no rewrite ever copied more than that.
+        assert!(stats.contains(" epochs=6 rows_copied="), "{stats}");
+        let copied: u64 = stats.rsplit('=').next().unwrap().parse().unwrap();
+        assert!(copied <= 5 * 4, "{stats}");
         assert_eq!(f.handle(&mut r, "QUIT"), Reply::Bye);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1144,6 +1199,79 @@ mod tests {
         }
         server.stop();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A newline-free client costs the worker 64 KiB, not its whole
+    /// stream: it is told so and dropped, the server keeps serving, and a
+    /// long-but-legal line still reaches the parser.
+    #[test]
+    fn overlong_request_lines_are_refused_not_buffered() {
+        let dir = fresh_dir("long-line");
+        let recovered = Store::open(&dir).expect("fresh store");
+        let config = ServeConfig::default();
+        let f = Arc::new(Frontend::new(recovered.session, None, &config));
+        let server = Server::start(Arc::clone(&f), "127.0.0.1:0", &config).expect("bind");
+        let connect = || {
+            let stream = TcpStream::connect(server.addr()).expect("connect");
+            (BufReader::new(stream.try_clone().expect("clone")), stream)
+        };
+        let read_line = |input: &mut BufReader<TcpStream>| {
+            let mut reply = String::new();
+            input.read_line(&mut reply).expect("reply");
+            reply
+        };
+
+        let (mut input, mut output) = connect();
+        let flood = vec![b'x'; 1 << 20];
+        // The server may hang up before the last byte is out.
+        let _ = output.write_all(&flood);
+        assert_eq!(read_line(&mut input), "ERR line too long\n");
+        assert_eq!(read_line(&mut input), "", "and the connection is closed");
+
+        let (mut input, mut output) = connect();
+        writeln!(output, "PING").expect("send");
+        assert_eq!(read_line(&mut input), "OK pong\n");
+        writeln!(output, "NOSUCH {}", "y".repeat(60 * 1024)).expect("send");
+        assert!(read_line(&mut input).starts_with("ERR bad request `NOSUCH yyy"));
+        writeln!(output, "PING").expect("send");
+        assert_eq!(read_line(&mut input), "OK pong\n", "still connected");
+
+        drop((input, output));
+        server.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The ship client trusts its leader no further: a reply header that
+    /// never ends fails the round trip instead of growing a buffer.
+    #[test]
+    fn ship_client_refuses_an_endless_reply_header() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let leader = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut input = BufReader::new(stream.try_clone().expect("clone"));
+            let mut request = String::new();
+            input.read_line(&mut request).expect("request");
+            let mut output = stream;
+            // The client hangs up once it has seen enough.
+            let _ = output.write_all(&vec![b'x'; 4 * MAX_LINE_BYTES]);
+            request
+        });
+        let mut transport = TcpTransport::new(addr.to_string());
+        let err = transport
+            .ship(&ShipRequest {
+                watermark: 0,
+                seg_first: 0,
+                offset: 0,
+                max_bytes: 0,
+                term: 0,
+            })
+            .expect_err("no header line");
+        assert!(
+            matches!(&err, trustmap_core::Error::Io(m) if m.contains("too long")),
+            "{err:?}"
+        );
+        assert!(leader.join().expect("leader").starts_with("SHIP 0 "));
     }
 
     /// Full replication vertical: leader behind a TCP server, follower

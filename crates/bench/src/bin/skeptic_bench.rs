@@ -229,7 +229,14 @@ fn main() {
     // ---- sharded vs sequential ----
     let threads: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
     let runs = if quick { 3 } else { 5 };
-    let par_users: &[usize] = if quick { &[20_000] } else { &[100_000] };
+    // 10⁶ users is where the working set leaves the caches and a second
+    // core starts to pay on the signed solver (10⁵ is flat across thread
+    // counts); both sizes are recorded, neither is gated.
+    let par_users: &[usize] = if quick {
+        &[20_000]
+    } else {
+        &[100_000, 1_000_000]
+    };
     println!("# skeptic: condensation-sharded resolver vs sequential Algorithm 2\n");
     let mut header = vec![
         "users".to_owned(),

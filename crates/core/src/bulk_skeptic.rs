@@ -506,41 +506,88 @@ mod tests {
         assert_eq!(plan1.steps, plan2.steps);
     }
 
-    /// The parallel executor equals the per-object reference in both
-    /// regimes: object-level fan-out and the few-objects sharded path.
+    /// A constraint at the head of a chain past
+    /// [`CostModel::MIN_PARALLEL_WORK`] nodes, fed by one positive
+    /// believer at its far end: every chain user sees the believer's
+    /// value or ⊥, object by object.
+    fn guarded_chain() -> (Btn, User, Vec<Value>) {
+        let mut net = TrustNetwork::new();
+        let v0 = net.value("v0");
+        let v1 = net.value("v1");
+        let users: Vec<User> = (0..CostModel::MIN_PARALLEL_WORK + 1)
+            .map(|i| net.user(&format!("u{i}")))
+            .collect();
+        for pair in users.windows(2) {
+            net.trust(pair[0], pair[1], 1).unwrap();
+        }
+        let guard = net.user("guard");
+        net.trust(users[0], guard, 2).unwrap();
+        net.reject(guard, NegSet::of([v0])).unwrap();
+        let root = *users.last().unwrap();
+        net.believe(root, v0).unwrap();
+        (binarize(&net), root, vec![v0, v1])
+    }
+
+    /// The parallel executor equals the compiled schedule cell for cell in
+    /// both regimes — object-level fan-out and, on the long chain with
+    /// fewer objects than threads, the sharded resolver — including a
+    /// lone object, more threads than objects, and uneven ranges.
     #[test]
     fn parallel_skeptic_bulk_matches_native() {
+        let (chain, chain_root, chain_vals) = guarded_chain();
+        assert!(CostModel::bulk_sharded(3, 1, chain.node_count()));
+        let (cyclic, believers, vals) = setup();
+        assert!(!CostModel::bulk_sharded(3, 1, cyclic.node_count()));
+        for num_objects in [1, 2, 5, 6] {
+            let chain_seeds = vec![SeedValues {
+                user: chain_root,
+                values: (0..num_objects).map(|k| chain_vals[k % 2]).collect(),
+            }];
+            let cyclic_seeds = vec![
+                SeedValues {
+                    user: believers[0],
+                    values: (0..num_objects).map(|k| vals[k % vals.len()]).collect(),
+                },
+                SeedValues {
+                    user: believers[1],
+                    values: (0..num_objects)
+                        .map(|k| vals[(k / 2) % vals.len()])
+                        .collect(),
+                },
+            ];
+            for (btn, seeds) in [(&chain, &chain_seeds), (&cyclic, &cyclic_seeds)] {
+                let plan = plan_bulk_skeptic(btn).unwrap();
+                let reference = execute_skeptic_native(&plan, seeds, num_objects);
+                for threads in [1, 3, 8] {
+                    let par = execute_skeptic_parallel(btn, seeds, num_objects, threads).unwrap();
+                    assert_eq!(reference, par, "{num_objects} objects on {threads} threads");
+                }
+            }
+        }
+    }
+
+    /// A seed user without a belief root is a caller bug, and the fan-out
+    /// is loud about it: whichever worker meets it, the panic leaves the
+    /// thread scope through the caller — no hang, no partial table.
+    #[test]
+    fn a_seed_without_a_belief_root_panics_the_caller() {
         let (btn, believers, vals) = setup();
-        let plan = plan_bulk_skeptic(&btn).unwrap();
-        let num_objects = 6;
         let seeds = vec![
             SeedValues {
                 user: believers[0],
-                values: (0..num_objects).map(|k| vals[k % vals.len()]).collect(),
+                values: vec![vals[0]; 5],
             },
             SeedValues {
-                user: believers[1],
-                values: (0..num_objects)
-                    .map(|k| vals[(k / 2) % vals.len()])
-                    .collect(),
+                user: User(0), // `a` trusts but asserts nothing
+                values: vec![vals[1]; 5],
             },
         ];
-        let reference = execute_skeptic_native(&plan, &seeds, num_objects);
-        // Object-level fan-out (objects >= threads).
-        let fanned = execute_skeptic_parallel(&btn, &seeds, num_objects, 3).unwrap();
-        assert_eq!(reference, fanned);
-        // Few-objects regime: each object runs through the sharded
-        // resolver.
-        let few_seeds: Vec<SeedValues> = seeds
-            .iter()
-            .map(|s| SeedValues {
-                user: s.user,
-                values: s.values[..2].to_vec(),
-            })
-            .collect();
-        let few_ref = execute_skeptic_native(&plan, &few_seeds, 2);
-        let few_par = execute_skeptic_parallel(&btn, &few_seeds, 2, 4).unwrap();
-        assert_eq!(few_ref, few_par);
+        for threads in [1, 3, 8] {
+            let outcome = std::panic::catch_unwind(|| {
+                let _ = execute_skeptic_parallel(&btn, &seeds, 5, threads);
+            });
+            assert!(outcome.is_err(), "{threads} threads returned a table");
+        }
     }
 
     /// Blocked objects materialize ⊥ for the guarded user, clean objects a

@@ -8,8 +8,8 @@
 //! that pipeline once:
 //!
 //! * [`plan_region`] — compact an explicit dirty region (boundary parents
-//!   become frozen extra locals) and plan it; used by both incremental
-//!   engines' parallel regional solves.
+//!   become frozen extra locals) and plan it; used by the exact engine's
+//!   regional solves ([`crate::exact`]).
 //! * [`plan_whole`] — the degenerate whole-graph view (identity ids, no
 //!   boundary); used by the planned resolvers of Algorithm 1
 //!   ([`crate::parallel::PlannedResolver`]) and Algorithm 2

@@ -53,6 +53,12 @@
 //!
 //! [`resolve`]: crate::resolution::resolve
 
+// The crate denies `unsafe_code`; this module (the raw-pointer result slab
+// of the intra-solve scheduler) and two items of `crate::skeptic` are the
+// only places that opt back in. Every block below rests on the
+// [`SharedSlab`] contract and says which half.
+#![allow(unsafe_code)]
+
 use crate::binary::{Btn, Parents};
 use crate::compact::plan_whole;
 use crate::error::{Error, Result};
@@ -535,6 +541,8 @@ fn solve_shard(ctx: &Ctx<'_>, worker: &mut Worker, s: u32) {
             }
             if i + LOOKAHEAD / 2 < nodes.len() {
                 for z in ctx.parents[nodes[i + LOOKAHEAD / 2] as usize].iter() {
+                    // SAFETY: a cache hint on an in-bounds slot; nothing is
+                    // read.
                     unsafe { ctx.poss.prefetch(z) };
                 }
             }
@@ -567,6 +575,8 @@ fn solve_singleton(ctx: &Ctx<'_>, worker: &mut Worker, x: NodeId) {
             None => return,
         },
         _ => {
+            // SAFETY (both reads): `x` is an acyclic singleton, so its
+            // parent `z` is an ancestor — sealed, or frozen empty.
             let preferred_closed = parents
                 .preferred()
                 .filter(|&z| !unsafe { ctx.poss.read(z) }.is_empty());
@@ -580,6 +590,8 @@ fn solve_singleton(ctx: &Ctx<'_>, worker: &mut Worker, x: NodeId) {
             }
         }
     };
+    // SAFETY: `x` belongs to the shard this worker holds, and no unit
+    // writes a node twice.
     unsafe { ctx.poss.write(x, set) };
 }
 
@@ -589,6 +601,8 @@ fn union_parents(ctx: &Ctx<'_>, worker: &mut Worker, parents: &Parents) -> PossS
     let mut first: Option<&PossSet> = None;
     let mut second: Option<&PossSet> = None;
     for z in parents.iter() {
+        // SAFETY: parents of an acyclic singleton are ancestors — sealed,
+        // or frozen empty.
         let set = unsafe { ctx.poss.read(z) };
         if set.is_empty() {
             continue;
@@ -672,6 +686,8 @@ fn solve_cyclic(ctx: &Ctx<'_>, worker: &mut Worker, u: u32) {
     worklist.clear();
     for &x in members {
         if let Some(z) = ctx.parents[x as usize].preferred() {
+            // SAFETY: `z` is outside the unit, hence an ancestor — sealed,
+            // or frozen empty.
             if !in_unit[z as usize] && !unsafe { ctx.poss.read(z) }.is_empty() {
                 worklist.push(x);
             }
@@ -688,6 +704,9 @@ fn solve_cyclic(ctx: &Ctx<'_>, worker: &mut Worker, u: u32) {
             let z = ctx.parents[xs]
                 .preferred()
                 .expect("worklist nodes have one");
+            // SAFETY: `z` is a sealed ancestor or a member of this unit,
+            // and `x` is a member; the worker holding the unit's shard is
+            // the only one touching its members.
             let set = unsafe { Arc::clone(ctx.poss.read(z)) };
             unsafe { ctx.poss.write(x, set) };
             closed[xs] = true;
@@ -736,6 +755,8 @@ fn solve_cyclic(ctx: &Ctx<'_>, worker: &mut Worker, u: u32) {
             let mut union: BTreeSet<Value> = BTreeSet::new();
             for &x in members_buf.iter() {
                 for z in ctx.parents[x as usize].iter() {
+                    // SAFETY: as above — a sealed ancestor or an own
+                    // member.
                     union.extend(unsafe { ctx.poss.read(z) }.iter().copied());
                 }
             }
@@ -743,6 +764,7 @@ fn solve_cyclic(ctx: &Ctx<'_>, worker: &mut Worker, u: u32) {
             union_buf.extend(union);
             let set = intern(cache, union_buf);
             for &x in members_buf.iter() {
+                // SAFETY: `x` is a member of the unit this worker holds.
                 unsafe { ctx.poss.write(x, Arc::clone(&set)) };
                 closed[x as usize] = true;
                 open_left -= 1;

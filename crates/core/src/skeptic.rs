@@ -476,6 +476,7 @@ impl RepStore for VecStore<'_> {
 /// [`SharedSlab`]).
 struct SlabStore<'a>(&'a SharedSlab<RepPoss>);
 
+#[allow(unsafe_code)]
 impl RepStore for SlabStore<'_> {
     #[inline]
     fn rep(&self, x: NodeId) -> &RepPoss {
@@ -920,6 +921,7 @@ impl SkepticShardCtx<'_> {
     /// Closed-form solve of an acyclic singleton unit: every parent is
     /// final, so Algorithm 2's Step-1 copy or Step-2 singleton flood
     /// collapses to one expression.
+    #[allow(unsafe_code)]
     fn solve_singleton(&self, x: NodeId) {
         let xs = x as usize;
         if !self.reachable[xs] {

@@ -45,6 +45,7 @@ use crate::scc::SccScratch;
 pub fn prefetch<T>(p: *const T) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: prefetch is a hint; any address is allowed.
+    #[allow(unsafe_code)]
     unsafe {
         std::arch::x86_64::_mm_prefetch(p as *const i8, std::arch::x86_64::_MM_HINT_T0)
     };

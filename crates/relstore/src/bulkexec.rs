@@ -327,29 +327,37 @@ mod tests {
         assert_eq!(seq, par);
     }
 
+    /// Objects × threads splits both routes must survive: a lone object,
+    /// more threads than objects, and uneven ranges.
+    fn splits() -> impl Iterator<Item = (usize, usize)> {
+        [1, 2, 5]
+            .into_iter()
+            .flat_map(|objects| [1, 3, 8].map(move |threads| (objects, threads)))
+    }
+
     #[test]
     fn few_objects_stay_on_fan_out_below_the_work_threshold() {
         // 2 objects on 4 threads, but a 6-node network: too little work
         // to spread one solve over threads, so objects fan out.
-        let (btn, _, seeds) = setup(2);
+        let (btn, _, _) = setup(2);
         assert!(!CostModel::bulk_sharded(4, 2, btn.node_count()));
-        let seq = resolve_objects_sequential(&btn, &seeds, 2);
-        let par = resolve_objects_parallel(&btn, &seeds, 2, 4);
-        assert_eq!(seq, par);
-        // Degenerate single object.
-        let (btn, _, seeds) = setup(1);
-        let seq = resolve_objects_sequential(&btn, &seeds, 1);
-        let par = resolve_objects_parallel(&btn, &seeds, 1, 8);
-        assert_eq!(seq, par);
+        for (num_objects, threads) in splits().chain([(2, 4)]) {
+            let (btn, _, seeds) = setup(num_objects);
+            let seq = resolve_objects_sequential(&btn, &seeds, num_objects);
+            let par = resolve_objects_parallel(&btn, &seeds, num_objects, threads);
+            assert_eq!(seq, par, "{num_objects} objects on {threads} threads");
+        }
     }
 
     #[test]
     fn few_objects_route_through_sharded_resolver_above_threshold() {
-        // A chain long enough to clear CostModel::MIN_PARALLEL_WORK, one
-        // object on 4 threads: the intra-object sharded path engages and
-        // must give byte-identical tables to the sequential baseline.
+        // A chain long enough to clear CostModel::MIN_PARALLEL_WORK: with
+        // fewer objects than threads the intra-object sharded path
+        // engages, otherwise objects fan out; either way the table is
+        // byte-identical to the sequential baseline.
         let mut net = TrustNetwork::new();
         let v0 = net.value("v0");
+        let v1 = net.value("v1");
         let users: Vec<User> = (0..CostModel::MIN_PARALLEL_WORK + 1)
             .map(|i| net.user(&format!("u{i}")))
             .collect();
@@ -359,13 +367,32 @@ mod tests {
         net.believe(*users.last().unwrap(), v0).unwrap();
         let btn = trustmap_core::binarize(&net);
         assert!(CostModel::bulk_sharded(4, 1, btn.node_count()));
-        let seeds = vec![SeedValues {
-            user: *users.last().unwrap(),
-            values: vec![v0],
-        }];
-        let seq = resolve_objects_sequential(&btn, &seeds, 1);
-        let par = resolve_objects_parallel(&btn, &seeds, 1, 4);
-        assert_eq!(seq, par);
+        for (num_objects, threads) in splits().chain([(1, 4)]) {
+            let seeds = vec![SeedValues {
+                user: *users.last().unwrap(),
+                values: (0..num_objects)
+                    .map(|k| if k % 2 == 0 { v0 } else { v1 })
+                    .collect(),
+            }];
+            let seq = resolve_objects_sequential(&btn, &seeds, num_objects);
+            let par = resolve_objects_parallel(&btn, &seeds, num_objects, threads);
+            assert_eq!(seq, par, "{num_objects} objects on {threads} threads");
+        }
+    }
+
+    /// A seed user without a belief root is a caller bug, and the fan-out
+    /// is loud about it: whichever worker meets it, the panic leaves the
+    /// thread scope through the caller — no hang, no partial table.
+    #[test]
+    fn a_seed_without_a_belief_root_panics_the_caller() {
+        let (btn, _, mut seeds) = setup(5);
+        seeds[1].user = User(0); // x1 trusts but asserts nothing
+        for threads in [1, 3, 8] {
+            let outcome = std::panic::catch_unwind(|| {
+                resolve_objects_parallel(&btn, &seeds, 5, threads);
+            });
+            assert!(outcome.is_err(), "{threads} threads returned a table");
+        }
     }
 
     #[test]

@@ -45,6 +45,8 @@
 //! `<dir>` is a durable store directory as managed by
 //! [`trustmap::store::Store`] (WAL + snapshots).
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use trustmap::format::parse_network;
 use trustmap::prelude::*;

@@ -836,13 +836,28 @@ impl TcpTransport {
         }
     }
 
-    /// Reads exactly `len` payload bytes following a chunk header.
-    fn read_payload(&mut self, len: usize) -> trustmap_core::Result<Vec<u8>> {
+    /// Reads the `len` payload bytes following a chunk or snapshot
+    /// header. `len` is the leader's claim, not a fact: the buffer grows
+    /// only as bytes actually arrive, and a stream that ends short fails
+    /// the round trip.
+    fn read_payload(&mut self, len: u64) -> trustmap_core::Result<Vec<u8>> {
         let conn = self.conn.as_mut().ok_or_else(|| {
             trustmap_core::Error::Io("ship transport: connection lost mid-reply".into())
         })?;
-        let mut bytes = vec![0u8; len];
-        match std::io::Read::read_exact(conn, &mut bytes) {
+        let mut bytes = Vec::new();
+        let outcome = std::io::Read::take(conn, len)
+            .read_to_end(&mut bytes)
+            .and_then(|got| {
+                if got as u64 == len {
+                    Ok(())
+                } else {
+                    Err(std::io::Error::new(
+                        std::io::ErrorKind::UnexpectedEof,
+                        format!("payload ended after {got} of {len} bytes"),
+                    ))
+                }
+            });
+        match outcome {
             Ok(()) => Ok(bytes),
             Err(e) => {
                 self.conn = None;
@@ -898,7 +913,7 @@ impl ShipTransport for TcpTransport {
             });
         }
         if line.starts_with("OK chunk") {
-            let len = parse_u64(&line, "len")? as usize;
+            let len = parse_u64(&line, "len")?;
             let seal = match header_field(&line, "seal") {
                 Some(spec) => {
                     let bad = || trustmap_core::Error::Io(format!("malformed seal field: {line}"));
@@ -939,7 +954,7 @@ impl ShipTransport for TcpTransport {
             return Err(trustmap_core::Error::Io(format!("leader replied: {line}")));
         }
         let lsn = parse_u64(&line, "lsn")?;
-        let len = parse_u64(&line, "len")? as usize;
+        let len = parse_u64(&line, "len")?;
         Ok(SnapshotBlob {
             lsn,
             bytes: self.read_payload(len)?,
@@ -1272,6 +1287,70 @@ mod tests {
             "{err:?}"
         );
         assert!(leader.join().expect("leader").starts_with("SHIP 0 "));
+    }
+
+    /// A ship header cannot size an allocation: a leader claiming a
+    /// 16 EiB payload and hanging up after 10 bytes fails the round trip,
+    /// and honest payloads (longer than any one read) still arrive intact.
+    #[test]
+    fn ship_client_reads_payloads_as_they_arrive() {
+        let chunk: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
+        let blob: Vec<u8> = (0..150_000u32).map(|i| (i % 241) as u8).collect();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let (chunk_sent, blob_sent) = (chunk.clone(), blob.clone());
+        let leader = std::thread::spawn(move || {
+            let mut request = String::new();
+            {
+                let (stream, _) = listener.accept().expect("accept");
+                let mut input = BufReader::new(stream.try_clone().expect("clone"));
+                input.read_line(&mut request).expect("request");
+                let mut output = stream;
+                output
+                    .write_all(
+                        b"OK chunk seg=1 off=0 len=18446744073709551615 crc=00000000 leader=1 term=0\n0123456789",
+                    )
+                    .expect("reply");
+                // Dropping the stream is the EOF.
+            }
+            let (stream, _) = listener.accept().expect("reconnect");
+            let mut input = BufReader::new(stream.try_clone().expect("clone"));
+            let mut output = stream;
+            input.read_line(&mut request).expect("request");
+            let header = format!(
+                "OK chunk seg=1 off=0 len={} crc=00000000 leader=1 term=0\n",
+                chunk_sent.len()
+            );
+            output.write_all(header.as_bytes()).expect("header");
+            output.write_all(&chunk_sent).expect("chunk");
+            input.read_line(&mut request).expect("request");
+            let header = format!("OK snapshot lsn=7 len={}\n", blob_sent.len());
+            output.write_all(header.as_bytes()).expect("header");
+            output.write_all(&blob_sent).expect("blob");
+            request
+        });
+        let req = ShipRequest {
+            watermark: 0,
+            seg_first: 0,
+            offset: 0,
+            max_bytes: 0,
+            term: 0,
+        };
+        let mut transport = TcpTransport::new(addr.to_string());
+        let err = transport.ship(&req).expect_err("ten bytes are not 16 EiB");
+        assert!(
+            matches!(&err, trustmap_core::Error::Io(m) if m.contains("after 10 of")),
+            "{err:?}"
+        );
+        match transport.ship(&req).expect("honest chunk") {
+            ShipResponse::Chunk(c) => assert_eq!(c.bytes, chunk),
+            other => panic!("expected a chunk, got {other:?}"),
+        }
+        let snap = transport.fetch_snapshot().expect("honest snapshot");
+        assert_eq!((snap.lsn, snap.bytes), (7, blob));
+        let requests = leader.join().expect("leader");
+        assert_eq!(requests.matches("SHIP 0 ").count(), 2);
+        assert!(requests.ends_with("SNAPSHOT\n"));
     }
 
     /// Full replication vertical: leader behind a TCP server, follower

@@ -91,11 +91,8 @@ fn run_round(session: &mut Session, sim: &FusionSim) -> usize {
 const MAX_ROUNDS: usize = 64;
 const SEEDS: [u64; 3] = [0, 7, 42];
 
-// (The name predates the strategy census, which removed the sessions'
-// region-parallel mode and with it this test's third, forced-parallel
-// driver.)
 #[test]
-fn sequential_parallel_and_wal_restart_reach_the_same_fixed_point() {
+fn in_memory_and_wal_restart_reach_the_same_fixed_point() {
     for seed in SEEDS {
         let cfg = FusionConfig {
             seed,

@@ -313,3 +313,173 @@ fn fixed_seed_signed_regression() {
         }
     }
 }
+
+/// Every thread count × shard granularity × dependency mode the oracle
+/// drives a fixed network through.
+fn all_options() -> impl Iterator<Item = ParOptions> {
+    [1usize, 2, 3, 8].into_iter().flat_map(|threads| {
+        [(1, true), (2, false), (8192, false)]
+            .into_iter()
+            .map(move |(shard_target, exact_deps)| ParOptions {
+                threads,
+                shard_target,
+                exact_deps,
+            })
+    })
+}
+
+/// Interns `names` in order.
+fn users<const N: usize>(net: &mut TrustNetwork, names: [&str; N]) -> [User; N] {
+    names.map(|n| net.user(n))
+}
+
+/// Hand-built signed networks whose answer is decided inside cyclic units
+/// — the part of the one-pass solver random sparse networks reach least.
+fn cycle_rich_signed_networks() -> Vec<(&'static str, TrustNetwork)> {
+    let mut nets = Vec::new();
+
+    // Chained 2-cycles, each fed by the previous one and an outside root;
+    // every third cycle sits behind a guard rejecting `v`, so blocked
+    // values turn into ⊥ level after level.
+    let mut net = TrustNetwork::new();
+    let (v, w) = (net.value("v"), net.value("w"));
+    let (r1, r2, guard) = (net.user("r1"), net.user("r2"), net.user("guard"));
+    net.believe(r1, v).expect("valid");
+    net.believe(r2, w).expect("valid");
+    net.reject(guard, NegSet::of([v])).expect("valid");
+    let mut prev = r1;
+    for i in 0..12 {
+        let a = net.user(&format!("a{i}"));
+        let b = net.user(&format!("b{i}"));
+        if i % 3 == 0 {
+            net.trust(a, guard, 20).expect("valid");
+        }
+        net.trust(a, b, 10).expect("valid");
+        net.trust(b, a, 10).expect("valid");
+        net.trust(a, prev, 5).expect("valid");
+        net.trust(b, r2, 1).expect("valid");
+        prev = b;
+    }
+    nets.push(("guarded nested SCC chain", net));
+
+    // A preferred edge entering a cycle from a constraint-only (Type 1)
+    // root: Step 1 must not close x1 through it (Appendix B.7) — the cycle
+    // floods, and the guard's `v−` rides the preferred chain as prefNeg.
+    let mut net = TrustNetwork::new();
+    let (v, w) = (net.value("v"), net.value("w"));
+    let [x1, x2, x3, guard, s, t, tail] =
+        users(&mut net, ["x1", "x2", "x3", "guard", "s", "t", "tail"]);
+    net.trust(x1, guard, 100).expect("valid");
+    net.trust(x1, x3, 50).expect("valid");
+    net.trust(x2, x1, 100).expect("valid");
+    net.trust(x2, s, 50).expect("valid");
+    net.trust(x3, x2, 100).expect("valid");
+    net.trust(x3, t, 50).expect("valid");
+    net.trust(tail, x3, 1).expect("valid");
+    net.reject(guard, NegSet::of([v])).expect("valid");
+    net.believe(s, v).expect("valid");
+    net.believe(t, w).expect("valid");
+    nets.push(("Type-1 preferred edge into a cycle", net));
+
+    // A cycle no belief reaches stays empty; a cycle only a constraint
+    // reaches carries that constraint and nothing else.
+    let mut net = TrustNetwork::new();
+    let v = net.value("v");
+    let [a, b, c, d, neg, x, live] = users(&mut net, ["a", "b", "c", "d", "neg", "x", "live"]);
+    net.trust(a, b, 1).expect("valid");
+    net.trust(b, a, 1).expect("valid");
+    net.trust(c, d, 2).expect("valid");
+    net.trust(d, c, 2).expect("valid");
+    net.trust(c, neg, 1).expect("valid");
+    net.reject(neg, NegSet::of([v])).expect("valid");
+    net.trust(x, a, 100).expect("valid");
+    net.trust(x, live, 1).expect("valid");
+    net.believe(live, v).expect("valid");
+    nets.push(("beliefless and constraint-only cycles", net));
+
+    nets
+}
+
+/// One-pass Algorithm 2 ≡ Algorithm 2 as printed where the cyclic-unit
+/// replay does the work.
+#[test]
+fn cycle_rich_signed_networks_equal_the_printed_algorithm() {
+    for (name, net) in cycle_rich_signed_networks() {
+        let btn = trustmap_core::binarize(&net);
+        let seq = resolve_skeptic(&btn).expect("tie-free by construction");
+        for opts in all_options() {
+            let planned = SkepticPlannedResolver::new(&btn, opts).expect("tie-free");
+            let par = planned.resolve(&btn, opts.threads).expect("resolves");
+            for x in btn.nodes() {
+                assert_eq!(
+                    seq.rep_poss(x),
+                    par.rep_poss(x),
+                    "{name}: node {x} under {opts:?}"
+                );
+                assert_eq!(seq.pref_neg(x), par.pref_neg(x), "{name}: prefNeg {x}");
+            }
+        }
+    }
+}
+
+/// One skeptic plan, many belief assignments: ten reseeds rotate every
+/// positive believer's value (constraints keep theirs); the fifth silences
+/// every second believer of either sign, the sixth brings them back.
+#[test]
+fn one_skeptic_plan_serves_reseeded_belief_assignments() {
+    use trustmap::workloads::power_law_signed;
+    use trustmap::ExplicitBelief;
+
+    let mut workloads = vec![power_law_signed(600, 3, 4, 0.08, 0.3, 42).net];
+    workloads.extend(cycle_rich_signed_networks().into_iter().map(|(_, net)| net));
+    for (i, net) in workloads.iter().enumerate() {
+        let btn = trustmap_core::binarize(net);
+        let values: Vec<Value> = net.domain().values().collect();
+        let roots: Vec<u32> = net.users().filter_map(|u| btn.belief_root(u)).collect();
+        let planned = SkepticPlannedResolver::new(
+            &btn,
+            ParOptions {
+                threads: 3,
+                shard_target: 2,
+                exact_deps: true,
+            },
+        )
+        .expect("tie-free");
+        let mut work = btn.clone();
+        let mut reachable_before = 0;
+        for reseed in 0..10 {
+            for (j, &root) in roots.iter().enumerate() {
+                let belief = if reseed == 4 && j % 2 == 0 {
+                    ExplicitBelief::None
+                } else {
+                    match btn.belief(root) {
+                        ExplicitBelief::Pos(_) => {
+                            ExplicitBelief::Pos(values[(j + reseed) % values.len()])
+                        }
+                        constraint => constraint.clone(),
+                    }
+                };
+                work.set_root_belief(root, belief);
+            }
+            let seq = resolve_skeptic(&work).expect("resolves");
+            for threads in [1usize, 3] {
+                let par = planned.resolve(&work, threads).expect("resolves");
+                for x in btn.nodes() {
+                    assert_eq!(
+                        seq.rep_poss(x),
+                        par.rep_poss(x),
+                        "net {i}, reseed {reseed}, node {x}, {threads} threads"
+                    );
+                }
+            }
+            let reachable = btn.nodes().filter(|&x| !seq.rep_poss(x).is_empty()).count();
+            if reseed == 4 {
+                assert!(
+                    reachable < reachable_before,
+                    "net {i}: silencing believers must strand some region"
+                );
+            }
+            reachable_before = reachable;
+        }
+    }
+}

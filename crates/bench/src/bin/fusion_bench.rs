@@ -26,7 +26,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 use trustmap::workloads::fusion::{FusionConfig, FusionSim};
-use trustmap::{Session, User, Value};
+use trustmap::{Query, QueryTarget, Session, User, Value};
 use trustmap_bench::Table;
 
 struct Config {
@@ -117,7 +117,7 @@ fn measure(cfg: &Config, max_rounds: usize) -> Row {
         // Touch the exact table so its maintenance lands inside the
         // timer instead of leaking into the next round's cert sweep.
         session
-            .cert_exact(sim.objects[0])
+            .query(&Query::cert(QueryTarget::Handle(sim.objects[0])).exact())
             .expect("exact mode stays live");
         round_us.push(t.elapsed().as_secs_f64() * 1e6);
         let now = session.exact_counters().expect("exact slot is live");

@@ -223,6 +223,28 @@ pub fn execute_native(plan: &BulkPlan, seeds: &[SeedValues], num_objects: usize)
     PossTable { rows, num_objects }
 }
 
+/// Minimum work (BTN nodes) below which one solve is never spread
+/// over several threads.
+pub const MIN_PARALLEL_WORK: usize = 4096;
+
+/// Whether a bulk workload of `num_objects` objects over a
+/// `node_count`-node network should give each object's solve all
+/// `threads` workers (too few objects to fill the hardware with
+/// per-object fan-out) instead of fanning objects out across threads.
+///
+/// Measured (CHANGES.md, PR 16 census; 2 cores, one object, 2 threads
+/// vs 1, medians of 10 alternating pairs): this route wins on *signed*
+/// networks once the working set leaves the caches — 1 326 vs
+/// 2 112 ms at 2.1 M nodes, 10/10 pairs — is a wash at 210 k nodes
+/// (90 vs 91 ms), and loses on positive networks at both sizes (30 vs
+/// 28 ms; 410 vs 287 ms, 0/10). The floor is therefore far too low
+/// and sign-blind; it moves once `e2e_bench` has a workload on each
+/// side of it (ROADMAP item 2).
+#[inline]
+pub fn bulk_sharded(threads: usize, num_objects: usize, node_count: usize) -> bool {
+    num_objects < threads && node_count >= MIN_PARALLEL_WORK
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

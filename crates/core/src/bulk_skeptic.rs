@@ -17,8 +17,8 @@
 //! members receive ⊥.
 
 use crate::binary::{Btn, Parents};
+use crate::bulk::bulk_sharded;
 use crate::error::{Error, Result};
-use crate::plan::CostModel;
 use crate::signed::{ExplicitBelief, NegSet};
 use crate::skeptic::RepPoss;
 use crate::user::User;
@@ -341,7 +341,7 @@ pub fn execute_skeptic_native(
 /// solve. With at least one object per thread, each worker owns a clone of
 /// the BTN and a contiguous object range, solving each object on its own
 /// thread. With *fewer* objects than threads on a large enough network
-/// ([`CostModel::bulk_sharded`]) — the "single huge object" regime —
+/// ([`bulk_sharded`]) — the "single huge object" regime —
 /// objects resolve one after another, each spreading its network across
 /// all `threads` workers. Either route returns bit-identical tables.
 ///
@@ -357,7 +357,7 @@ pub fn execute_skeptic_parallel(
     let mut rows: Vec<Vec<RepPoss>> = vec![vec![RepPoss::default(); num_objects]; btn.node_count()];
     let planned = crate::skeptic::SkepticPlannedResolver::new(btn, Default::default())?;
 
-    if CostModel::bulk_sharded(threads, num_objects, btn.node_count()) {
+    if bulk_sharded(threads, num_objects, btn.node_count()) {
         let mut work = btn.clone();
         // `rows[node][k]` is written per node while `k` drives reseeding.
         #[allow(clippy::needless_range_loop)]
@@ -426,7 +426,7 @@ fn seed_object(work: &mut Btn, btn: &Btn, seeds: &[PosSeeds], k: usize) {
 mod tests {
     use super::*;
     use crate::binary::binarize;
-    use crate::bulk::SeedValues;
+    use crate::bulk::{SeedValues, MIN_PARALLEL_WORK};
     use crate::network::TrustNetwork;
     use crate::skeptic::resolve_skeptic;
 
@@ -507,14 +507,14 @@ mod tests {
     }
 
     /// A constraint at the head of a chain past
-    /// [`CostModel::MIN_PARALLEL_WORK`] nodes, fed by one positive
+    /// [`MIN_PARALLEL_WORK`] nodes, fed by one positive
     /// believer at its far end: every chain user sees the believer's
     /// value or ⊥, object by object.
     fn guarded_chain() -> (Btn, User, Vec<Value>) {
         let mut net = TrustNetwork::new();
         let v0 = net.value("v0");
         let v1 = net.value("v1");
-        let users: Vec<User> = (0..CostModel::MIN_PARALLEL_WORK + 1)
+        let users: Vec<User> = (0..MIN_PARALLEL_WORK + 1)
             .map(|i| net.user(&format!("u{i}")))
             .collect();
         for pair in users.windows(2) {
@@ -535,9 +535,9 @@ mod tests {
     #[test]
     fn parallel_skeptic_bulk_matches_native() {
         let (chain, chain_root, chain_vals) = guarded_chain();
-        assert!(CostModel::bulk_sharded(3, 1, chain.node_count()));
+        assert!(bulk_sharded(3, 1, chain.node_count()));
         let (cyclic, believers, vals) = setup();
-        assert!(!CostModel::bulk_sharded(3, 1, cyclic.node_count()));
+        assert!(!bulk_sharded(3, 1, cyclic.node_count()));
         for num_objects in [1, 2, 5, 6] {
             let chain_seeds = vec![SeedValues {
                 user: chain_root,

@@ -24,9 +24,8 @@
 //!   on one thread); plans ride the region-compact layer
 //!   (`trustmap_graph::region` + the internal `compact` module), whole
 //!   networks being the degenerate identity view;
-//! * [`plan`] / [`stats`] — the query AST, the two-strategy planner
-//!   (patch the live engine, or solve the whole network) and its
-//!   persisted statistics;
+//! * [`plan`] — the query AST and the two-strategy planner (patch the
+//!   live engine when one exists, else solve the whole network);
 //! * [`stable`] — the stable-solution semantics (Definition 2.4) with an
 //!   exhaustive ground-truth enumerator;
 //! * [`lineage`] — tracing each belief to the explicit assertion it stems
@@ -138,7 +137,6 @@ pub mod skeptic;
 pub mod skeptic_incremental;
 pub mod stable;
 pub mod stable_signed;
-pub mod stats;
 pub mod user;
 pub mod value;
 
@@ -153,8 +151,7 @@ pub use network::{Mapping, TrustNetwork};
 pub use paradigm::Paradigm;
 pub use parallel::{resolve_network_parallel, resolve_parallel, ParOptions, PlannedResolver};
 pub use plan::{
-    CostModel, PlanContext, PlanReport, Planner, Query, QueryResult, QueryRow, QueryTarget,
-    ReadKind, Strategy,
+    PlanContext, PlanReport, Planner, Query, QueryResult, QueryRow, QueryTarget, ReadKind, Strategy,
 };
 pub use resolution::{resolve, resolve_network, resolve_with, Options, Resolution, SccMode};
 pub use session::{BatchReport, BeliefChange, Session};
@@ -164,6 +161,5 @@ pub use skeptic::{
     SkepticUserResolution,
 };
 pub use skeptic_incremental::{SignedEdit, SkepticIncremental};
-pub use stats::{PlannerStats, SharedPlannerStats, StrategyCost};
 pub use user::User;
 pub use value::{Domain, Value};

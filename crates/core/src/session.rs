@@ -59,7 +59,6 @@ use crate::resolution::UserResolution;
 use crate::signed::{BeliefSet, NegSet};
 use crate::skeptic::{RepPoss, SkepticUserResolution};
 use crate::skeptic_incremental::{SignedEdit, SkepticIncremental};
-use crate::stats::{PlannerStats, SharedPlannerStats};
 use crate::user::User;
 use crate::value::Value;
 use std::sync::Arc;
@@ -166,10 +165,6 @@ pub struct Session {
     /// Exact certain-belief maintenance ([`Session::enable_exact`]),
     /// patched per dirty region alongside the live engine.
     exact: ExactSlot,
-    /// Planner statistics observed by the edit/solve paths and consulted
-    /// by [`Session::query`]; shared so serve-side `EXPLAIN` renders from
-    /// the same record ([`Session::planner_stats_handle`]).
-    planner: SharedPlannerStats,
 }
 
 impl Clone for Session {
@@ -178,11 +173,8 @@ impl Clone for Session {
     /// commits in one write-ahead log would corrupt the edit history. The
     /// epoch slot is fresh for the same reason — two publishers on one
     /// slot would interleave two divergent histories under its readers.
-    /// Planner statistics stay **shared** (same record): they are
-    /// advisory monotone counters, and a clone serving the same network
-    /// should keep planning from the same observed workload. The snapshot
-    /// tables are copy-on-write ([`crate::cow`]): the copy shares every
-    /// row with the original until one of them edits.
+    /// The snapshot tables are copy-on-write ([`crate::cow`]): the copy
+    /// shares every row with the original until one of them edits.
     fn clone(&self) -> Self {
         Session {
             net: self.net.clone(),
@@ -198,7 +190,6 @@ impl Clone for Session {
             published: None,
             names_cache: self.names_cache.clone(),
             exact: self.exact.clone(),
-            planner: self.planner.clone(),
         }
     }
 }
@@ -220,7 +211,6 @@ impl Session {
             published: None,
             names_cache: None,
             exact: ExactSlot::Off,
-            planner: SharedPlannerStats::new(),
         }
     }
 
@@ -397,9 +387,8 @@ impl Session {
 
     /// Enables exact certain-belief maintenance ([`crate::exact`]): every
     /// drained edit batch re-solves its dirty region *exactly* alongside
-    /// the approximate engine, making [`Session::cert_exact`] /
-    /// [`Session::poss_exact`] reads available and publishing an exact
-    /// table on every epoch view (so serve/replica `CERT <user> EXACT`
+    /// the approximate engine, making `EXACT` queries ([`Query::exact`])
+    /// available and publishing an exact table on every epoch view (so serve/replica `CERT <user> EXACT`
     /// reads work at pinned LSNs). Costs one exact full build now —
     /// errors with [`Error::EnumerationTooLarge`] if the network's cyclic
     /// residues exceed the enumeration caps (exact `cert` is NP-hard on
@@ -431,37 +420,6 @@ impl Session {
     /// state has overflowed the enumeration caps).
     pub fn exact_enabled(&self) -> bool {
         !matches!(self.exact, ExactSlot::Off)
-    }
-
-    /// The **exact** certain positive value of `user`: the value they hold
-    /// in every stable solution of the current network — ground truth
-    /// where the Algorithm-2 `cert` decode can under-report
-    /// (`docs/FIDELITY.md` F1). `None` means ambiguous, negative-only, or
-    /// no stable solution. Errors with [`Error::ExactModeDisabled`] until
-    /// [`Session::enable_exact`] is called, and with
-    /// [`Error::EnumerationTooLarge`] while the live state exceeds the
-    /// enumeration caps.
-    ///
-    /// Thin wrapper over [`Session::query`] (an `EXACT` point read) —
-    /// prefer the query API at new call sites.
-    pub fn cert_exact(&mut self, user: User) -> Result<Option<Value>> {
-        let result = self.query(&Query::cert(QueryTarget::Handle(user)).exact())?;
-        Ok(result.rows.into_iter().next().and_then(|r| r.cert))
-    }
-
-    /// The exact possible positive values of `user`, sorted — same
-    /// availability rules as [`Session::cert_exact`].
-    ///
-    /// Thin wrapper over [`Session::query`] — prefer the query API at new
-    /// call sites.
-    pub fn poss_exact(&mut self, user: User) -> Result<Vec<Value>> {
-        let result = self.query(&Query::poss(QueryTarget::Handle(user)).exact())?;
-        Ok(result
-            .rows
-            .into_iter()
-            .next()
-            .map(|r| r.poss)
-            .unwrap_or_default())
     }
 
     /// Work counters of the live exact engine (`None` while exact mode is
@@ -604,23 +562,20 @@ impl Session {
     }
 
     // ------------------------------------------------------------------
-    // The unified query API: every read routes through the cost-based
-    // planner ([`crate::plan`]). The older `cert_exact`/`poss_exact`/
-    // `skeptic_cert` surface survives as thin wrappers.
+    // The unified query API: every read routes through the planner
+    // ([`crate::plan`]).
     // ------------------------------------------------------------------
 
-    /// Executes `query` through the cost-based planner — the single
-    /// routing authority over the two physical execution strategies
-    /// ([`Strategy`]). The planner consults the session's persisted
-    /// statistics ([`Session::planner_stats`]) and pure counter
-    /// arithmetic to choose; both strategies return bit-identical rows
+    /// Executes `query` through the planner — the single routing
+    /// authority over the two physical execution strategies
+    /// ([`Strategy`]). Both strategies return bit-identical rows
     /// (`tests/plan_oracle.rs`), so the choice can never change
     /// semantics.
     ///
     /// `EXPLAIN` queries ([`Query::explain`]) plan without executing and
     /// return empty rows — render the plan with
     /// [`crate::plan::PlanReport::render`]. `FORCE` ([`Query::force`])
-    /// bypasses costing but still validates applicability
+    /// overrides the planner's rule but still validates applicability
     /// ([`Error::Plan`] otherwise). Inside an open batch every read is
     /// isolated at the pre-batch snapshot, which only the live engine
     /// holds: queries silently plan as [`Strategy::IncrementalPatch`],
@@ -663,57 +618,20 @@ impl Session {
         Ok(QueryResult { rows, report })
     }
 
-    /// Plans `query` and renders the `EXPLAIN` text (chosen strategy,
-    /// every candidate's cost, the statistics that justified the choice)
-    /// without executing anything — pure counter arithmetic, no solver
-    /// work.
+    /// Plans `query` and renders the `EXPLAIN` text (chosen strategy and
+    /// every candidate) without executing anything — no solver work.
     pub fn explain(&self, query: &Query) -> Result<String> {
         Ok(self.plan_query(query)?.render())
     }
 
-    /// The planning context the session hands to [`Planner::plan`]: node
-    /// count (live BTN if warm; otherwise the larger of the persisted
-    /// statistics' last build and the network's user count), pipeline
-    /// sign, and engine liveness.
-    pub fn plan_context(&self) -> PlanContext {
-        let node_count = match self.engine.as_ref() {
-            Some(engine) => engine.btn().node_count(),
-            None => (self.planner.snapshot().node_count as usize).max(self.net.user_count()),
-        };
-        PlanContext {
-            node_count,
+    /// Plans without executing: the rule reads the pipeline sign and
+    /// whether an engine is live.
+    fn plan_query(&self, query: &Query) -> Result<PlanReport> {
+        let ctx = PlanContext {
             skeptic: self.net.has_constraints(),
             engine_live: self.engine.is_some(),
-        }
-    }
-
-    /// A copy of the session's planner statistics (region size
-    /// distribution, per-strategy cost counters, plan counters) — what
-    /// `trustmap-store` persists alongside snapshots.
-    pub fn planner_stats(&self) -> PlannerStats {
-        self.planner.snapshot()
-    }
-
-    /// The shared handle behind [`Session::planner_stats`]. Clones (and
-    /// [`Session::clone`]d sessions) observe and consult the same record
-    /// — hand one to serve-side `EXPLAIN` readers.
-    pub fn planner_stats_handle(&self) -> SharedPlannerStats {
-        self.planner.clone()
-    }
-
-    /// Replaces the planner statistics wholesale — store recovery adopts
-    /// the persisted record so a freshly opened session plans with its
-    /// history instead of cold defaults.
-    pub fn adopt_planner_stats(&self, stats: PlannerStats) {
-        self.planner.replace(stats);
-    }
-
-    /// Plans without executing: captures the context, then runs the
-    /// planner under the stats lock (counting the plan).
-    fn plan_query(&self, query: &Query) -> Result<PlanReport> {
-        let ctx = self.plan_context();
-        self.planner
-            .update(|stats| Planner::plan(query, &ctx, stats))
+        };
+        Planner::plan(query, &ctx)
     }
 
     /// Resolves a query target to concrete user handles, in user order
@@ -729,23 +647,10 @@ impl Session {
         })
     }
 
-    /// Records one strategy execution with the shared statistics.
-    fn observe_run(&self, strategy: Strategy, nodes: u64) {
-        self.planner
-            .update(|s| s.observe_run(strategy.index(), nodes));
-    }
-
-    /// [`Strategy::IncrementalPatch`]: drain pending edits (charging the
-    /// actual dirty region) and read the patched snapshot.
+    /// [`Strategy::IncrementalPatch`]: drain pending edits and read the
+    /// patched snapshot.
     fn rows_incremental(&mut self, users: &[User]) -> Result<Vec<QueryRow>> {
-        let pending = !self.pending.is_empty();
         self.refresh()?;
-        let dirty = if pending {
-            self.stats.last_dirty_nodes
-        } else {
-            0
-        };
-        self.observe_run(Strategy::IncrementalPatch, dirty as u64);
         // Users created mid-batch lie past the snapshot: undefined until
         // commit.
         if let Some(snap) = self.snapshot.as_ref() {
@@ -782,7 +687,7 @@ impl Session {
     fn rows_whole(&mut self, users: &[User]) -> Result<Vec<QueryRow>> {
         let btn = crate::binary::binarize(&self.net);
         let node = |u: User| (u.index() < btn.user_count).then(|| btn.node_of(u));
-        let rows = if self.net.has_constraints() {
+        Ok(if self.net.has_constraints() {
             let res = crate::skeptic::resolve_skeptic_parallel(&btn, 1)?;
             users
                 .iter()
@@ -793,7 +698,6 @@ impl Session {
                 .collect()
         } else {
             let res = crate::parallel::resolve_parallel(&btn, 1)?;
-            self.planner.update(|s| s.observe_levels(res.rounds()));
             users
                 .iter()
                 .map(|&u| match node(u) {
@@ -801,14 +705,11 @@ impl Session {
                     None => undefined_row(u),
                 })
                 .collect()
-        };
-        self.observe_run(Strategy::WholeSolve, btn.node_count() as u64);
-        Ok(rows)
+        })
     }
 
-    /// The exact read path behind `EXACT` queries (and the
-    /// [`Session::cert_exact`] / [`Session::poss_exact`] wrappers):
-    /// always the maintained exact engine, never a cost choice.
+    /// The exact read path behind `EXACT` queries: always the maintained
+    /// exact engine, never a planner choice.
     fn rows_exact(&mut self, users: &[User]) -> Result<Vec<QueryRow>> {
         self.refresh()?;
         match &self.exact {
@@ -1149,13 +1050,6 @@ impl Session {
                     self.engine = Some(LiveEngine::Basic(engine));
                 }
                 self.stats.full_rebuilds += 1;
-                let nodes = self
-                    .engine
-                    .as_ref()
-                    .expect("engine just built")
-                    .btn()
-                    .node_count();
-                self.planner.update(|s| s.observe_build(nodes));
             }
             Some(_) => {
                 // Users or values created through `user()`/`value()` arrive
@@ -1270,8 +1164,6 @@ impl Session {
             Ok(changes) => {
                 self.stats.incremental_edits += edits.len() as u64;
                 self.stats.dirty_nodes += self.stats.last_dirty_nodes as u64;
-                let dirty = self.stats.last_dirty_nodes;
-                self.planner.update(|s| s.observe_region(dirty));
                 self.patch_exact();
                 Ok(changes)
             }
@@ -1804,9 +1696,6 @@ mod tests {
             assert_eq!(forced.report.strategy, strategy);
             assert!(forced.report.forced);
         }
-        // Every strategy ran at least once (the cost counters saw them).
-        let stats = s.planner_stats();
-        assert!(stats.strategies.iter().all(|c| c.runs >= 1));
     }
 
     #[test]
@@ -1831,10 +1720,9 @@ mod tests {
         s.believe(charlie, jar).unwrap();
         let text = s.explain(&Query::cert(QueryTarget::All)).unwrap();
         assert!(text.contains("plan: "));
-        assert!(text.contains("stats: "));
-        // Planning alone never builds an engine or runs a strategy.
+        assert!(text.contains("candidate: "));
+        // Planning alone never builds an engine.
         assert_eq!(s.stats().full_rebuilds, 0);
-        assert!(s.planner_stats().strategies.iter().all(|c| c.runs == 0));
         // An EXPLAIN query through query() returns the report, no rows.
         let result = s.query(&Query::cert(QueryTarget::All).explain()).unwrap();
         assert!(result.rows.is_empty());
@@ -1859,22 +1747,6 @@ mod tests {
         s.commit().unwrap();
         let result = s.query(&Query::cert(QueryTarget::Handle(alice))).unwrap();
         assert_eq!(result.rows[0].cert, Some(cow));
-    }
-
-    #[test]
-    fn exact_wrappers_route_through_the_query_api() {
-        let (mut s, [alice, bob, charlie], jar, cow) = session();
-        s.believe(charlie, jar).unwrap();
-        s.reject(bob, NegSet::of([jar])).unwrap();
-        s.enable_exact().unwrap();
-        let q = Query::poss(QueryTarget::Handle(alice)).exact();
-        let result = s.query(&q).unwrap();
-        assert_eq!(result.report.strategy, Strategy::IncrementalPatch);
-        assert_eq!(result.rows[0].poss, s.poss_exact(alice).unwrap());
-        // Exact mode refuses other strategies outright.
-        let err = s.query(&q.clone().force(Strategy::WholeSolve)).unwrap_err();
-        assert!(matches!(err, Error::Plan(_)));
-        let _ = cow;
     }
 
     #[test]
@@ -1927,14 +1799,5 @@ mod tests {
         assert_eq!(original.stats().publish_rows_copied, 88);
         assert_eq!(copy.snapshot().unwrap().cert(users[599]), Some(v));
         assert_eq!(copy.snapshot().unwrap().cert(users[301]), Some(v));
-    }
-
-    #[test]
-    fn cloned_sessions_share_planner_statistics() {
-        let (mut s, [_, _, charlie], jar, _) = session();
-        s.believe(charlie, jar).unwrap();
-        let clone = s.clone();
-        s.query(&Query::cert(QueryTarget::All)).unwrap();
-        assert!(clone.planner_stats().plans >= 1, "stats handle is shared");
     }
 }

@@ -19,8 +19,8 @@
 
 use crate::engine::{Database, EngineError};
 use crate::relation::SqlValue;
-use trustmap_core::bulk::{BulkPlan, BulkStep, PossTable, SeedValues};
-use trustmap_core::{Btn, CostModel, ExplicitBelief, Value};
+use trustmap_core::bulk::{bulk_sharded, BulkPlan, BulkStep, PossTable, SeedValues};
+use trustmap_core::{Btn, ExplicitBelief, Value};
 
 /// The `X`-column name of a BTN node.
 pub fn node_name(node: u32) -> String {
@@ -169,8 +169,8 @@ pub fn resolve_objects_sequential(
 /// shared by every reseeded solve. With at least one object per thread,
 /// each worker owns a clone of the BTN and a contiguous object range,
 /// solving each object on its own thread. With *fewer* objects than
-/// threads on a network past [`CostModel::MIN_PARALLEL_WORK`]
-/// ([`CostModel::bulk_sharded`]) — the "single huge object" regime —
+/// threads on a network past [`trustmap_core::bulk::MIN_PARALLEL_WORK`]
+/// ([`bulk_sharded`]) — the "single huge object" regime —
 /// objects resolve one after another, each spreading its trust network
 /// across all `threads` workers. Either route returns tables
 /// bit-identical to [`resolve_objects_sequential`].
@@ -183,7 +183,7 @@ pub fn resolve_objects_parallel(
     assert!(threads > 0, "need at least one thread");
     let planned = trustmap_core::parallel::PlannedResolver::new(btn, Default::default());
     let mut rows: Vec<Vec<Vec<Value>>> = vec![vec![Vec::new(); num_objects]; btn.node_count()];
-    if CostModel::bulk_sharded(threads, num_objects, btn.node_count()) {
+    if bulk_sharded(threads, num_objects, btn.node_count()) {
         let mut work = btn.clone();
         // `rows[node][k]` is written per node while `k` drives reseeding.
         #[allow(clippy::needless_range_loop)]
@@ -271,7 +271,7 @@ fn seed_object(work: &mut Btn, btn: &Btn, seeds: &[SeedValues], k: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trustmap_core::bulk::{execute_native, plan_bulk};
+    use trustmap_core::bulk::{execute_native, plan_bulk, MIN_PARALLEL_WORK};
     use trustmap_core::network::TrustNetwork;
     use trustmap_core::User;
 
@@ -340,7 +340,7 @@ mod tests {
         // 2 objects on 4 threads, but a 6-node network: too little work
         // to spread one solve over threads, so objects fan out.
         let (btn, _, _) = setup(2);
-        assert!(!CostModel::bulk_sharded(4, 2, btn.node_count()));
+        assert!(!bulk_sharded(4, 2, btn.node_count()));
         for (num_objects, threads) in splits().chain([(2, 4)]) {
             let (btn, _, seeds) = setup(num_objects);
             let seq = resolve_objects_sequential(&btn, &seeds, num_objects);
@@ -351,14 +351,14 @@ mod tests {
 
     #[test]
     fn few_objects_route_through_sharded_resolver_above_threshold() {
-        // A chain long enough to clear CostModel::MIN_PARALLEL_WORK: with
+        // A chain long enough to clear MIN_PARALLEL_WORK: with
         // fewer objects than threads the intra-object sharded path
         // engages, otherwise objects fan out; either way the table is
         // byte-identical to the sequential baseline.
         let mut net = TrustNetwork::new();
         let v0 = net.value("v0");
         let v1 = net.value("v1");
-        let users: Vec<User> = (0..CostModel::MIN_PARALLEL_WORK + 1)
+        let users: Vec<User> = (0..MIN_PARALLEL_WORK + 1)
             .map(|i| net.user(&format!("u{i}")))
             .collect();
         for pair in users.windows(2) {
@@ -366,7 +366,7 @@ mod tests {
         }
         net.believe(*users.last().unwrap(), v0).unwrap();
         let btn = trustmap_core::binarize(&net);
-        assert!(CostModel::bulk_sharded(4, 1, btn.node_count()));
+        assert!(bulk_sharded(4, 1, btn.node_count()));
         for (num_objects, threads) in splits().chain([(1, 4)]) {
             let seeds = vec![SeedValues {
                 user: *users.last().unwrap(),

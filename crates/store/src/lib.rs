@@ -704,12 +704,6 @@ impl Store {
                 counters: StoreCounters::default(),
             })),
         };
-        // Adopt the persisted planner statistics, if a valid record
-        // exists — advisory: damage or absence just means cold-start
-        // planning defaults, never a failed recovery.
-        if let Some(planner) = snapshot::load_stats(dir) {
-            session.adopt_planner_stats(planner);
-        }
         session.set_durability(Box::new(store.clone()));
         Ok(Recovered {
             session,
@@ -734,10 +728,6 @@ impl Store {
         }
         let mut g = self.inner.lock().expect("store mutex");
         snapshot::write(&g.dir, session.network(), g.last_committed, g.seg_len)?;
-        // The planner's statistics ride along (one advisory file,
-        // overwritten in place) so a recovered session plans with its
-        // history instead of cold defaults.
-        snapshot::write_stats(&g.dir, &session.planner_stats())?;
         if g.retain_on_snapshot {
             let watermark = g.last_committed;
             retire_locked(&mut g, watermark)?;
@@ -1617,61 +1607,58 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Planner statistics ride snapshots and survive recovery; a damaged
-    /// record degrades to cold defaults instead of failing the open.
+    /// A `planner.tm` left beside the snapshots by an older build (which
+    /// persisted planner statistics there) is inert: whatever it holds,
+    /// the directory opens to the same state, and nothing reads, writes
+    /// or removes the file.
     #[test]
-    fn planner_stats_survive_reopen_and_damage_degrades() {
+    fn a_legacy_planner_tm_is_ignored() {
         use trustmap_core::{Query, QueryTarget};
-        let dir = fresh_dir("planner-stats");
-        {
+        const LEGACY: &str = "planner.tm";
+        // The old record: magic + version, then little-endian words, then
+        // a CRC32 trailer (v2: 44 words, v1: 50).
+        let record = |version: u8, words: u64| {
+            let mut bytes = [b"TMSTAT\x00".as_slice(), &[version]].concat();
+            for word in 1..=words {
+                bytes.extend_from_slice(&word.to_le_bytes());
+            }
+            let crc = record::crc32(&bytes);
+            bytes.extend_from_slice(&crc.to_le_bytes());
+            bytes
+        };
+        let state = |r: &mut Recovered| {
+            let all = r.session.query(&Query::cert(QueryTarget::All));
+            (
+                trustmap_core::format::render_network(r.session.network()),
+                r.store.last_committed_lsn(),
+                all.expect("query").rows,
+            )
+        };
+
+        // A snapshot plus a WAL tail past it.
+        let dir = fresh_dir("legacy-planner");
+        let expected = {
             let mut r = Store::open(&dir).expect("open empty");
             let alice = r.session.user("alice");
             let bob = r.session.user("bob");
-            let v = r.session.value("v");
+            let (v, w) = (r.session.value("v"), r.session.value("w"));
             r.session.trust(alice, bob, 10).expect("edit");
             r.session.believe(bob, v).expect("edit");
-            // Warm the engine and run a few planned queries so the stats
-            // record has observations worth persisting.
-            r.session.snapshot().expect("snapshot read");
-            r.session.believe(bob, v).expect("edit");
-            r.session
-                .query(&Query::cert(QueryTarget::All))
-                .expect("query");
             r.store.snapshot_now(&r.session).expect("snapshot");
-            assert!(dir.join(snapshot::STATS_FILE).exists());
-            let persisted = r.session.planner_stats();
-            assert!(persisted.plans >= 1);
-            drop(r);
+            assert!(!dir.join(LEGACY).exists(), "snapshots write no such file");
+            r.session.believe(bob, w).expect("edit");
+            state(&mut r)
+        };
 
-            let back = Store::open(&dir).expect("recovers");
-            let recovered = back.session.planner_stats();
-            assert_eq!(recovered.plans, persisted.plans);
-            assert_eq!(recovered.node_count, persisted.node_count);
-            assert_eq!(recovered.regions_observed, persisted.regions_observed);
-            assert_eq!(
-                recovered.strategies[0].runs, persisted.strategies[0].runs,
-                "per-strategy counters persist"
-            );
+        for legacy in [record(2, 44), record(1, 50), b"garbage".to_vec()] {
+            std::fs::write(dir.join(LEGACY), &legacy).unwrap();
+            let mut back = Store::open(&dir).expect("the file is not consulted");
+            assert_eq!(state(&mut back), expected);
+            assert_eq!(std::fs::read(dir.join(LEGACY)).unwrap(), legacy);
         }
-        // Damage the record: recovery still succeeds, with cold defaults.
-        std::fs::write(dir.join(snapshot::STATS_FILE), b"garbage").unwrap();
-        let back = Store::open(&dir).expect("damage is advisory");
-        assert_eq!(back.session.planner_stats().plans, 0);
-        drop(back);
-        // A CRC-valid record of the five-strategy era (version byte 1,
-        // 50 words) is refused the same way — never misparsed into the
-        // two-slot layout.
-        let mut v1 = b"TMSTAT\x00\x01".to_vec();
-        for word in 1..=50u64 {
-            v1.extend_from_slice(&word.to_le_bytes());
-        }
-        let crc = record::crc32(&v1);
-        v1.extend_from_slice(&crc.to_le_bytes());
-        std::fs::write(dir.join(snapshot::STATS_FILE), &v1).unwrap();
-        let back = Store::open(&dir).expect("an old record is advisory too");
-        let stats = back.session.planner_stats();
-        assert_eq!(stats.plans, 0);
-        assert!(stats.strategies.iter().all(|c| c.runs == 0 && c.nodes == 0));
+        let back = Store::open(&dir).expect("recovers");
+        back.store.snapshot_now(&back.session).expect("snapshot");
+        assert_eq!(std::fs::read(dir.join(LEGACY)).unwrap(), b"garbage");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -22,7 +22,7 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use trustmap_core::signed::ExplicitBelief;
-use trustmap_core::{format, Error, PlannerStats, Result, TrustNetwork, User};
+use trustmap_core::{format, Error, Result, TrustNetwork, User};
 
 /// Magic bytes opening the binary flavor (the trailing byte is a format
 /// version).
@@ -241,51 +241,6 @@ pub fn write(dir: &Path, net: &TrustNetwork, lsn: u64, wal_offset: u64) -> Resul
     // The renames must survive a power loss along with the file contents.
     crate::sync_dir(dir)?;
     Ok(bin)
-}
-
-// ---------------------------------------------------------------------------
-// Planner statistics (advisory)
-// ---------------------------------------------------------------------------
-
-/// File name of the planner-statistics record written alongside
-/// snapshots: the session's [`PlannerStats`] (region-size distribution,
-/// per-strategy cost counters) in its versioned binary encoding plus a
-/// trailing CRC32. **Advisory**: a damaged or missing record degrades a
-/// recovered session to cold-start planning defaults — it never refuses
-/// recovery.
-pub const STATS_FILE: &str = "planner.tm";
-
-/// Writes (atomically: tmp + rename) the planner-statistics record.
-pub fn write_stats(dir: &Path, stats: &PlannerStats) -> Result<()> {
-    let mut bytes = stats.encode();
-    let crc = crc32(&bytes);
-    put_u32(&mut bytes, crc);
-    let path = dir.join(STATS_FILE);
-    let tmp = path.with_extension("tmp");
-    let mut f =
-        fs::File::create(&tmp).map_err(|e| io_err(&format!("create {}", tmp.display()), e))?;
-    f.write_all(&bytes)
-        .map_err(|e| io_err(&format!("write {}", tmp.display()), e))?;
-    f.sync_data()
-        .map_err(|e| io_err(&format!("sync {}", tmp.display()), e))?;
-    drop(f);
-    fs::rename(&tmp, &path).map_err(|e| io_err(&format!("rename into {}", path.display()), e))?;
-    Ok(())
-}
-
-/// Loads the planner-statistics record; `None` on a missing, truncated,
-/// or CRC-damaged file (the caller keeps cold defaults).
-pub fn load_stats(dir: &Path) -> Option<PlannerStats> {
-    let bytes = fs::read(dir.join(STATS_FILE)).ok()?;
-    if bytes.len() < 4 {
-        return None;
-    }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let crc = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-    if crc32(body) != crc {
-        return None;
-    }
-    PlannerStats::decode(body)
 }
 
 /// All snapshot LSNs present in `dir` (either flavor), descending.

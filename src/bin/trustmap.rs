@@ -126,8 +126,8 @@ fn run(args: &[String]) -> std::result::Result<(), String> {
 /// <query…>`: the CLI face of the unified query language. The words
 /// after the file join into one query line, parse through the same
 /// `trustq` grammar the serve protocol uses, and run through
-/// [`Session::query`] — so the cost-based planner picks the strategy
-/// here exactly as it does in-process and behind the protocol.
+/// [`Session::query`] — so the planner picks the strategy here exactly
+/// as it does in-process.
 fn cmd_query(
     net: &TrustNetwork,
     rest: &[String],
@@ -161,14 +161,13 @@ fn cmd_query(
         println!("{:<16} {:<14} {:?}", net.user_name(row.user), cert, poss);
     }
     println!(
-        "plan: {}{} ({} est. node visits)",
+        "plan: {}{}",
         result.report.strategy,
         if result.report.forced {
             " (forced)"
         } else {
             ""
-        },
-        result.report.chosen_cost()
+        }
     );
     Ok(())
 }
@@ -548,7 +547,7 @@ fn cmd_skeptic(net: &TrustNetwork) -> std::result::Result<(), String> {
 }
 
 /// Certain beliefs per user, routed through [`Session::query`] so the
-/// cost-based planner picks the strategy (use `trustmap explain` to see
+/// planner picks the strategy (use `trustmap explain` to see
 /// which). The default path answers with Algorithm 2 semantics (sound
 /// but possibly over-approximating the possible set on cyclic
 /// constraint networks); `--exact` runs the per-region exact evaluator

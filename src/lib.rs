@@ -72,8 +72,7 @@ pub use trustmap_core::{
     SkepticUserResolution, TrustNetwork, User, Value,
 };
 pub use trustmap_core::{
-    plan, stats, PlanContext, PlanReport, Planner, PlannerStats, Query, QueryResult, QueryTarget,
-    ReadKind, SharedPlannerStats, Strategy,
+    plan, PlanContext, PlanReport, Planner, Query, QueryResult, QueryTarget, ReadKind, Strategy,
 };
 
 pub use trustmap_store as store;

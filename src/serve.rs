@@ -24,7 +24,7 @@
 //! ```text
 //! CERT <user> [EXACT] [@<lsn>]    → OK <value|-> epoch=<e> lsn=<l>
 //! POSS <user> [EXACT] [@<lsn>]    → OK <v1,v2,...|-> epoch=<e> lsn=<l>
-//! EXPLAIN <query>                 → OK plan: … | candidate: … | stats: …
+//! EXPLAIN <query>                 → OK plan: … | logical: … | candidate: … | candidate: …
 //! BELIEVE <user> <value>          → OK lsn=<l> epoch=<e> group=<n>
 //! TRUST <child> <parent> <prio>   → OK lsn=<l> epoch=<e> group=<n>
 //! REVOKE <user>                   → OK lsn=<l> epoch=<e> group=<n>
@@ -44,12 +44,11 @@
 //! [`trustmap_core::Query`] AST the in-process `Session::query` API and
 //! the CLI consume — one query language, three surfaces. A user target
 //! may also be an interned handle (`CERT #3`). `EXPLAIN <query>` plans
-//! the query against the leader's live planner statistics and renders
-//! the chosen physical strategy, every candidate's cost, and the
-//! statistics that justified the choice — newlines of the canonical
-//! report joined with ` | ` to stay one reply line. Planning is counter
-//! arithmetic only; `EXPLAIN` never executes the query. `FORCE` is
-//! honored inside `EXPLAIN` (costing is bypassed, applicability still
+//! the query as the writer session behind the reader's current epoch
+//! would (leader and replica alike) and renders the chosen physical
+//! strategy and every candidate — newlines of the canonical report
+//! joined with ` | ` to stay one reply line. `EXPLAIN` never executes
+//! the query. `FORCE` is honored inside `EXPLAIN` (applicability still
 //! checked); on a *serving* read it is refused, because serve reads come
 //! from the published epoch snapshot, not a strategy dispatch.
 //!
@@ -88,9 +87,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use trustmap_core::epoch::{EpochReader, EpochSlot, EpochView};
-use trustmap_core::{
-    PlanContext, Planner, Query, QueryTarget, ReadKind, Session, SharedPlannerStats, Value,
-};
+use trustmap_core::{PlanContext, Planner, Query, QueryTarget, ReadKind, Session, Value};
 use trustmap_relstore::trustq;
 use trustmap_store::{
     GroupCommitWindow, ShipChunk, ShipRequest, ShipResponse, ShipTransport, SnapshotBlob, Store,
@@ -172,6 +169,19 @@ fn render_values(view: &EpochView, values: &[Value]) -> String {
     }
 }
 
+/// Plans (but does not execute) `query` as the session that published
+/// `view` would, and renders the report on one line. Publishing an epoch
+/// builds the engine, so a live engine exists exactly when a rendered
+/// epoch does (epoch 0 is the empty genesis view).
+fn explain(view: &EpochView, query: &Query) -> Result<String, String> {
+    let ctx = PlanContext {
+        skeptic: view.is_skeptic(),
+        engine_live: view.epoch() > 0,
+    };
+    let report = Planner::plan(query, &ctx).map_err(|e| e.to_string())?;
+    Ok(format!("OK {}", report.render().replace('\n', " | ")))
+}
+
 /// The serving brain: epoch-snapshot reads + group-commit writes, no
 /// transport attached. Share it via `Arc` across however many
 /// connection handlers the transport runs.
@@ -183,14 +193,6 @@ pub struct Frontend {
     slot: Arc<EpochSlot>,
     store: Option<Store>,
     pin_timeout: Duration,
-    /// The writer session's shared planner-statistics handle (`None` on
-    /// a replica): the writer keeps observing into it from inside the
-    /// hub, and `EXPLAIN` renders plans from the same live record.
-    planner: Option<SharedPlannerStats>,
-    /// Planning context captured when the writer session was handed
-    /// over (pipeline sign, engine liveness); the node count refreshes
-    /// from the shared statistics at `EXPLAIN` time.
-    plan_ctx: PlanContext,
 }
 
 impl Frontend {
@@ -206,10 +208,6 @@ impl Frontend {
             // reply ERR, while plain CERT/POSS keep serving.
             let _ = session.enable_exact();
         }
-        // Captured before the session moves into the hub: the handle is
-        // shared with the writer, so EXPLAIN always sees current counters.
-        let planner = session.planner_stats_handle();
-        let plan_ctx = session.plan_context();
         let hub = WriteHub::new(session, config.window);
         let slot = hub.epochs();
         Frontend {
@@ -217,8 +215,6 @@ impl Frontend {
             slot,
             store,
             pin_timeout: config.pin_timeout,
-            planner: Some(planner),
-            plan_ctx,
         }
     }
 
@@ -232,12 +228,6 @@ impl Frontend {
             slot,
             store: None,
             pin_timeout: config.pin_timeout,
-            planner: None,
-            plan_ctx: PlanContext {
-                node_count: 0,
-                skeptic: false,
-                engine_live: false,
-            },
         }
     }
 
@@ -358,10 +348,9 @@ impl Frontend {
             Err(e) => return Reply::Line(format!("ERR {e}")),
         };
         if query.explain {
-            return Reply::Line(match self.explain(reader, &query) {
-                Ok(line) => line,
-                Err(e) => format!("ERR {e}"),
-            });
+            return Reply::Line(
+                explain(reader.current(), &query).unwrap_or_else(|e| format!("ERR {e}")),
+            );
         }
         if query.force.is_some() {
             return Reply::Line(
@@ -411,28 +400,6 @@ impl Frontend {
             ))
         });
         Reply::Line(reply.unwrap_or_else(|e| format!("ERR {e}")))
-    }
-
-    /// Plans (but does not execute) `query` against the leader's live
-    /// planner statistics and renders the report on one line.
-    fn explain(&self, reader: &mut EpochReader, query: &Query) -> Result<String, String> {
-        let Some(planner) = &self.planner else {
-            return Err(
-                "EXPLAIN serves from the leader's planner statistics (read-only replica)".into(),
-            );
-        };
-        // The captured context predates any writes this process served;
-        // refresh the network size from the shared statistics record
-        // (the writer keeps it current) and the published epoch.
-        let mut ctx = self.plan_ctx;
-        ctx.node_count = ctx
-            .node_count
-            .max(reader.current().user_count())
-            .max(planner.snapshot().node_count as usize);
-        let report = planner
-            .update(|stats| Planner::plan(query, &ctx, stats))
-            .map_err(|e| e.to_string())?;
-        Ok(format!("OK {}", report.render().replace('\n', " | ")))
     }
 
     /// Serves one `SHIP <watermark> [<seg_first> <offset> <max_bytes>
@@ -973,6 +940,14 @@ mod tests {
         dir
     }
 
+    /// One request whose reply must be a plain line.
+    fn line(f: &Frontend, r: &mut EpochReader, s: &str) -> String {
+        match f.handle(r, s) {
+            Reply::Line(l) => l,
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+
     fn frontend(dir: &PathBuf) -> Frontend {
         let recovered = Store::open(dir).expect("fresh store");
         let store = recovered.store.clone();
@@ -1034,11 +1009,6 @@ mod tests {
 
     #[test]
     fn exact_reads_need_the_exact_table() {
-        let line = |f: &Frontend, r: &mut EpochReader, s: &str| match f.handle(r, s) {
-            Reply::Line(l) => l,
-            other => panic!("unexpected reply {other:?}"),
-        };
-
         // Without `exact: true` the epoch carries no exact table and the
         // read fails loudly instead of silently downgrading.
         let dir = fresh_dir("exact-off");
@@ -1077,11 +1047,6 @@ mod tests {
     /// and planner the `Session` API uses.
     #[test]
     fn read_verbs_speak_the_unified_query_language() {
-        let line = |f: &Frontend, r: &mut EpochReader, s: &str| match f.handle(r, s) {
-            Reply::Line(l) => l,
-            other => panic!("unexpected reply {other:?}"),
-        };
-
         let dir = fresh_dir("trustq");
         let recovered = Store::open(&dir).expect("fresh store");
         let store = recovered.store.clone();
@@ -1106,10 +1071,13 @@ mod tests {
         assert!(line(&f, &mut r, "POSS bob EXACT").starts_with("OK fish "));
 
         // EXPLAIN plans without executing and names the chosen strategy
-        // plus the statistics consulted, on one line.
-        let explain = line(&f, &mut r, "EXPLAIN CERT bob");
-        assert!(explain.starts_with("OK plan: "), "{explain}");
-        assert!(explain.contains(" | stats: "), "{explain}");
+        // and every candidate, on one line.
+        assert_eq!(
+            line(&f, &mut r, "EXPLAIN CERT bob"),
+            "OK plan: incremental-patch | logical: read cert of one user | \
+             candidate: incremental-patch (drain pending region, read patched snapshot) | \
+             candidate: whole-solve (binarize + one-pass Algorithm 1)"
+        );
         let forced = line(&f, &mut r, "EXPLAIN CERT bob FORCE whole-solve");
         assert!(forced.contains("whole-solve (forced)"), "{forced}");
         // A retired strategy name is the parser's unknown-strategy error,
@@ -1130,23 +1098,99 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Replicas serve the same query language for reads but have no
-    /// planner statistics, so `EXPLAIN` is refused with a pointer to the
-    /// leader.
+    /// `EXPLAIN` describes the server as it is, from the first request:
+    /// a recovered leader has published an epoch, so its engine is live,
+    /// and the whole-solve candidate names the algorithm of the network's
+    /// current sign.
     #[test]
-    fn replica_refuses_explain() {
-        use trustmap_core::epoch::EpochSlot;
-        let config = ServeConfig::default();
-        let replica = Frontend::replica(Arc::new(EpochSlot::new()), &config);
-        let mut r = replica.reader();
-        let reply = match replica.handle(&mut r, "EXPLAIN CERT alice") {
-            Reply::Line(l) => l,
-            other => panic!("unexpected reply {other:?}"),
-        };
+    fn explain_follows_the_published_epoch() {
+        let dir = fresh_dir("explain-epoch");
+        {
+            let mut recovered = Store::open(&dir).expect("fresh store");
+            let alice = recovered.session.user("Alice");
+            let fish = recovered.session.value("fish");
+            recovered.session.believe(alice, fish).expect("edit");
+            recovered
+                .store
+                .snapshot_now(&recovered.session)
+                .expect("snapshot");
+        }
+        let f = frontend(&dir);
+        let mut r = f.reader();
+        let explain = line(&f, &mut r, "EXPLAIN CERT Alice");
         assert!(
-            reply.starts_with("ERR EXPLAIN serves from the leader"),
-            "{reply}"
+            explain.starts_with("OK plan: incremental-patch | "),
+            "{explain}"
         );
+        assert!(explain.ends_with("(binarize + one-pass Algorithm 1)"));
+        for strategy in ["incremental-patch", "whole-solve"] {
+            let forced = line(&f, &mut r, &format!("EXPLAIN CERT Alice FORCE {strategy}"));
+            assert!(
+                forced.starts_with(&format!("OK plan: {strategy} (forced) | ")),
+                "{forced}"
+            );
+        }
+
+        // Crossing the sign boundary and back flips the whole-solve detail.
+        assert!(line(&f, &mut r, "REJECT Bob fish").starts_with("OK lsn="));
+        let signed = line(&f, &mut r, "EXPLAIN CERT Alice");
+        assert!(
+            signed.ends_with("(binarize + one-pass Algorithm 2)"),
+            "{signed}"
+        );
+        assert!(line(&f, &mut r, "REVOKE Bob").starts_with("OK lsn="));
+        assert_eq!(line(&f, &mut r, "EXPLAIN CERT Alice"), explain);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A replica explains exactly as its leader does at the same LSN:
+    /// both derive the plan context from the epoch in front of the
+    /// reader, before anything has shipped and across the sign boundary.
+    #[test]
+    fn replica_explains_as_its_leader_does() {
+        use trustmap_store::{Follower, LocalTransport, Step};
+        let queries = [
+            "EXPLAIN CERT alice",
+            "EXPLAIN POSS alice FORCE whole-solve",
+            "EXPLAIN CERT alice FORCE incremental-patch",
+            "EXPLAIN CERT alice EXACT FORCE whole-solve",
+        ];
+        let (ldir, fdir) = (fresh_dir("explain-leader"), fresh_dir("explain-replica"));
+        let config = ServeConfig {
+            window: GroupCommitWindow::per_edit(),
+            ..Default::default()
+        };
+        let recovered = Store::open(&ldir).expect("fresh store");
+        let mut transport = LocalTransport::new(recovered.store.clone());
+        let leader = Frontend::new(recovered.session, Some(recovered.store), &config);
+        let mut follower = Follower::open(&fdir).expect("open follower");
+        let replica = Frontend::replica(follower.epoch_slot(), &config);
+        let (mut lr, mut rr) = (leader.reader(), replica.reader());
+
+        // A slot nobody has published to holds the genesis view: no
+        // engine stands behind it, and EXPLAIN says so.
+        let bare = Frontend::replica(Arc::new(EpochSlot::new()), &config);
+        let mut br = bare.reader();
+        assert!(line(&bare, &mut br, queries[0]).starts_with("OK plan: whole-solve | "));
+        assert_eq!(
+            line(&bare, &mut br, queries[2]),
+            "ERR plan: forced strategy incremental-patch is inapplicable: no live engine to patch"
+        );
+
+        for write in ["BELIEVE alice fish", "REJECT bob fish", "REVOKE bob"] {
+            assert!(line(&leader, &mut lr, write).starts_with("OK lsn="));
+            while !matches!(
+                follower.step(&mut transport).expect("step"),
+                Step::CaughtUp { .. }
+            ) {}
+            assert_eq!(follower.watermark(), lr.current().lsn());
+            assert_eq!(rr.current().lsn(), lr.current().lsn());
+            for q in queries {
+                assert_eq!(line(&replica, &mut rr, q), line(&leader, &mut lr, q), "{q}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&ldir);
+        let _ = std::fs::remove_dir_all(&fdir);
     }
 
     #[test]

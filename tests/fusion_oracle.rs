@@ -21,7 +21,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use trustmap::store::Store;
 use trustmap::workloads::fusion::{FusionConfig, FusionSim};
-use trustmap::{Session, TrustNetwork, User, Value};
+use trustmap::{Query, QueryTarget, Session, TrustNetwork, User, Value};
 
 static DIRS: AtomicUsize = AtomicUsize::new(0);
 
@@ -113,9 +113,11 @@ fn in_memory_and_wal_restart_reach_the_same_fixed_point() {
         let seq_certs = object_certs(&mut seq, &sim.objects);
         // On a DAG the exact table must agree with the served cert.
         for (&object, &cert) in &seq_certs {
+            let exact = seq
+                .query(&Query::cert(QueryTarget::Handle(object)).exact())
+                .expect("exact mode is on");
             assert_eq!(
-                seq.cert_exact(object).expect("exact mode is on"),
-                cert,
+                exact.rows[0].cert, cert,
                 "seed {seed}: exact cert diverged at {object}"
             );
         }

@@ -1,4 +1,4 @@
-//! Differential oracle for the cost-based query planner (PR 10).
+//! Differential oracle for the query planner (PR 10).
 //!
 //! The planner is a *routing* decision, never a semantic one: whatever
 //! strategy it picks, the rows must be bit-for-bit what the other
@@ -12,8 +12,7 @@
 //!    `resolve_skeptic`), which no strategy runs.
 //! 2. Fixed fixtures: the planner (not a FORCE) reaches both strategies
 //!    through real `Session::query` calls, on either sign.
-//! 3. Counter gates: planning visits at most one plan node per
-//!    candidate strategy, and `EXPLAIN` does zero solver work.
+//! 3. Counter gate: `EXPLAIN` does zero solver work.
 
 mod common;
 
@@ -180,43 +179,8 @@ fn planner_reaches_both_strategies() {
     }
 }
 
-/// Planner overhead is bounded counter arithmetic: at most one plan node
-/// per candidate strategy per query, and the per-query average the bench
-/// gates stays at that bound.
-#[test]
-fn planning_visits_at_most_one_node_per_candidate() {
-    let net = random_network(
-        NetSpec {
-            users: 6,
-            values: 3,
-            mappings: 8,
-            believer_p: 0.5,
-            tie_free: true,
-        },
-        11,
-    );
-    let mut s = Session::new(net);
-    let queries = [
-        Query::cert(QueryTarget::All),
-        Query::poss(QueryTarget::All),
-        Query::cert(QueryTarget::Handle(User(0))),
-        Query::poss(QueryTarget::Handle(User(1))),
-    ];
-    for q in &queries {
-        let r = s.query(q).unwrap();
-        assert!(
-            r.report.plan_nodes <= Strategy::ALL.len() as u64,
-            "query {q} visited {} plan nodes",
-            r.report.plan_nodes
-        );
-    }
-    let stats = s.planner_stats();
-    assert_eq!(stats.plans, queries.len() as u64);
-    assert!(stats.plan_nodes_visited <= stats.plans * Strategy::ALL.len() as u64);
-}
-
-/// `EXPLAIN` costs planning only: no strategy runs, no engine build, no
-/// solver node visits — just the plan-node counters moving.
+/// `EXPLAIN` costs planning only: no engine build, no region drained,
+/// no edit applied — warm or cold, with edits pending or not.
 #[test]
 fn explain_does_no_solver_work() {
     let net = random_network(
@@ -229,17 +193,20 @@ fn explain_does_no_solver_work() {
         },
         23,
     );
-    let s = Session::new(net);
-    let before = s.planner_stats();
-    let text = s.explain(&Query::poss(QueryTarget::All)).unwrap();
-    assert!(text.contains("plan: "), "{text}");
-    assert!(text.contains("stats: "), "{text}");
-    let after = s.planner_stats();
-    assert_eq!(after.plans, before.plans + 1);
-    for (b, a) in before.strategies.iter().zip(after.strategies.iter()) {
-        assert_eq!(b.runs, a.runs, "EXPLAIN executed a strategy");
-        assert_eq!(b.nodes, a.nodes, "EXPLAIN visited solver nodes");
+    let mut s = Session::new(net);
+    for warm in [false, true] {
+        if warm {
+            s.snapshot().expect("positive network resolves");
+            let v = s.value("v0");
+            s.believe(User(0), v).expect("known user");
+        }
+        let before = s.stats();
+        let text = s.explain(&Query::poss(QueryTarget::All)).unwrap();
+        assert!(text.contains("plan: "), "{text}");
+        assert!(text.contains("candidate: "), "{text}");
+        let after = s.stats();
+        assert_eq!(after.full_rebuilds, before.full_rebuilds);
+        assert_eq!(after.dirty_nodes, before.dirty_nodes);
+        assert_eq!(after.incremental_edits, before.incremental_edits);
     }
-    assert_eq!(before.full_builds, after.full_builds);
-    assert_eq!(before.regions_observed, after.regions_observed);
 }

@@ -26,6 +26,14 @@
 //!   margin (the 1-core container makes wall-clock-close gates
 //!   unreliable; this one is O(tail · network) vs O(snapshot + tail)).
 //!
+//! A separate **load** block prices the path every one of those starts
+//! with, on the largest network of the run: `parse_ms`
+//! (`format::parse_network` of the rendered text), `binarize_ms`,
+//! `decode_net_ms` (`snapshot::load_latest` of the binary image: read,
+//! CRC and the network decode) — each the fastest of three — and
+//! `name_bytes_per_user`, the bytes both name tables occupy per user,
+//! computed from their lengths and gated.
+//!
 //! Equality gates (asserted, not just reported): the recovered session's
 //! certain beliefs are byte-identical to the live session's at the crash
 //! point, for the cold-replayed network too, and recovery lands exactly
@@ -34,10 +42,12 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
-use trustmap::store::{cold_replay, Store, StoreOptions};
+use trustmap::store::{cold_replay, snapshot, Store, StoreOptions};
 use trustmap::workloads::power_law;
 use trustmap_core::signed::ExplicitBelief;
-use trustmap_core::{resolve_network, Session, TrustNetwork, User, Value};
+use trustmap_core::{
+    binarize, parse_network, render_network, resolve_network, Session, TrustNetwork, User, Value,
+};
 
 struct Config {
     users: usize,
@@ -221,6 +231,53 @@ fn measure(cfg: &Config) -> Row {
     }
 }
 
+/// The load path's stage costs and name-table footprint at `users`.
+struct Load {
+    users: usize,
+    parse_ms: f64,
+    binarize_ms: f64,
+    decode_net_ms: f64,
+    name_bytes_per_user: f64,
+}
+
+/// Name-table bytes a user may cost: a short name, its offset, and at
+/// most four id slots (the id table is between a quarter and half full).
+const NAME_BYTES_PER_USER_GATE: f64 = 32.0;
+
+/// Milliseconds of the fastest of three runs of `stage`.
+fn fastest_ms<T>(mut stage: impl FnMut() -> T) -> f64 {
+    (0..3)
+        .map(|_| {
+            let t = Instant::now();
+            std::hint::black_box(stage());
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+fn measure_load(users: usize) -> Load {
+    let net = power_law(users, 2, 4, 0.2, 8 + users as u64).net;
+    let text = render_network(&net);
+    let parse_ms = fastest_ms(|| parse_network(&text).expect("rendered text parses"));
+    let binarize_ms = fastest_ms(|| binarize(&net));
+    let dir = fresh_dir("load");
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    snapshot::write(&dir, &net, 1, 0).expect("snapshot written");
+    let decode_net_ms = fastest_ms(|| {
+        let (snap, warnings) = snapshot::load_latest(&dir);
+        assert!(warnings.is_empty(), "{warnings:?}");
+        assert_eq!(snap.expect("snapshot loads").net.user_count(), users);
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    Load {
+        users,
+        parse_ms,
+        binarize_ms,
+        decode_net_ms,
+        name_bytes_per_user: net.name_table_bytes() as f64 / users as f64,
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -284,6 +341,13 @@ fn main() {
     }
     println!("{}", table.render());
 
+    let load = measure_load(configs.last().expect("a network").users);
+    println!(
+        "load path at {} users: parse {:.1} ms, binarize {:.1} ms, snapshot decode {:.1} ms, \
+         {:.2} name bytes/user\n",
+        load.users, load.parse_ms, load.binarize_ms, load.decode_net_ms, load.name_bytes_per_user
+    );
+
     let mut json = String::new();
     json.push_str("{\n  \"benchmark\": \"recovery\",\n  \"tail_edits\": ");
     let _ = write!(json, "{TAIL}");
@@ -314,7 +378,12 @@ fn main() {
         );
         json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
-    json.push_str("  ]\n}\n");
+    let _ = write!(
+        json,
+        "  ],\n  \"load\": {{\"users\": {}, \"parse_ms\": {:.1}, \"binarize_ms\": {:.1}, \
+         \"decode_net_ms\": {:.1}, \"name_bytes_per_user\": {:.2}}}\n}}\n",
+        load.users, load.parse_ms, load.binarize_ms, load.decode_net_ms, load.name_bytes_per_user
+    );
     std::fs::write(&out_path, &json).expect("write BENCH_recovery.json");
     println!("wrote {out_path}");
 
@@ -353,5 +422,12 @@ fn main() {
             );
         }
     }
+    // One copy of every name: three flat vectors, nothing per name.
+    assert!(
+        load.name_bytes_per_user <= NAME_BYTES_PER_USER_GATE,
+        "{:.2} name-table bytes per user at {} users (gate {NAME_BYTES_PER_USER_GATE})",
+        load.name_bytes_per_user,
+        load.users
+    );
     println!("acceptance gates passed");
 }

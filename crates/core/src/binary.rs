@@ -19,10 +19,13 @@
 //! networks are unaffected. This and every other documented deviation is
 //! collected in `docs/FIDELITY.md` at the repository root.
 
+use crate::names::NameTable;
 use crate::network::TrustNetwork;
 use crate::signed::ExplicitBelief;
 use crate::user::User;
 use crate::value::Domain;
+use std::fmt;
+use std::sync::Arc;
 use trustmap_graph::{Csr, DiGraph, NodeId};
 
 /// The (at most two) parents of a BTN node.
@@ -86,6 +89,37 @@ impl Parents {
     }
 }
 
+/// What a BTN node stands for — all a node stores of its identity; its
+/// display name is rendered from this on demand ([`Btn::name`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum NodeKind {
+    /// The node of a user of the source network.
+    User(User),
+    /// The synthetic root `x0` carrying the owner's explicit belief.
+    BeliefRoot(User),
+    /// Interior node `y_i` of the owner's cascade (Figure 9).
+    Cascade(User, u32),
+}
+
+/// The display name of a BTN node: the user's name, or `<owner>::b0` /
+/// `<owner>::y<i>` for synthetic nodes. Borrowed from the [`Btn`];
+/// `to_string()` it to keep it.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeName<'a> {
+    users: &'a NameTable,
+    kind: NodeKind,
+}
+
+impl fmt::Display for NodeName<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.kind {
+            NodeKind::User(u) => f.write_str(self.users.name(u.0)),
+            NodeKind::BeliefRoot(u) => write!(f, "{}::b0", self.users.name(u.0)),
+            NodeKind::Cascade(u, i) => write!(f, "{}::y{i}", self.users.name(u.0)),
+        }
+    }
+}
+
 /// A binary trust network: the normal form all resolution algorithms run on.
 ///
 /// Nodes `0..user_count` correspond one-to-one to the users of the source
@@ -98,8 +132,9 @@ pub struct Btn {
     pub(crate) domain: Domain,
     pub(crate) beliefs: Vec<ExplicitBelief>,
     pub(crate) parents: Vec<Parents>,
-    pub(crate) origin: Vec<Option<User>>,
-    pub(crate) names: Vec<String>,
+    pub(crate) kind: Vec<NodeKind>,
+    /// The source network's user names (shared, not copied).
+    pub(crate) user_names: Arc<NameTable>,
     pub(crate) user_count: usize,
     pub(crate) belief_root: Vec<Option<NodeId>>,
     /// `user_node[u]` = the node representing user `u`. [`binarize`] lays
@@ -110,6 +145,22 @@ pub struct Btn {
 }
 
 impl Btn {
+    /// The nodes of `net`'s users alone, node `u` for user `u`: no
+    /// parents, beliefs or synthetic nodes yet.
+    pub(crate) fn of_users(net: &TrustNetwork) -> Btn {
+        let n = net.user_count();
+        Btn {
+            domain: net.domain().clone(),
+            beliefs: vec![ExplicitBelief::None; n],
+            parents: vec![Parents::None; n],
+            kind: (0..n as u32).map(|u| NodeKind::User(User(u))).collect(),
+            user_names: Arc::clone(net.user_names()),
+            user_count: n,
+            belief_root: vec![None; n],
+            user_node: (0..n as NodeId).collect(),
+        }
+    }
+
     /// Number of nodes (original users + synthetic nodes).
     pub fn node_count(&self) -> usize {
         self.parents.len()
@@ -138,7 +189,10 @@ impl Btn {
 
     /// The original user represented by `node`, if it is not synthetic.
     pub fn origin(&self, node: NodeId) -> Option<User> {
-        self.origin[node as usize]
+        match self.kind[node as usize] {
+            NodeKind::User(u) => Some(u),
+            _ => None,
+        }
     }
 
     /// The explicit belief attached to `node` (non-`None` only on roots).
@@ -183,8 +237,11 @@ impl Btn {
     }
 
     /// Display name for `node` (user name, or synthetic marker).
-    pub fn name(&self, node: NodeId) -> &str {
-        &self.names[node as usize]
+    pub fn name(&self, node: NodeId) -> NodeName<'_> {
+        NodeName {
+            users: &self.user_names,
+            kind: self.kind[node as usize],
+        }
     }
 
     /// The root node carrying `user`'s explicit belief: the user's own node
@@ -246,77 +303,86 @@ impl Btn {
 ///    strictly dominating parents enter through preferred edges.
 pub fn binarize(net: &TrustNetwork) -> Btn {
     let n = net.user_count();
-    let mut btn = Btn {
-        domain: net.domain().clone(),
-        beliefs: vec![ExplicitBelief::None; n],
-        parents: vec![Parents::None; n],
-        origin: (0..n as u32).map(|u| Some(User(u))).collect(),
-        names: (0..n as u32)
-            .map(|u| net.user_name(User(u)).to_owned())
-            .collect(),
-        user_count: n,
-        belief_root: vec![None; n],
-        user_node: (0..n as NodeId).collect(),
-    };
 
-    // Per-child parent lists (parent node, priority), in declaration order so
-    // tie-breaking is deterministic.
-    let mut plists: Vec<Vec<(NodeId, i64)>> = vec![Vec::new(); n];
+    // Parent lists `(parent node, priority)` of all children in one array,
+    // child `x` at `start[x]..start[x + 1]`, in declaration order so
+    // tie-breaking is deterministic; a believer with parents has one more
+    // slot, at the end, for its belief root. Counting first also gives the
+    // final node count, so no per-node vector grows below.
+    let mut start = vec![0usize; n + 1];
     for m in net.mappings() {
-        plists[m.child.index()].push((m.parent.0, m.priority));
+        start[m.child.index() + 1] += 1;
+    }
+    let mut synthetic = 0;
+    for x in 0..n {
+        let declared = start[x + 1];
+        let rooted = declared > 0 && net.belief(User(x as u32)).is_some();
+        let k = declared + rooted as usize;
+        synthetic += rooted as usize + k.saturating_sub(2);
+        start[x + 1] = start[x] + k;
+    }
+    let mut plists = vec![(0 as NodeId, 0i64); start[n]];
+    let mut fill = start[..n].to_vec();
+    for m in net.mappings() {
+        let at = &mut fill[m.child.index()];
+        plists[*at] = (m.parent.0, m.priority);
+        *at += 1;
     }
 
-    // Indexing keeps `plists[x]` borrows disjoint from `&mut btn` calls.
-    #[allow(clippy::needless_range_loop)]
+    let mut btn = Btn::of_users(net);
+    btn.beliefs.reserve_exact(synthetic);
+    btn.parents.reserve_exact(synthetic);
+    btn.kind.reserve_exact(synthetic);
+
     for x in 0..n {
-        let b0 = net.belief(User(x as u32));
+        let user = User(x as u32);
+        let b0 = net.belief(user);
         if b0.is_some() {
-            if plists[x].is_empty() {
+            if start[x] == start[x + 1] {
                 // Parentless believers stay roots.
                 btn.beliefs[x] = b0.clone();
                 btn.belief_root[x] = Some(x as NodeId);
             } else {
                 // Step 1: move the belief to a fresh highest-priority root x0.
-                let name = format!("{}::b0", btn.names[x]);
-                let x0 = push_node(&mut btn, b0.clone(), name);
+                let x0 = push_node(&mut btn, b0.clone(), NodeKind::BeliefRoot(user));
                 btn.belief_root[x] = Some(x0);
-                let top = plists[x].iter().map(|&(_, p)| p).max().expect("nonempty");
-                plists[x].push((x0, top.saturating_add(1)));
+                let declared = &plists[start[x]..fill[x]];
+                let top = declared.iter().map(|&(_, p)| p).max().expect("nonempty");
+                plists[fill[x]] = (x0, top.saturating_add(1));
             }
         }
     }
 
-    #[allow(clippy::needless_range_loop)]
     for x in 0..n {
-        let mut plist = std::mem::take(&mut plists[x]);
+        let plist = &mut plists[start[x]..start[x + 1]];
         match plist.len() {
             0 => {}
             1 => btn.parents[x] = Parents::One(plist[0].0),
             _ => {
                 // Ascending priority; stable for deterministic tie layout.
                 plist.sort_by_key(|&(_, p)| p);
-                cascade(&mut btn, x as NodeId, &plist, &mut |btn, i| {
-                    let name = format!("{}::y{}", btn.names[x], i);
-                    push_node(btn, ExplicitBelief::None, name)
+                cascade(&mut btn, x as NodeId, plist, &mut |btn, i| {
+                    let kind = NodeKind::Cascade(User(x as u32), i as u32);
+                    push_node(btn, ExplicitBelief::None, kind)
                 });
             }
         }
     }
+    debug_assert_eq!(btn.node_count(), n + synthetic);
     btn
 }
 
-pub(crate) fn push_node(btn: &mut Btn, belief: ExplicitBelief, name: String) -> NodeId {
+pub(crate) fn push_node(btn: &mut Btn, belief: ExplicitBelief, kind: NodeKind) -> NodeId {
     let id = btn.parents.len() as NodeId;
     btn.beliefs.push(belief);
     btn.parents.push(Parents::None);
-    btn.origin.push(None);
-    btn.names.push(name);
+    btn.kind.push(kind);
     id
 }
 
 /// Expands node `x` with sorted parent list `plist` (ascending priority)
 /// into the cascade of Figure 9. Indices below are 1-based to match the
-/// paper's rules; `y[i]` is the cascade node created at step `i`.
+/// paper's rules; `y_i` is the cascade node created at step `i`.
 ///
 /// Interior cascade nodes are obtained through `alloc(btn, i)` so callers
 /// control allocation: [`binarize`] appends fresh nodes, while the
@@ -332,37 +398,33 @@ pub(crate) fn cascade(
     // 1-based accessors.
     let z = |i: usize| plist[i - 1].0;
     let p = |i: usize| plist[i - 1].1;
-    // first_eq[i] = min j with p(j) == p(i) (the start of i's priority group).
-    let mut first_eq = vec![0usize; k + 1];
-    for i in 1..=k {
-        first_eq[i] = if i > 1 && p(i - 1) == p(i) {
-            first_eq[i - 1]
-        } else {
-            i
-        };
-    }
 
-    let mut y = vec![0 as NodeId; k + 1];
-    y[1] = z(1);
+    // `prev` is y_{i-1}; `below` is y_{j-1} for the first member j of
+    // i's priority group — everything accumulated under that group.
+    let mut prev = z(1);
+    let mut below = prev;
     for i in 2..=k {
-        y[i] = if i == k { x } else { alloc(btn, i) };
+        if p(i - 1) != p(i) {
+            below = prev;
+        }
+        let y = if i == k { x } else { alloc(btn, i) };
         // x = y_k is treated as if p(k) < p(k+1): only rules (a), (d), (e).
         let pnext = (i < k).then(|| p(i + 1));
         let parents = if p(i - 1) == p(i) {
             if p(1) == p(i) {
                 // (a) p1 = p_{i-1} = p_i: extend the lowest tied group.
-                Parents::Tied(y[i - 1], z(i))
+                Parents::Tied(prev, z(i))
             } else if pnext == Some(p(i)) {
                 // (c) p1 < p_{i-1} = p_i = p_{i+1}: extend an inner tied
                 // group with its next member.
-                Parents::Tied(y[i - 1], z(i + 1))
+                Parents::Tied(prev, z(i + 1))
             } else {
                 // (d) p1 < p_{i-1} = p_i < p_{i+1}: close the tied group —
                 // its combined sub-tree y_{i-1} dominates everything below
                 // the group (accumulated in y_{j-1}).
                 Parents::Pref {
-                    high: y[i - 1],
-                    low: y[first_eq[i] - 1],
+                    high: prev,
+                    low: below,
                 }
             }
         } else if pnext == Some(p(i)) {
@@ -374,10 +436,11 @@ pub(crate) fn cascade(
             // dominates everything accumulated so far.
             Parents::Pref {
                 high: z(i),
-                low: y[i - 1],
+                low: prev,
             }
         };
-        btn.parents[y[i] as usize] = parents;
+        btn.parents[y as usize] = parents;
+        prev = y;
     }
 }
 
@@ -418,6 +481,8 @@ mod tests {
         assert_eq!(btn.belief(b.0), &ExplicitBelief::None);
         assert_eq!(btn.origin(x0), None);
         assert_eq!(btn.origin(b.0), Some(b));
+        assert_eq!(btn.name(x0).to_string(), "b::b0");
+        assert_eq!(btn.name(b.0).to_string(), "b");
     }
 
     /// The worked example of Figure 10: seven parents with priorities
@@ -438,6 +503,8 @@ mod tests {
         let zn = |i: usize| z[i - 1].0;
         // y2 = (a): Tied(z1, z2)
         assert_eq!(btn.parents(y(2)), &Parents::Tied(zn(1), zn(2)));
+        assert_eq!(btn.name(y(2)).to_string(), "x::y2");
+        assert_eq!(btn.name(y(6)).to_string(), "x::y6");
         // y3 = (b): Tied(z3, z4)
         assert_eq!(btn.parents(y(3)), &Parents::Tied(zn(3), zn(4)));
         // y4 = (c): Tied(y3, z5)

@@ -21,10 +21,11 @@
 //!   pushed onto the caller's seed list, which the engines forward-close
 //!   into their dirty regions.
 
-use crate::binary::{cascade, push_node, Btn, Parents};
+use crate::binary::{cascade, push_node, Btn, NodeKind, Parents};
 use crate::network::TrustNetwork;
 use crate::signed::ExplicitBelief;
 use crate::user::User;
+use std::sync::Arc;
 use trustmap_graph::NodeId;
 
 /// Engine-owned node-indexed side tables that must track the BTN's node
@@ -66,18 +67,7 @@ impl DeltaBtn {
     /// full solve).
     pub fn new(net: &TrustNetwork) -> DeltaBtn {
         let n = net.user_count();
-        let btn = Btn {
-            domain: net.domain().clone(),
-            beliefs: vec![ExplicitBelief::None; n],
-            parents: vec![Parents::None; n],
-            origin: (0..n as u32).map(|u| Some(User(u))).collect(),
-            names: (0..n as u32)
-                .map(|u| net.user_name(User(u)).to_owned())
-                .collect(),
-            user_count: n,
-            belief_root: vec![None; n],
-            user_node: (0..n as NodeId).collect(),
-        };
+        let btn = Btn::of_users(net);
         let mut plists: Vec<Vec<(NodeId, i64)>> = vec![Vec::new(); n];
         for m in net.mappings() {
             plists[m.child.index()].push((m.parent.0, m.priority));
@@ -96,12 +86,7 @@ impl DeltaBtn {
     pub fn grow_users(&mut self, net: &TrustNetwork, side: &mut dyn NodeSideTables) {
         for u in self.btn.user_count..net.user_count() {
             let user = User(u as u32);
-            let id = push_node(
-                &mut self.btn,
-                ExplicitBelief::None,
-                net.user_name(user).to_owned(),
-            );
-            self.btn.origin[id as usize] = Some(user);
+            let id = push_node(&mut self.btn, ExplicitBelief::None, NodeKind::User(user));
             self.btn.user_node.push(id);
             self.btn.belief_root.push(None);
             self.btn.user_count += 1;
@@ -111,7 +96,10 @@ impl DeltaBtn {
             self.children.resize_with(n, Vec::new);
             side.grow(n);
         }
-        // New values may have been interned too.
+        // New names share the network's tables (a handle copy each).
+        if self.btn.user_names.len() != net.user_count() {
+            self.btn.user_names = Arc::clone(net.user_names());
+        }
         if self.btn.domain.len() != net.domain().len() {
             self.btn.domain = net.domain().clone();
         }
@@ -145,12 +133,12 @@ impl DeltaBtn {
     }
 
     /// Allocates (or recycles) a synthetic node.
-    fn alloc_node(&mut self, name: String, side: &mut dyn NodeSideTables) -> NodeId {
+    fn alloc_node(&mut self, kind: NodeKind, side: &mut dyn NodeSideTables) -> NodeId {
         if let Some(id) = self.free.pop() {
-            self.btn.names[id as usize] = name;
+            self.btn.kind[id as usize] = kind;
             id
         } else {
-            let id = push_node(&mut self.btn, ExplicitBelief::None, name);
+            let id = push_node(&mut self.btn, ExplicitBelief::None, kind);
             let n = self.btn.node_count();
             self.children.resize_with(n, Vec::new);
             side.grow(n);
@@ -190,8 +178,7 @@ impl DeltaBtn {
                 let x0 = match self.btn.belief_root[u.index()] {
                     Some(r) if r != x => r,
                     _ => {
-                        let name = format!("{}::b0", self.btn.names[x as usize]);
-                        let id = self.alloc_node(name, side);
+                        let id = self.alloc_node(NodeKind::BeliefRoot(u), side);
                         self.btn.belief_root[u.index()] = Some(id);
                         id
                     }
@@ -229,12 +216,12 @@ impl DeltaBtn {
                 let cascade_u = &mut self.cascade_nodes[u.index()];
                 let children = &mut self.children;
                 cascade(&mut self.btn, x, &plist, &mut |btn, i| {
-                    let name = format!("{}::y{}", btn.names[x as usize], i);
+                    let kind = NodeKind::Cascade(u, i as u32);
                     let id = if let Some(id) = free.pop() {
-                        btn.names[id as usize] = name;
+                        btn.kind[id as usize] = kind;
                         id
                     } else {
-                        let id = push_node(btn, ExplicitBelief::None, name);
+                        let id = push_node(btn, ExplicitBelief::None, kind);
                         children.push(Vec::new());
                         side.grow(btn.node_count());
                         id

@@ -30,9 +30,11 @@
 //! view (reusing the published handle when no edits intervened, so
 //! repeated publication of a quiet session is O(1)).
 //!
-//! What stays O(users) on this path: [`EpochNames::of`] re-renders every
-//! name and both lookup maps whenever a write interns a *new* user or
-//! value (pure belief/trust churn shares the table across epochs).
+//! Names are not copied at all: an [`EpochNames`] is two handles on the
+//! network's own [`NameTable`]s. A write that interns a *new* user or
+//! value while a published view still holds the table copies its three
+//! flat vectors once (see [`NameTable::intern_shared`]); belief and trust
+//! churn never touches them.
 //!
 //! The `trustmap-store` crate's group-commit hub drives this from a
 //! dedicated writer thread: one durable WAL unit per edit group, one
@@ -40,13 +42,13 @@
 //! the slot.
 
 use crate::exact::ExactUserResolution;
+use crate::names::NameTable;
 use crate::network::TrustNetwork;
 use crate::resolution::UserResolution;
 use crate::signed::BeliefSet;
 use crate::skeptic::SkepticUserResolution;
 use crate::user::User;
 use crate::value::Value;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -54,73 +56,53 @@ use std::time::{Duration, Instant};
 /// Frozen name tables of one epoch: user/value id lookups for point
 /// queries without the writer's network.
 ///
-/// Interning is append-only (ids never change meaning), so the session
-/// reuses one `Arc<EpochNames>` across epochs until a *new* user or value
-/// is created — publishing an epoch after pure belief/trust churn shares
-/// the table instead of re-rendering it.
+/// Interning is append-only (ids never change meaning) and the tables
+/// are the network's own, shared by handle: freezing them is two
+/// reference-count bumps, and the network copies a table only when it
+/// interns a new name while a view still holds the old one.
 #[derive(Debug, Default)]
 pub struct EpochNames {
-    users: HashMap<String, User>,
-    values: HashMap<String, Value>,
-    user_names: Vec<String>,
-    value_names: Vec<String>,
+    users: Arc<NameTable>,
+    values: Arc<NameTable>,
 }
 
 impl EpochNames {
-    /// Renders the name tables of `net`.
+    /// Shares the name tables of `net`.
     pub fn of(net: &TrustNetwork) -> Self {
-        let user_names: Vec<String> = net.users().map(|u| net.user_name(u).to_owned()).collect();
-        let value_names: Vec<String> = net
-            .domain()
-            .values()
-            .map(|v| net.domain().name(v).to_owned())
-            .collect();
-        let users = user_names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), User(i as u32)))
-            .collect();
-        let values = value_names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), Value(i as u32)))
-            .collect();
         EpochNames {
-            users,
-            values,
-            user_names,
-            value_names,
+            users: Arc::clone(net.user_names()),
+            values: Arc::clone(net.domain().names()),
         }
     }
 
     /// Number of users known to this epoch.
     pub fn user_count(&self) -> usize {
-        self.user_names.len()
+        self.users.len()
     }
 
     /// Number of values known to this epoch.
     pub fn value_count(&self) -> usize {
-        self.value_names.len()
+        self.values.len()
     }
 
     /// Looks a user up by name.
     pub fn find_user(&self, name: &str) -> Option<User> {
-        self.users.get(name).copied()
+        self.users.get(name).map(User)
     }
 
     /// Looks a value up by name.
     pub fn find_value(&self, name: &str) -> Option<Value> {
-        self.values.get(name).copied()
+        self.values.get(name).map(Value)
     }
 
     /// The name of `user`, if this epoch knows it.
     pub fn user_name(&self, user: User) -> Option<&str> {
-        self.user_names.get(user.index()).map(String::as_str)
+        self.users.get_name(user.0)
     }
 
     /// The name of `value`, if this epoch knows it.
     pub fn value_name(&self, value: Value) -> Option<&str> {
-        self.value_names.get(value.index()).map(String::as_str)
+        self.values.get_name(value.0)
     }
 }
 
@@ -147,7 +129,7 @@ pub struct EpochView {
     epoch: u64,
     lsn: u64,
     state: EpochState,
-    names: Arc<EpochNames>,
+    names: EpochNames,
     /// Exact certain/possible positives, published when the session has
     /// exact mode enabled ([`crate::Session::enable_exact`]) — the table
     /// behind `CERT <user> EXACT` reads on leaders and replicas.
@@ -162,7 +144,7 @@ impl EpochView {
         epoch: u64,
         lsn: u64,
         state: EpochState,
-        names: Arc<EpochNames>,
+        names: EpochNames,
         exact: Option<ExactUserResolution>,
     ) -> Self {
         EpochView {
@@ -293,7 +275,7 @@ fn genesis() -> Arc<EpochView> {
         0,
         0,
         EpochState::Basic(UserResolution::default()),
-        Arc::new(EpochNames::default()),
+        EpochNames::default(),
         None,
     ))
 }
@@ -517,12 +499,17 @@ mod tests {
         let charlie = view.names().find_user("Charlie").unwrap();
         s.believe(charlie, jar).unwrap();
         let next = s.epoch().unwrap();
-        assert!(Arc::ptr_eq(&view.names, &next.names), "names are reused");
-        // A new user re-renders it.
+        assert!(Arc::ptr_eq(&view.names.users, &next.names.users));
+        assert!(Arc::ptr_eq(&view.names.values, &next.names.values));
+        // A new user copies the user table (the views hold the old one)
+        // and leaves the value table shared.
         s.user("Dave");
         let grown = s.epoch().unwrap();
-        assert!(!Arc::ptr_eq(&view.names, &grown.names));
+        assert!(!Arc::ptr_eq(&view.names.users, &grown.names.users));
+        assert!(Arc::ptr_eq(&view.names.values, &grown.names.values));
         assert!(grown.names().find_user("Dave").is_some());
+        assert_eq!(view.names().find_user("Dave"), None, "views are frozen");
+        assert_eq!(view.names().user_count(), 3);
     }
 
     #[test]
@@ -583,7 +570,7 @@ mod tests {
                 view.epoch() + 1,
                 7,
                 EpochState::Basic(UserResolution::default()),
-                Arc::new(EpochNames::default()),
+                EpochNames::default(),
                 None,
             )));
         });

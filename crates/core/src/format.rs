@@ -11,6 +11,19 @@
 //! reject  Dana    cow,horse      # constraint: negative beliefs
 //! ```
 //!
+//! Lines end at `\n` and nowhere else: a `\r`, alone or before the `\n`,
+//! is whitespace like any other, so CRLF files parse and a bare `\r` does
+//! not advance the line number an error reports. A `#` ends a line's
+//! content wherever it stands, mid-token included. What is left splits
+//! into tokens at exactly the characters [`char::is_whitespace`] accepts —
+//! tab, vertical tab, form feed, space, and the Unicode spaces (U+0085,
+//! U+00A0, U+2003, …) — so a non-breaking space inside a name splits it.
+//! A reject list splits at `,` and drops empty members. The parser reads
+//! ASCII bytes directly and decodes only non-ASCII characters;
+//! `tests/format_oracle.rs` pins all of this, error text and line numbers
+//! included, against the `lines()` / `split_whitespace()` parser it
+//! replaced.
+//!
 //! Users and values are created on first mention. `parse_network` and
 //! [`render_network`] round-trip *id-exactly*: the renderer declares every
 //! user and value in interning order before any edge or belief, so the
@@ -20,7 +33,7 @@
 
 use crate::network::TrustNetwork;
 use crate::signed::{ExplicitBelief, NegSet};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A format error with line information.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,31 +52,88 @@ impl fmt::Display for FormatError {
 
 impl std::error::Error for FormatError {}
 
+/// What a character of a line is to the tokenizer.
+#[derive(Clone, Copy, PartialEq)]
+enum Class {
+    /// Separates tokens: exactly the characters of [`char::is_whitespace`].
+    Space,
+    /// `#`: the line ends here.
+    Comment,
+    /// Anything else: part of a token.
+    Token,
+}
+
+/// The end of the run of `class` characters of `s` that starts at byte
+/// `from`. ASCII bytes are classified directly; only a non-ASCII
+/// character is decoded and asked [`char::is_whitespace`].
+fn run_end(s: &str, from: usize, class: Class) -> usize {
+    let bytes = s.as_bytes();
+    let mut i = from;
+    while i < bytes.len() {
+        let (found, len) = match bytes[i] {
+            b'\t'..=b'\r' | b' ' => (Class::Space, 1),
+            b'#' => (Class::Comment, 1),
+            0..=0x7f => (Class::Token, 1),
+            // `i` advances by whole characters, so it is on a boundary.
+            _ => {
+                let c = s[i..].chars().next().expect("i < len");
+                let found = if c.is_whitespace() {
+                    Class::Space
+                } else {
+                    Class::Token
+                };
+                (found, c.len_utf8())
+            }
+        };
+        if found != class {
+            break;
+        }
+        i += len;
+    }
+    i
+}
+
+/// The tokens of one line up to its comment, with the token boundaries
+/// of `str::split_whitespace` over the text before the first `#`.
+struct Tokens<'a> {
+    rest: &'a str,
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let start = run_end(self.rest, 0, Class::Space);
+        let end = run_end(self.rest, start, Class::Token);
+        if start == end {
+            // End of the line, or of its content at a `#`.
+            self.rest = "";
+            return None;
+        }
+        let token = &self.rest[start..end];
+        self.rest = &self.rest[end..];
+        Some(token)
+    }
+}
+
 /// Parses the text format into a network.
+///
+/// One pass over the bytes: names are interned straight from slices of
+/// `text`, and nothing is allocated per line.
 pub fn parse_network(text: &str) -> Result<TrustNetwork, FormatError> {
     let mut net = TrustNetwork::new();
-    for (i, raw) in text.lines().enumerate() {
+    for (i, raw) in text.split('\n').enumerate() {
         let line = i + 1;
-        let content = raw.split('#').next().unwrap_or("").trim();
-        if content.is_empty() {
+        let mut parts = Tokens { rest: raw };
+        let Some(verb) = parts.next() else {
             continue;
-        }
-        let mut parts = content.split_whitespace();
-        let verb = parts.next().expect("nonempty line");
+        };
         let err = |message: String| FormatError { line, message };
+        let mut need = |what: &str| parts.next().ok_or_else(|| err(what.into()));
         match verb {
             "trust" => {
-                let (child, parent, prio) = (
-                    parts
-                        .next()
-                        .ok_or_else(|| err("trust needs: child parent priority".into()))?,
-                    parts
-                        .next()
-                        .ok_or_else(|| err("trust needs: child parent priority".into()))?,
-                    parts
-                        .next()
-                        .ok_or_else(|| err("trust needs: child parent priority".into()))?,
-                );
+                let what = "trust needs: child parent priority";
+                let (child, parent, prio) = (need(what)?, need(what)?, need(what)?);
                 let priority: i64 = prio
                     .parse()
                     .map_err(|_| err(format!("bad priority `{prio}`")))?;
@@ -72,27 +142,15 @@ pub fn parse_network(text: &str) -> Result<TrustNetwork, FormatError> {
                 net.trust(c, p, priority).map_err(|e| err(e.to_string()))?;
             }
             "believe" => {
-                let (user, value) = (
-                    parts
-                        .next()
-                        .ok_or_else(|| err("believe needs: user value".into()))?,
-                    parts
-                        .next()
-                        .ok_or_else(|| err("believe needs: user value".into()))?,
-                );
+                let what = "believe needs: user value";
+                let (user, value) = (need(what)?, need(what)?);
                 let u = net.user(user);
                 let v = net.value(value);
                 net.believe(u, v).map_err(|e| err(e.to_string()))?;
             }
             "reject" => {
-                let (user, values) = (
-                    parts
-                        .next()
-                        .ok_or_else(|| err("reject needs: user v1,v2,…".into()))?,
-                    parts
-                        .next()
-                        .ok_or_else(|| err("reject needs: user v1,v2,…".into()))?,
-                );
+                let what = "reject needs: user v1,v2,…";
+                let (user, values) = (need(what)?, need(what)?);
                 let u = net.user(user);
                 let vs: Vec<_> = values
                     .split(',')
@@ -106,16 +164,10 @@ pub fn parse_network(text: &str) -> Result<TrustNetwork, FormatError> {
                     .map_err(|e| err(e.to_string()))?;
             }
             "value" => {
-                let name = parts
-                    .next()
-                    .ok_or_else(|| err("value needs a name".into()))?;
-                net.value(name);
+                net.value(need("value needs a name")?);
             }
             "user" => {
-                let name = parts
-                    .next()
-                    .ok_or_else(|| err("user needs a name".into()))?;
-                net.user(name);
+                net.user(need("user needs a name")?);
             }
             other => {
                 return Err(err(format!(
@@ -124,10 +176,7 @@ pub fn parse_network(text: &str) -> Result<TrustNetwork, FormatError> {
             }
         }
         if let Some(extra) = parts.next() {
-            return Err(FormatError {
-                line,
-                message: format!("unexpected trailing token `{extra}`"),
-            });
+            return Err(err(format!("unexpected trailing token `{extra}`")));
         }
     }
     Ok(net)
@@ -146,44 +195,38 @@ pub fn parse_network(text: &str) -> Result<TrustNetwork, FormatError> {
 /// the binary network codec of `trustmap-store` and only writes this
 /// rendering as a debug artifact when it is faithful.
 pub fn render_network(net: &TrustNetwork) -> String {
-    let mut out = String::new();
+    // One buffer, sized for short names (`user u123456` is 12 bytes,
+    // `trust u123456 u234567 50` is 24); `write!` into a `String` cannot
+    // fail.
+    let mut out = String::with_capacity(
+        16 * (net.user_count() + net.domain().len()) + 24 * net.mapping_count(),
+    );
+    let users = |u| net.user_name(u);
+    let values = |v| net.domain().name(v);
     for u in net.users() {
-        out.push_str(&format!("user {}\n", net.user_name(u)));
+        let _ = writeln!(out, "user {}", users(u));
     }
     for v in net.domain().values() {
-        out.push_str(&format!("value {}\n", net.domain().name(v)));
+        let _ = writeln!(out, "value {}", values(v));
     }
     for m in net.mappings() {
-        out.push_str(&format!(
-            "trust {} {} {}\n",
-            net.user_name(m.child),
-            net.user_name(m.parent),
-            m.priority
-        ));
+        let (child, parent) = (users(m.child), users(m.parent));
+        let _ = writeln!(out, "trust {child} {parent} {}", m.priority);
     }
     for u in net.users() {
         match net.belief(u) {
             ExplicitBelief::None => {}
             ExplicitBelief::Pos(v) => {
-                out.push_str(&format!(
-                    "believe {} {}\n",
-                    net.user_name(u),
-                    net.domain().name(*v)
-                ));
+                let _ = writeln!(out, "believe {} {}", users(u), values(*v));
             }
             ExplicitBelief::Negs(neg) => {
-                let values: Vec<&str> = net
-                    .domain()
-                    .values()
-                    .filter(|&v| neg.contains(v))
-                    .map(|v| net.domain().name(v))
-                    .collect();
-                if !values.is_empty() {
-                    out.push_str(&format!(
-                        "reject {} {}\n",
-                        net.user_name(u),
-                        values.join(",")
-                    ));
+                let mut rejected = net.domain().values().filter(|&v| neg.contains(v));
+                if let Some(first) = rejected.next() {
+                    let _ = write!(out, "reject {} {}", users(u), values(first));
+                    for v in rejected {
+                        let _ = write!(out, ",{}", values(v));
+                    }
+                    out.push('\n');
                 }
             }
         }
@@ -275,6 +318,26 @@ mod tests {
         assert_eq!(net2.domain().get("spare"), Some(spare));
         assert_eq!(net2.domain().get("v"), Some(v));
         assert_eq!(render_network(&net), render_network(&net2));
+    }
+
+    #[test]
+    fn renders_the_shipped_example_byte_for_byte() {
+        let net = parse_network(include_str!("../../../examples/indus.tn")).unwrap();
+        assert_eq!(
+            render_network(&net),
+            "user Alice\nuser Bob\nuser Charlie\nvalue fish\nvalue knot\n\
+             trust Alice Bob 100\ntrust Alice Charlie 50\ntrust Bob Alice 80\n\
+             believe Bob fish\nbelieve Charlie knot\n"
+        );
+        // Constraints render as one comma-joined line, values in id order;
+        // an empty constraint renders as nothing.
+        let mut net = parse_network("value a\nvalue b\nvalue c\nreject x c,a\nuser y").unwrap();
+        let y = net.find_user("y").unwrap();
+        net.reject(y, NegSet::empty()).unwrap();
+        assert_eq!(
+            render_network(&net),
+            "user x\nuser y\nvalue a\nvalue b\nvalue c\nreject x a,c\n"
+        );
     }
 
     #[test]

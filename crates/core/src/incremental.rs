@@ -368,7 +368,7 @@ impl IncrementalResolver {
         // Capture pre-solve certain beliefs of every user in the region.
         let mut before: Vec<(User, Option<Value>)> = Vec::new();
         for &x in &self.dirty_list {
-            if let Some(u) = self.delta.btn.origin[x as usize] {
+            if let Some(u) = self.delta.btn.origin(x) {
                 let set = &self.poss[x as usize];
                 before.push((u, if set.len() == 1 { Some(set[0]) } else { None }));
             }

@@ -13,6 +13,9 @@
 //!
 //! * [`network`] — the trust-network model (users, values, mappings,
 //!   explicit beliefs);
+//! * [`names`] — the arena name table every user and value name is
+//!   stored in exactly once, shared by handle with binarized networks
+//!   and published epochs;
 //! * [`binary`] — binarization to the two-parent normal form
 //!   (Proposition 2.8);
 //! * [`resolution`] — Algorithm 1 as printed (round-looping Step 1 /
@@ -124,6 +127,7 @@ pub mod format;
 pub mod gates;
 pub mod incremental;
 pub mod lineage;
+pub mod names;
 pub mod network;
 pub mod pairs;
 pub mod paradigm;
@@ -140,13 +144,14 @@ pub mod stable_signed;
 pub mod user;
 pub mod value;
 
-pub use binary::{binarize, Btn, Parents};
+pub use binary::{binarize, Btn, NodeName, Parents};
 pub use durability::Durability;
 pub use epoch::{EpochNames, EpochReader, EpochSlot, EpochView};
 pub use error::{Error, Result};
 pub use exact::{ExactCounters, ExactEngine, ExactUserResolution};
 pub use format::{parse_network, render_network, FormatError};
 pub use incremental::{DeltaStats, Edit, IncrementalResolver};
+pub use names::NameTable;
 pub use network::{Mapping, TrustNetwork};
 pub use paradigm::Paradigm;
 pub use parallel::{resolve_network_parallel, resolve_parallel, ParOptions, PlannedResolver};

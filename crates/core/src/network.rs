@@ -11,10 +11,13 @@
 //! users are incomparable).
 
 use crate::error::{Error, Result};
+use crate::names::NameTable;
 use crate::signed::{ExplicitBelief, NegSet};
 use crate::user::User;
 use crate::value::{Domain, Value};
 use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::sync::Arc;
 use trustmap_graph::DiGraph;
 
 /// A priority trust mapping `m = (parent, priority, child)` (Definition 2.2):
@@ -33,8 +36,9 @@ pub struct Mapping {
 #[derive(Debug, Clone, Default)]
 pub struct TrustNetwork {
     domain: Domain,
-    user_names: Vec<String>,
-    user_index: HashMap<String, User>,
+    /// Every user name, once; shared with binarized forms and published
+    /// epochs and copied only when a new user arrives while they hold it.
+    users: Arc<NameTable>,
     mappings: Vec<Mapping>,
     /// Position of each (child, parent) edge in `mappings`, so re-declaring
     /// a mapping updates its priority in place instead of accumulating
@@ -55,29 +59,34 @@ impl TrustNetwork {
 
     /// Adds (or finds) a user by name.
     pub fn user(&mut self, name: &str) -> User {
-        if let Some(&u) = self.user_index.get(name) {
-            return u;
-        }
-        let u = User(self.user_names.len() as u32);
-        self.user_names.push(name.to_owned());
-        self.user_index.insert(name.to_owned(), u);
-        self.beliefs.push(ExplicitBelief::None);
-        u
-    }
-
-    /// Adds `count` anonymous users (named `u<N>`), returning the first id.
-    ///
-    /// Used by the synthetic workload generators where names don't matter.
-    pub fn add_users(&mut self, count: usize) -> User {
-        let first = self.user_names.len() as u32;
-        for i in 0..count {
-            let name = format!("u{}", first as usize + i);
-            let u = User(self.user_names.len() as u32);
-            self.user_names.push(name.clone());
-            self.user_index.insert(name, u);
+        let id = NameTable::intern_shared(&mut self.users, name);
+        if id as usize == self.beliefs.len() {
             self.beliefs.push(ExplicitBelief::None);
         }
-        User(first)
+        User(id)
+    }
+
+    /// Adds `count` anonymous users, returning the first id (the rest
+    /// follow consecutively).
+    ///
+    /// User `N` is named `u<N>` unless a user of that name already exists
+    /// (`net.user("u1")` before `add_users(2)`): minting then skips to the
+    /// next free `u<k>`, so every call creates exactly `count` new users
+    /// and [`TrustNetwork::find_user`] / [`TrustNetwork::user_name`] stay
+    /// inverse bijections. Used by the synthetic workload generators where
+    /// names don't matter.
+    pub fn add_users(&mut self, count: usize) -> User {
+        let first = self.user_count();
+        let mut name = String::new();
+        let mut k = first;
+        while self.user_count() < first + count {
+            name.clear();
+            write!(name, "u{k}").expect("writing to a String");
+            // Interning a name that exists adds nobody: try the next one.
+            self.user(&name);
+            k += 1;
+        }
+        User(first as u32)
     }
 
     /// Interns a data value by name.
@@ -149,7 +158,7 @@ impl TrustNetwork {
 
     /// Number of users (`|U|`).
     pub fn user_count(&self) -> usize {
-        self.user_names.len()
+        self.users.len()
     }
 
     /// Number of trust mappings (`|E|`).
@@ -189,12 +198,25 @@ impl TrustNetwork {
 
     /// The user's name.
     pub fn user_name(&self, user: User) -> &str {
-        &self.user_names[user.index()]
+        self.users.name(user.0)
     }
 
     /// Looks up a user by name.
     pub fn find_user(&self, name: &str) -> Option<User> {
-        self.user_index.get(name).copied()
+        self.users.get(name).map(User)
+    }
+
+    /// Bytes the user and value name tables occupy
+    /// ([`NameTable::table_bytes`] of both) — every name is stored in
+    /// exactly one of them.
+    pub fn name_table_bytes(&self) -> usize {
+        self.users.table_bytes() + self.domain.names().table_bytes()
+    }
+
+    /// The table holding every user name, for sharing with binarized
+    /// forms and frozen views.
+    pub(crate) fn user_names(&self) -> &Arc<NameTable> {
+        &self.users
     }
 
     /// The value domain.
@@ -385,6 +407,35 @@ mod tests {
         assert_eq!(net.user_count(), 3);
         // Names are addressable.
         assert_eq!(net.find_user("u1"), Some(User(1)));
+    }
+
+    #[test]
+    fn add_users_skips_names_that_exist() {
+        let mut net = TrustNetwork::new();
+        let named = net.user("u1");
+        let first = net.add_users(2);
+        assert_eq!((named, first), (User(0), User(1)));
+        assert_eq!(net.user_count(), 3);
+        // `u1` was taken: minting moved on to the next free names.
+        assert_eq!(net.user_name(User(1)), "u2");
+        assert_eq!(net.user_name(User(2)), "u3");
+        // A later call starts at its own first id and skips again.
+        assert_eq!(net.add_users(1), User(3));
+        assert_eq!(net.user_name(User(3)), "u4");
+        for u in net.users() {
+            assert_eq!(net.find_user(net.user_name(u)), Some(u));
+        }
+        // Every id keeps its meaning through the text format.
+        net.trust(User(1), User(0), 5).unwrap();
+        net.trust(User(3), User(2), 7).unwrap();
+        let text = crate::format::render_network(&net);
+        let back = crate::format::parse_network(&text).unwrap();
+        assert_eq!(back.user_count(), 4);
+        for u in net.users() {
+            assert_eq!(back.user_name(u), net.user_name(u));
+        }
+        assert_eq!(back.mappings(), net.mappings());
+        assert_eq!(crate::format::render_network(&back), text);
     }
 
     #[test]

@@ -160,8 +160,6 @@ pub struct Session {
     /// The view published for the current state, reused verbatim while no
     /// edits intervene (publishing a quiet session renders nothing).
     published: Option<Arc<EpochView>>,
-    /// Name tables shared across epochs until a new user/value interns.
-    names_cache: Option<Arc<EpochNames>>,
     /// Exact certain-belief maintenance ([`Session::enable_exact`]),
     /// patched per dirty region alongside the live engine.
     exact: ExactSlot,
@@ -188,7 +186,6 @@ impl Clone for Session {
             durability: None,
             epochs: Arc::new(EpochSlot::new()),
             published: None,
-            names_cache: self.names_cache.clone(),
             exact: self.exact.clone(),
         }
     }
@@ -209,7 +206,6 @@ impl Session {
             durability: None,
             epochs: Arc::new(EpochSlot::new()),
             published: None,
-            names_cache: None,
             exact: ExactSlot::Off,
         }
     }
@@ -925,19 +921,7 @@ impl Session {
                 return Ok(Arc::clone(view));
             }
         }
-        let names = match self.names_cache.as_ref() {
-            Some(n)
-                if n.user_count() == self.net.user_count()
-                    && n.value_count() == self.net.domain().len() =>
-            {
-                Arc::clone(n)
-            }
-            _ => {
-                let n = Arc::new(EpochNames::of(&self.net));
-                self.names_cache = Some(Arc::clone(&n));
-                n
-            }
-        };
+        let names = EpochNames::of(&self.net);
         // Exact mode publishes its user-indexed table alongside the
         // approximate snapshot, so `CERT … EXACT` reads serve from the
         // same immutable view (leader and replica alike).

@@ -304,7 +304,7 @@ impl SkepticIncremental {
         // Capture pre-solve certain positives of every user in the region.
         let mut before: Vec<(User, Option<Value>)> = Vec::new();
         for &x in &self.dirty_list {
-            if let Some(u) = self.delta.btn.origin[x as usize] {
+            if let Some(u) = self.delta.btn.origin(x) {
                 before.push((u, self.rep[x as usize].cert_positive()));
             }
         }
@@ -333,7 +333,7 @@ impl SkepticIncremental {
                 self.delta.btn.parents[x as usize],
                 crate::binary::Parents::Tied(..)
             ) {
-                let user = self.delta.btn.origin[x as usize].unwrap_or(User(x));
+                let user = self.delta.btn.origin(x).unwrap_or(User(x));
                 return Err(Error::TiesUnsupported(user));
             }
         }

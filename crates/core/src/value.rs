@@ -5,8 +5,9 @@
 //! dense `u32` ids so that belief sets are small integer sets even on the
 //! million-node networks of the experiments.
 
-use std::collections::HashMap;
+use crate::names::NameTable;
 use std::fmt;
+use std::sync::Arc;
 
 /// An interned data value (index into a [`Domain`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -30,10 +31,12 @@ impl fmt::Display for Value {
 ///
 /// The domain `D` of the paper; every network owns one. Names are optional:
 /// synthetic workloads can mint anonymous values with [`Domain::fresh`].
+///
+/// Cloning a domain shares its [`NameTable`]; the table is copied only
+/// when one of the clones interns a value the other has not seen.
 #[derive(Debug, Clone, Default)]
 pub struct Domain {
-    names: Vec<String>,
-    index: HashMap<String, Value>,
+    names: Arc<NameTable>,
 }
 
 impl Domain {
@@ -44,13 +47,7 @@ impl Domain {
 
     /// Interns `name`, returning the existing id if already present.
     pub fn intern(&mut self, name: &str) -> Value {
-        if let Some(&v) = self.index.get(name) {
-            return v;
-        }
-        let v = Value(self.names.len() as u32);
-        self.names.push(name.to_owned());
-        self.index.insert(name.to_owned(), v);
-        v
+        Value(NameTable::intern_shared(&mut self.names, name))
     }
 
     /// Mints a fresh anonymous value (named `_N`).
@@ -61,7 +58,7 @@ impl Domain {
 
     /// Looks up a value by name without interning.
     pub fn get(&self, name: &str) -> Option<Value> {
-        self.index.get(name).copied()
+        self.names.get(name).map(Value)
     }
 
     /// The name of `v`.
@@ -69,7 +66,12 @@ impl Domain {
     /// # Panics
     /// Panics if `v` does not belong to this domain.
     pub fn name(&self, v: Value) -> &str {
-        &self.names[v.index()]
+        self.names.name(v.0)
+    }
+
+    /// The table holding every value name, for sharing with frozen views.
+    pub(crate) fn names(&self) -> &Arc<NameTable> {
+        &self.names
     }
 
     /// Number of distinct values.

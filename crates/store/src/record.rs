@@ -285,15 +285,16 @@ impl<'a> Reader<'a> {
         self.u64().map(|v| v as i64)
     }
 
-    pub(crate) fn bytes(&mut self) -> Option<Vec<u8>> {
+    /// A length-prefixed byte string, borrowed from the input.
+    pub(crate) fn bytes(&mut self) -> Option<&'a [u8]> {
         let len = self.u32()? as usize;
         let s = self.bytes.get(self.pos..self.pos.checked_add(len)?)?;
         self.pos += len;
-        Some(s.to_vec())
+        Some(s)
     }
 
-    pub(crate) fn str(&mut self) -> Option<String> {
-        String::from_utf8(self.bytes()?).ok()
+    pub(crate) fn str(&mut self) -> Option<&'a str> {
+        std::str::from_utf8(self.bytes()?).ok()
     }
 
     pub(crate) fn negset(&mut self) -> Option<NegSet> {
@@ -323,8 +324,8 @@ fn decode_body(body: &[u8]) -> Option<Record> {
     let lsn = r.u64()?;
     let kind = r.u8()?;
     let payload = match kind {
-        K_NEW_USER => Payload::NewUser(r.str()?),
-        K_NEW_VALUE => Payload::NewValue(r.str()?),
+        K_NEW_USER => Payload::NewUser(r.str()?.to_owned()),
+        K_NEW_VALUE => Payload::NewValue(r.str()?.to_owned()),
         K_BELIEVE => Payload::Edit(SignedEdit::Believe(User(r.u32()?), Value(r.u32()?))),
         K_REVOKE => Payload::Edit(SignedEdit::Revoke(User(r.u32()?))),
         K_TRUST => Payload::Edit(SignedEdit::Trust {
@@ -336,7 +337,7 @@ fn decode_body(body: &[u8]) -> Option<Record> {
             let user = User(r.u32()?);
             Payload::Edit(SignedEdit::Reject(user, r.negset()?))
         }
-        K_REWRITE => Payload::Rewrite(r.bytes()?),
+        K_REWRITE => Payload::Rewrite(r.bytes()?.to_vec()),
         K_COMMIT => Payload::Commit { records: r.u32()? },
         _ => return None,
     };

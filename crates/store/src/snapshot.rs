@@ -101,11 +101,11 @@ pub(crate) fn decode_net(r: &mut Reader<'_>) -> Option<TrustNetwork> {
     let mut net = TrustNetwork::new();
     let users = r.u32()? as usize;
     for _ in 0..users {
-        net.user(&r.str()?);
+        net.user(r.str()?);
     }
     let values = r.u32()? as usize;
     for _ in 0..values {
-        net.value(&r.str()?);
+        net.value(r.str()?);
     }
     let mappings = r.u32()? as usize;
     for _ in 0..mappings {

@@ -98,7 +98,7 @@ fn main() -> trustmap::Result<()> {
     )?;
     let lin = res.lineage().expect("lineage requested");
     if let Some(chain) = lin.trace(btn.node_of(alice), cow) {
-        let names: Vec<&str> = chain.iter().map(|&n| btn.name(n)).collect();
+        let names: Vec<String> = chain.iter().map(|&n| btn.name(n).to_string()).collect();
         println!("\nLineage of Alice's `cow`: {}", names.join(" ← "));
     }
     Ok(())

@@ -47,8 +47,10 @@
 
 #![forbid(unsafe_code)]
 
+use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 use trustmap::format::parse_network;
+use trustmap::plan::QueryRow;
 use trustmap::prelude::*;
 use trustmap::relstore::parse_query;
 use trustmap::store::{record::Payload, scan_store_wal, Store};
@@ -100,8 +102,12 @@ fn run(args: &[String]) -> std::result::Result<(), String> {
     }
 
     let path = args.get(1).ok_or("missing network file")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let net = parse_network(&text).map_err(|e| format!("{path}: {e}"))?;
+    // The file's text is dead weight once parsed (the network owns its
+    // names): free it before the command allocates its own tables.
+    let net = {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        parse_network(&text).map_err(|e| format!("{path}: {e}"))?
+    };
 
     match command.as_str() {
         "resolve" => cmd_resolve(&net),
@@ -120,6 +126,25 @@ fn run(args: &[String]) -> std::result::Result<(), String> {
         "explain" => cmd_query(&net, &args[2..], true),
         other => Err(format!("unknown command `{other}`")),
     }
+}
+
+/// Prints one table through a buffered, locked stdout: a row is a
+/// `memcpy`, not a lock and a `write(2)` (std's stdout flushes per line
+/// even into a file). A reader that went away (`trustmap resolve big.tn |
+/// head`) ends the command quietly; any other write error is reported.
+fn print_table(
+    table: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> std::result::Result<(), String> {
+    let mut out = BufWriter::with_capacity(1 << 16, io::stdout().lock());
+    match table(&mut out).and_then(|()| out.flush()) {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+        result => result.map_err(|e| format!("stdout: {e}")),
+    }
+}
+
+/// The `{:?}` rendering of a list of value names.
+fn names<'a>(net: &'a TrustNetwork, values: &[trustmap::Value]) -> Vec<&'a str> {
+    values.iter().map(|&v| net.domain().name(v)).collect()
 }
 
 /// `trustmap query <file> <query…>` and `trustmap explain <file>
@@ -151,24 +176,35 @@ fn cmd_query(
         return Ok(());
     }
     let result = session.query(&query).map_err(|e| e.to_string())?;
-    println!("{:<16} {:<14} possible", "user", "certain");
-    for row in &result.rows {
-        let cert = row
-            .cert
-            .map(|v| net.domain().name(v).to_owned())
-            .unwrap_or_else(|| "-".into());
-        let poss: Vec<&str> = row.poss.iter().map(|&v| net.domain().name(v)).collect();
-        println!("{:<16} {:<14} {:?}", net.user_name(row.user), cert, poss);
+    print_table(|out| {
+        writeln!(out, "{:<16} {:<14} possible", "user", "certain")?;
+        write_rows(out, net, &result.rows)?;
+        writeln!(
+            out,
+            "plan: {}{}",
+            result.report.strategy,
+            if result.report.forced {
+                " (forced)"
+            } else {
+                ""
+            }
+        )
+    })
+}
+
+/// One line per query row: user, certain value (or `-`), possible values.
+fn write_rows(out: &mut dyn Write, net: &TrustNetwork, rows: &[QueryRow]) -> io::Result<()> {
+    for row in rows {
+        let cert = row.cert.map_or("-", |v| net.domain().name(v));
+        let poss = names(net, &row.poss);
+        writeln!(
+            out,
+            "{:<16} {:<14} {:?}",
+            net.user_name(row.user),
+            cert,
+            poss
+        )?;
     }
-    println!(
-        "plan: {}{}",
-        result.report.strategy,
-        if result.report.forced {
-            " (forced)"
-        } else {
-            ""
-        }
-    );
     Ok(())
 }
 
@@ -502,48 +538,49 @@ fn cmd_follow(dir: &str, rest: &[String]) -> std::result::Result<(), String> {
 
 fn cmd_resolve(net: &TrustNetwork) -> std::result::Result<(), String> {
     let r = trustmap::parallel::resolve_network_parallel(net, 1).map_err(|e| e.to_string())?;
-    println!("{:<16} {:<14} possible", "user", "certain");
-    for u in net.users() {
-        let cert = r
-            .cert(u)
-            .map(|v| net.domain().name(v).to_owned())
-            .unwrap_or_else(|| {
-                if r.poss(u).is_empty() {
-                    "-".into()
-                } else {
-                    "(conflict)".into()
-                }
-            });
-        let poss: Vec<&str> = r.poss(u).iter().map(|&v| net.domain().name(v)).collect();
-        println!("{:<16} {:<14} {:?}", net.user_name(u), cert, poss);
-    }
-    Ok(())
+    print_table(|out| {
+        writeln!(out, "{:<16} {:<14} possible", "user", "certain")?;
+        for u in net.users() {
+            let cert = match r.cert(u) {
+                Some(v) => net.domain().name(v),
+                None if r.poss(u).is_empty() => "-",
+                None => "(conflict)",
+            };
+            let poss = names(net, r.poss(u));
+            writeln!(out, "{:<16} {:<14} {:?}", net.user_name(u), cert, poss)?;
+        }
+        Ok(())
+    })
 }
 
 fn cmd_skeptic(net: &TrustNetwork) -> std::result::Result<(), String> {
     let btn = binarize(net);
     let sk = resolve_skeptic_parallel(&btn, 1).map_err(|e| e.to_string())?;
-    println!(
-        "{:<16} {:<24} possible positives",
-        "user", "certain beliefs"
-    );
-    for u in net.users() {
-        let node = btn.node_of(u);
-        let cert = sk.cert(node);
-        let pos: Vec<&str> = sk
-            .rep_poss(node)
-            .pos
-            .iter()
-            .map(|&v| net.domain().name(v))
-            .collect();
-        println!(
-            "{:<16} {:<24} {:?}",
-            net.user_name(u),
-            cert.display(net.domain()).to_string(),
-            pos
-        );
-    }
-    Ok(())
+    print_table(|out| {
+        writeln!(
+            out,
+            "{:<16} {:<24} possible positives",
+            "user", "certain beliefs"
+        )?;
+        for u in net.users() {
+            let node = btn.node_of(u);
+            let cert = sk.cert(node);
+            let pos: Vec<&str> = sk
+                .rep_poss(node)
+                .pos
+                .iter()
+                .map(|&v| net.domain().name(v))
+                .collect();
+            writeln!(
+                out,
+                "{:<16} {:<24} {:?}",
+                net.user_name(u),
+                cert.display(net.domain()).to_string(),
+                pos
+            )?;
+        }
+        Ok(())
+    })
 }
 
 /// Certain beliefs per user, routed through [`Session::query`] so the
@@ -566,16 +603,10 @@ fn cmd_cert(net: &TrustNetwork, exact: bool) -> std::result::Result<(), String> 
     } else {
         ("certain", "possible positives")
     };
-    println!("{:<16} {:<14} {poss_head}", "user", cert_head);
-    for row in &result.rows {
-        let cert = row
-            .cert
-            .map(|v| net.domain().name(v).to_owned())
-            .unwrap_or_else(|| "-".into());
-        let poss: Vec<&str> = row.poss.iter().map(|&v| net.domain().name(v)).collect();
-        println!("{:<16} {:<14} {:?}", net.user_name(row.user), cert, poss);
-    }
-    Ok(())
+    print_table(|out| {
+        writeln!(out, "{:<16} {:<14} {poss_head}", "user", cert_head)?;
+        write_rows(out, net, &result.rows)
+    })
 }
 
 fn cmd_paradigm(net: &TrustNetwork, which: Option<&str>) -> std::result::Result<(), String> {
@@ -634,7 +665,7 @@ fn cmd_lineage(net: &TrustNetwork, user: &str, value: &str) -> std::result::Resu
     let lineage = res.lineage().expect("requested");
     match lineage.trace(btn.node_of(u), v) {
         Some(chain) => {
-            let names: Vec<&str> = chain.iter().map(|&n| btn.name(n)).collect();
+            let names: Vec<String> = chain.iter().map(|&n| btn.name(n).to_string()).collect();
             println!("{}", names.join(" ← "));
             Ok(())
         }

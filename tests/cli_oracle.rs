@@ -115,6 +115,61 @@ fn resolve_and_skeptic_print_the_reference_rows() {
     }
 }
 
+/// `trustmap resolve big.tn | head -1`: the reader takes one row and goes
+/// away. Every table printer must end quietly on the closed pipe — no
+/// panic (exit 101), no signal, no `error:` line, no usage banner.
+#[test]
+fn table_printers_end_quietly_when_the_reader_goes_away() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    // ~1 MB of rows: far more than a pipe and the CLI's buffer hold, so
+    // the printer is still writing when the pipe closes.
+    let net = power_law(25_000, 3, 4, 0.1, 7).net;
+    let path = write_net("closed-pipe", &net);
+    let file = path.to_str().expect("utf-8 temp path");
+    let commands: [&[&str]; 4] = [
+        &["resolve", file],
+        &["skeptic", file],
+        &["cert", file],
+        &["query", file, "POSS", "*"],
+    ];
+    for args in commands {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_trustmap"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn trustmap");
+        let mut rows = BufReader::with_capacity(64, child.stdout.take().expect("piped stdout"));
+        let mut header = String::new();
+        rows.read_line(&mut header).expect("one row");
+        assert!(header.starts_with("user "), "{args:?}: {header:?}");
+        drop(rows); // closes the read end
+        let mut stderr = String::new();
+        child
+            .stderr
+            .take()
+            .expect("piped stderr")
+            .read_to_string(&mut stderr)
+            .expect("utf-8 stderr");
+        let status = child.wait().expect("trustmap exits");
+        assert_eq!(stderr, "", "{args:?}");
+        assert_eq!(status.code(), Some(0), "{args:?}: {status:?}");
+    }
+    // Only the closed pipe is quiet: a full disk is still an error.
+    if let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") {
+        let out = Command::new(env!("CARGO_BIN_EXE_trustmap"))
+            .args(["resolve", file])
+            .stdout(full)
+            .output()
+            .expect("spawn trustmap");
+        assert!(!out.status.success());
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        assert!(stderr.starts_with("error: stdout: "), "{stderr}");
+    }
+    let _ = std::fs::remove_file(path);
+}
+
 #[test]
 fn skeptic_rejects_ties_with_the_reference_error() {
     let mut net = TrustNetwork::new();

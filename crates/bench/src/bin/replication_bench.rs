@@ -27,20 +27,33 @@
 //!   attempts, corrupt chunks as CRC rejects, and the follower still
 //!   lands byte-identical.
 //!
+//! * **ack → visible** — a leader `Server` and a follower pulling over
+//!   real TCP (`TcpTransport`, `FollowConfig::default()`), 30 idle
+//!   write-then-pinned-read probes: the time from a write's ack to a
+//!   `CERT … @<lsn>` on the replica answering, p50 and p90, and the
+//!   `SHIP` requests the follower sent per commit.
+//!
 //! Equality gates (asserted, not just reported): retention arithmetic
 //! balances at every snapshot; no sealed segment survives wholly below
 //! the final watermark; both followers' segment files are byte-identical
 //! to the leader's committed log; both replicas render the leader's
 //! exact network; the chaos run injected faults, rejected at least one
-//! corrupt chunk, and rode out at least one transport error.
+//! corrupt chunk, and rode out at least one transport error. One loose
+//! clock gate: ack → visible p50 under 50 ms. A follower that sleeps out
+//! its 100 ms poll fails it (each idle probe lands just after the
+//! follower went back to sleep); one whose caught-up `SHIP` is parked
+//! until the next commit reads far below a millisecond.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 use trustmap::format::render_network;
+use trustmap::serve::{Frontend, Reply, ServeConfig, Server, TcpTransport};
 use trustmap::store::{
-    committed_log, FaultPlan, FaultyTransport, Follower, LocalTransport, Recovered, Step, Store,
-    StoreOptions,
+    committed_log, FaultPlan, FaultyTransport, FollowConfig, Follower, LocalTransport, Recovered,
+    ShipRequest, ShipResponse, ShipTransport, SnapshotBlob, Step, Store, StoreOptions, WriteOp,
 };
 use trustmap::workloads::power_law;
 use trustmap_core::signed::ExplicitBelief;
@@ -317,6 +330,115 @@ fn measure(cfg: &Config) -> Row {
     row
 }
 
+/// Write-then-pinned-read probes of the `visible` block.
+const PROBES: usize = 30;
+
+/// The acceptance bound on ack → visible p50: half the follower's
+/// default poll, two orders of magnitude above a follower woken by the
+/// commit.
+const VISIBLE_P50_MAX_US: f64 = 50_000.0;
+
+struct Visible {
+    p50_us: f64,
+    p90_us: f64,
+    ships_per_commit: f64,
+}
+
+/// A transport that counts the `SHIP` requests it sends.
+struct CountShips<T> {
+    inner: T,
+    ships: Arc<AtomicU64>,
+}
+
+impl<T: ShipTransport> ShipTransport for CountShips<T> {
+    fn ship(&mut self, req: &ShipRequest) -> trustmap_core::Result<ShipResponse> {
+        self.ships.fetch_add(1, Ordering::Relaxed);
+        self.inner.ship(req)
+    }
+
+    fn fetch_snapshot(&mut self) -> trustmap_core::Result<SnapshotBlob> {
+        self.inner.fetch_snapshot()
+    }
+}
+
+/// Nearest-rank percentile of sorted samples.
+fn percentile(sorted: &[f64], q: f64) -> f64 {
+    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
+}
+
+/// Ack → visible over real TCP on an otherwise idle pair: each probe
+/// writes on the leader, then reads `CERT <user> @<ack lsn>` on a replica
+/// frontend over the follower's epoch slot, and times ack → answer.
+fn visibility() -> Visible {
+    let ldir = fresh_dir("visible-leader");
+    let fdir = fresh_dir("visible-follower");
+    let recovered = Store::open(&ldir).expect("fresh leader");
+    let store = recovered.store.clone();
+    let config = ServeConfig::default();
+    let leader = Arc::new(Frontend::new(
+        recovered.session,
+        Some(store.clone()),
+        &config,
+    ));
+    let server = Server::start(Arc::clone(&leader), "127.0.0.1:0", &config).expect("bind");
+    let mut follower = Follower::open(&fdir).expect("fresh follower");
+    let replica = Frontend::replica(follower.epoch_slot(), &config);
+    let mut reader = replica.reader();
+    let stop = Arc::new(AtomicBool::new(false));
+    let ships = Arc::new(AtomicU64::new(0));
+    let runner = {
+        let (stop, ships) = (Arc::clone(&stop), Arc::clone(&ships));
+        let inner = TcpTransport::new(server.addr().to_string());
+        std::thread::spawn(move || {
+            let mut transport = CountShips { inner, ships };
+            follower.run(&mut transport, &FollowConfig::default(), &stop);
+        })
+    };
+    let mut probe = |i: usize| {
+        let user = format!("u{}", i % 8);
+        let ack = leader
+            .write(WriteOp::Believe {
+                user: user.clone(),
+                value: format!("v{}", i % 3),
+            })
+            .expect("durable write");
+        let acked = Instant::now();
+        match replica.handle(&mut reader, &format!("CERT {user} @{}", ack.lsn)) {
+            Reply::Line(line) if line.starts_with("OK ") => {}
+            other => panic!("pinned read @{} on the replica: {other:?}", ack.lsn),
+        }
+        acked.elapsed().as_secs_f64() * 1e6
+    };
+
+    // The first write brings the follower to the committed end; then
+    // every probe lands on an idle pair.
+    probe(0);
+    let (ships_before, units_before) = (
+        ships.load(Ordering::Relaxed),
+        store.counters().units_committed,
+    );
+    let mut visible_us: Vec<f64> = (1..=PROBES)
+        .map(|i| {
+            std::thread::sleep(Duration::from_millis(5));
+            probe(i)
+        })
+        .collect();
+    let shipped = ships.load(Ordering::Relaxed) - ships_before;
+    let commits = store.counters().units_committed - units_before;
+    stop.store(true, Ordering::Release);
+    runner.join().expect("follower thread");
+    server.stop();
+    let _ = std::fs::remove_dir_all(&ldir);
+    let _ = std::fs::remove_dir_all(&fdir);
+
+    visible_us.sort_by(f64::total_cmp);
+    Visible {
+        p50_us: percentile(&visible_us, 0.5),
+        p90_us: percentile(&visible_us, 0.9),
+        ships_per_commit: shipped as f64 / commits.max(1) as f64,
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -387,6 +509,19 @@ fn main() {
     }
     println!("{}", table.render());
 
+    let visible = visibility();
+    println!(
+        "ack -> visible over TCP, {PROBES} idle probes: p50 {:.0} us, p90 {:.0} us, \
+         {:.2} SHIP requests per commit\n",
+        visible.p50_us, visible.p90_us, visible.ships_per_commit
+    );
+    assert!(
+        visible.p50_us < VISIBLE_P50_MAX_US,
+        "ack -> visible p50 {:.0} us is not under {VISIBLE_P50_MAX_US} us: \
+         is the follower sleeping out its poll?",
+        visible.p50_us
+    );
+
     let mut json = String::new();
     json.push_str("{\n  \"benchmark\": \"replication\",\n  \"networks\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -422,7 +557,12 @@ fn main() {
         );
         json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
-    json.push_str("  ]\n}\n");
+    let _ = write!(
+        json,
+        "  ],\n  \"visible\": {{\"probes\": {PROBES}, \"p50_us\": {:.0}, \"p90_us\": {:.0}, \
+         \"ships_per_commit\": {:.2}}}\n}}\n",
+        visible.p50_us, visible.p90_us, visible.ships_per_commit
+    );
     std::fs::write(&out_path, &json).expect("write BENCH_replication.json");
     println!("wrote {out_path}");
     println!("acceptance gates passed");

@@ -95,9 +95,10 @@ pub use segment::{SegmentMeta, MANIFEST_FILE, TERM_FILE};
 use record::{encode_into, Crc32, Payload, Record};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 use trustmap_core::{Durability, Error, Result, Session, SignedEdit, TrustNetwork};
 
 /// File name of the legacy single-file write-ahead log. Found on open, it
@@ -186,6 +187,10 @@ struct Inner {
     /// every commit is refused with [`Error::Fenced`] until reopen.
     /// Unlike `poisoned` this is not damage — reads keep serving.
     fenced: Option<u64>,
+    /// Waits parked in [`Store::wait_for_commit`] right now; a commit
+    /// signals only when there is one, so a store with no parked
+    /// follower pays nothing for the long poll.
+    parked: u32,
     /// Write-path counters (see [`StoreCounters`]).
     counters: StoreCounters,
 }
@@ -220,6 +225,11 @@ pub struct StoreCounters {
     /// term was observed — the no-split-brain witness: a deposed leader
     /// never extends its chain once it has learned of its deposal.
     pub fenced_commits: u64,
+    /// Waits in [`Store::wait_for_commit`] that had to park: a caught-up
+    /// `SHIP` holding its reply until the next commit.
+    pub ships_parked: u64,
+    /// Those parked waits a commit ended (the rest ran out their bound).
+    pub ships_woken: u64,
 }
 
 /// A durable store directory: segmented WAL + manifest + snapshots.
@@ -231,6 +241,9 @@ pub struct StoreCounters {
 #[derive(Debug, Clone)]
 pub struct Store {
     inner: Arc<Mutex<Inner>>,
+    /// Notified (under `inner`) when `last_committed` advances while a
+    /// [`Store::wait_for_commit`] is parked.
+    committed: Arc<Condvar>,
 }
 
 /// What [`Store::open`] recovered.
@@ -701,8 +714,10 @@ impl Store {
                 poisoned: None,
                 term,
                 fenced: None,
+                parked: 0,
                 counters: StoreCounters::default(),
             })),
+            committed: Arc::new(Condvar::new()),
         };
         session.set_durability(Box::new(store.clone()));
         Ok(Recovered {
@@ -747,6 +762,30 @@ impl Store {
     /// The LSN of the last durable commit frame (0 before any commit).
     pub fn last_committed_lsn(&self) -> u64 {
         self.inner.lock().expect("store mutex").last_committed
+    }
+
+    /// Blocks until a commit lands above `lsn` or `timeout` passes, and
+    /// returns the last committed LSN either way. This is the long poll
+    /// behind a caught-up `SHIP`: the reply waits for the next commit
+    /// instead of the follower sleeping out a poll interval. Waits that
+    /// park count in [`StoreCounters::ships_parked`] and, when a commit
+    /// ends them, [`StoreCounters::ships_woken`].
+    pub fn wait_for_commit(&self, lsn: u64, timeout: Duration) -> u64 {
+        let mut g = self.inner.lock().expect("store mutex");
+        if g.last_committed > lsn {
+            return g.last_committed;
+        }
+        g.counters.ships_parked += 1;
+        g.parked += 1;
+        let (mut g, _) = self
+            .committed
+            .wait_timeout_while(g, timeout, |g| g.last_committed <= lsn)
+            .expect("store mutex");
+        g.parked -= 1;
+        if g.last_committed > lsn {
+            g.counters.ships_woken += 1;
+        }
+        g.last_committed
     }
 
     /// The leadership term this store commits under (0 for stores that
@@ -806,6 +845,12 @@ impl Store {
     /// snapshot). Also records the follower's watermark as the ship
     /// floor, so retention keeps everything an active follower still
     /// needs.
+    ///
+    /// A chunk costs one positioned read of the bytes past the
+    /// follower's offset, not a read of the whole segment, so a follower
+    /// that asks once per commit pays for that commit's bytes only.
+    /// `CaughtUp` answers at once; a server that wants a long poll parks
+    /// on [`Store::wait_for_commit`] and asks again.
     ///
     /// The request carries the follower's leadership term, and this is
     /// where a deposed leader learns of its deposal: a request from a
@@ -923,24 +968,26 @@ impl Store {
         // only grow them; rollbacks only shrink *un*committed bytes), so
         // this read races nothing. The file can still vanish under us if
         // retention just retired it — surfaced as an error the follower
-        // retries into a `Behind`.
+        // retries into a `Behind`. Only the window past the follower's
+        // offset is read, not the whole segment.
         let path = segment::path(&dir, first);
-        let raw =
-            std::fs::read(&path).map_err(|e| io_err(&format!("read {}", path.display()), e))?;
-        if (raw.len() as u64) < committed_len {
-            return Err(Error::Io(format!(
-                "{}: shorter than its committed length",
-                path.display()
-            )));
-        }
-        let window = &raw[req.offset as usize..committed_len as usize];
+        let mut window = vec![0u8; (committed_len - req.offset) as usize];
+        File::open(&path)
+            .and_then(|f| f.read_exact_at(&mut window, req.offset))
+            .map_err(|e| match e.kind() {
+                std::io::ErrorKind::UnexpectedEof => Error::Io(format!(
+                    "{}: shorter than its committed length",
+                    path.display()
+                )),
+                _ => io_err(&format!("read {}", path.display()), e),
+            })?;
         // Cut at a commit-frame boundary: whole remainder when it fits
         // (committed length is always a unit boundary), else the largest
         // prefix of whole units within the budget — at least one.
         let cut = if window.len() as u64 <= max_bytes {
             committed_len
         } else {
-            let scan = wal::scan_bytes(window, req.offset);
+            let scan = wal::scan_bytes(&window, req.offset);
             let Some(first_unit) = scan.units.first() else {
                 return Err(Error::Io(format!(
                     "{}: no complete unit at offset {} — leader log damaged?",
@@ -958,7 +1005,8 @@ impl Store {
             }
             cut
         };
-        let bytes = window[..(cut - req.offset) as usize].to_vec();
+        let mut bytes = window;
+        bytes.truncate((cut - req.offset) as usize);
         let crc = record::crc32(&bytes);
         let seal = meta.filter(|m| cut == m.data_len).map(|m| SegmentSeal {
             last_lsn: m.last_lsn,
@@ -1200,6 +1248,9 @@ impl Durability for Store {
                 g.seg_len += buf.len() as u64;
                 g.seg_crc.update(&buf);
                 g.last_committed = lsn;
+                if g.parked > 0 {
+                    self.committed.notify_all();
+                }
                 g.counters.fsync_count += 1;
                 g.counters.units_committed += 1;
                 g.counters.records_appended += records as u64;
@@ -1659,6 +1710,86 @@ mod tests {
         let back = Store::open(&dir).expect("recovers");
         back.store.snapshot_now(&back.session).expect("snapshot");
         assert_eq!(std::fs::read(dir.join(LEGACY)).unwrap(), b"garbage");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A wait at or above the committed end parks until a commit lands
+    /// or its bound passes; one below it returns at once. The counters
+    /// tell the two endings apart.
+    #[test]
+    fn wait_for_commit_parks_until_the_next_commit() {
+        let dir = fresh_dir("wait-commit");
+        let mut r = Store::open(&dir).expect("open empty");
+        let alice = r.session.user("alice");
+        let v = r.session.value("v");
+        r.session.believe(alice, v).expect("edit");
+        let lsn = r.store.last_committed_lsn();
+
+        assert_eq!(r.store.wait_for_commit(lsn - 1, Duration::ZERO), lsn);
+        assert_eq!(r.store.counters().ships_parked, 0, "nothing to wait for");
+        let bound = Duration::from_millis(50);
+        let started = Instant::now();
+        assert_eq!(r.store.wait_for_commit(lsn, bound), lsn);
+        assert!(started.elapsed() >= bound);
+        let c = r.store.counters();
+        assert_eq!((c.ships_parked, c.ships_woken), (1, 0), "ran out its bound");
+
+        let waiter = {
+            let store = r.store.clone();
+            std::thread::spawn(move || store.wait_for_commit(lsn, Duration::from_secs(30)))
+        };
+        while r.store.counters().ships_parked < 2 {
+            std::thread::yield_now();
+        }
+        r.session.believe(alice, v).expect("edit");
+        let woke_at = waiter.join().expect("waiter");
+        assert!(woke_at > lsn);
+        assert_eq!(woke_at, r.store.last_committed_lsn());
+        let c = r.store.counters();
+        assert_eq!((c.ships_parked, c.ships_woken), (2, 1), "a commit woke it");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Chunks are positioned reads of the window past the follower's
+    /// offset: chained small chunks reassemble the segment exactly, and a
+    /// segment file shorter than its committed length is an error, never
+    /// a short chunk.
+    #[test]
+    fn ship_reads_only_the_window_past_the_offset() {
+        let dir = fresh_dir("ship-window");
+        let mut r = Store::open(&dir).expect("open empty");
+        let users: Vec<_> = (0..4).map(|i| r.session.user(&format!("u{i}"))).collect();
+        let v = r.session.value("v");
+        for &u in &users {
+            r.session.believe(u, v).expect("edit");
+        }
+        let layout = r.store.layout();
+        let path = segment::path(&dir, layout.live_first_lsn);
+        let mut req = ShipRequest {
+            watermark: 0,
+            seg_first: layout.live_first_lsn,
+            offset: 0,
+            max_bytes: 1,
+            term: 0,
+        };
+        let mut shipped = Vec::new();
+        while let ShipResponse::Chunk(c) = r.store.ship(&req).expect("ship") {
+            assert_eq!(c.offset, req.offset);
+            assert_eq!(c.crc, record::crc32(&c.bytes));
+            req.offset += c.bytes.len() as u64;
+            shipped.extend_from_slice(&c.bytes);
+        }
+        assert!(req.offset > 0 && shipped.len() as u64 == layout.live_len);
+        assert_eq!(shipped, std::fs::read(&path).unwrap());
+
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(layout.live_len - 1).unwrap();
+        req.offset = 0;
+        let err = r.store.ship(&req).expect_err("torn segment");
+        assert!(
+            matches!(&err, Error::Io(m) if m.contains("shorter than its committed length")),
+            "{err:?}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

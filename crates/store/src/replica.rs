@@ -56,7 +56,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use trustmap_core::epoch::EpochSlot;
 use trustmap_core::{Error, Result, Session, TrustNetwork};
 
@@ -393,7 +393,12 @@ pub enum Step {
 /// Pacing of [`Follower::run`].
 #[derive(Debug, Clone, Copy)]
 pub struct FollowConfig {
-    /// Sleep between polls while caught up.
+    /// Least time from one caught-up poll to the next: after a caught-up
+    /// step the follower sleeps what is left of it. A leader that parks
+    /// a caught-up `SHIP` until its next commit (`trustmap serve` does)
+    /// uses the interval up by itself, so the follower asks again at
+    /// once; against a leader that answers at once (e.g.
+    /// [`LocalTransport`]) this is the polling interval.
     pub poll: Duration,
     /// First reconnect backoff (doubles per consecutive failure).
     pub backoff_base: Duration,
@@ -992,12 +997,13 @@ impl Follower {
         })
     }
 
-    /// Follows until `stop`: pull chunks as fast as they verify, poll at
-    /// [`FollowConfig::poll`] when caught up, back off exponentially with
-    /// jitter on transport errors or rejected chunks — resuming each time
-    /// from the durable watermark. While the leader is unreachable the
-    /// epoch slot keeps serving the last published view: stale, but
-    /// pinned to an exact committed LSN.
+    /// Follows until `stop`: pull chunks as fast as they verify, keep
+    /// caught-up polls at least [`FollowConfig::poll`] apart (a leader
+    /// that parks the caught-up reply is asked again at once), back off
+    /// exponentially with jitter on transport errors or rejected chunks —
+    /// resuming each time from the durable watermark. While the leader is
+    /// unreachable the epoch slot keeps serving the last published view:
+    /// stale, but pinned to an exact committed LSN.
     pub fn run(
         &mut self,
         transport: &mut dyn ShipTransport,
@@ -1007,11 +1013,12 @@ impl Follower {
         self.max_bytes = cfg.max_bytes;
         let mut backoff = Backoff::new(cfg.backoff_base, cfg.backoff_cap, cfg.seed);
         while !stop.load(Ordering::Acquire) {
+            let started = Instant::now();
             match self.step(transport) {
                 Ok(Step::Applied { .. }) | Ok(Step::Bootstrapped { .. }) => backoff.reset(),
                 Ok(Step::CaughtUp { .. }) => {
                     backoff.reset();
-                    sleep_unless(cfg.poll, stop);
+                    sleep_unless(cfg.poll.saturating_sub(started.elapsed()), stop);
                 }
                 Ok(Step::Rejected { .. }) => sleep_unless(backoff.next(), stop),
                 Err(_) => {
@@ -1417,5 +1424,37 @@ mod tests {
         }
         b.reset();
         assert!(b.next() <= base);
+    }
+
+    /// `poll` is a floor between caught-up polls: against a leader that
+    /// answers `CaughtUp` at once (the in-process transport never parks)
+    /// `run` keeps the old pace instead of spinning.
+    #[test]
+    fn run_paces_caught_up_polls_against_a_leader_that_never_parks() {
+        let ldir = fresh_dir("pace-l");
+        let fdir = fresh_dir("pace-f");
+        let leader = seed_leader(&ldir, 5);
+        let mut follower = Follower::open(&fdir).expect("open follower");
+        let stop = Arc::new(AtomicBool::new(false));
+        let runner = {
+            let stop = Arc::clone(&stop);
+            let mut transport = LocalTransport::new(leader.store.clone());
+            std::thread::spawn(move || {
+                let cfg = FollowConfig {
+                    poll: Duration::from_millis(100),
+                    ..FollowConfig::default()
+                };
+                follower.run(&mut transport, &cfg, &stop);
+                follower
+            })
+        };
+        std::thread::sleep(Duration::from_millis(500));
+        stop.store(true, Ordering::Release);
+        let follower = runner.join().expect("follower thread");
+        assert_eq!(follower.watermark(), leader.store.last_committed_lsn());
+        let polls = follower.counters().caught_up;
+        assert!((1..=6).contains(&polls), "{polls} caught-up polls in 0.5 s");
+        let _ = std::fs::remove_dir_all(&ldir);
+        let _ = std::fs::remove_dir_all(&fdir);
     }
 }

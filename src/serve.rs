@@ -35,6 +35,7 @@
 //! QUIT                            → OK bye (connection closes)
 //! SHIP <wm> [<seg> <off> <max> [<term>]]
 //!                                 → OK chunk …\n<raw bytes> | OK caughtup … | OK behind …
+//!                                   (caughtup waits up to read_timeout for the next commit)
 //! SNAPSHOT                        → OK snapshot lsn=<l> len=<n>\n<raw bytes>
 //! ```
 //!
@@ -81,7 +82,7 @@
 //! instead of silently forking history.
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -112,7 +113,9 @@ pub struct ServeConfig {
     /// Socket read timeout per connection — the tick at which a worker
     /// re-checks the server's stop flag (so [`Server::stop`] drains
     /// instead of waiting for clients to hang up) and advances the idle
-    /// clock. A partial request line survives ticks.
+    /// clock. A partial request line survives ticks. It also bounds a
+    /// parked `SHIP`: a caught-up follower's reply waits at most this
+    /// long for the next commit, so the drain delay stays one tick.
     pub read_timeout: Duration,
     /// Socket write timeout per connection: a peer that stops draining
     /// its replies errors the connection instead of pinning the worker.
@@ -193,6 +196,9 @@ pub struct Frontend {
     slot: Arc<EpochSlot>,
     store: Option<Store>,
     pin_timeout: Duration,
+    /// How long a caught-up `SHIP` parks for the next commit
+    /// ([`ServeConfig::read_timeout`]).
+    ship_wait: Duration,
 }
 
 impl Frontend {
@@ -215,6 +221,7 @@ impl Frontend {
             slot,
             store,
             pin_timeout: config.pin_timeout,
+            ship_wait: config.read_timeout,
         }
     }
 
@@ -228,6 +235,7 @@ impl Frontend {
             slot,
             store: None,
             pin_timeout: config.pin_timeout,
+            ship_wait: config.read_timeout,
         }
     }
 
@@ -407,7 +415,9 @@ impl Frontend {
     /// segment from the watermark — what a fresh follower sends; a
     /// missing term parses as 0, so pre-failover followers keep
     /// working). The follower's term is how a deposed leader learns it
-    /// has been deposed — see [`Store::ship`].
+    /// has been deposed — see [`Store::ship`]. A `caughtup` answer is
+    /// held back until the next commit or [`ServeConfig::read_timeout`],
+    /// whichever comes first.
     fn ship(&self, args: &[&str]) -> Reply {
         let Some(store) = &self.store else {
             return Reply::Line("ERR shipping needs a store (replicas do not re-ship)".into());
@@ -437,7 +447,15 @@ impl Frontend {
             },
             _ => return Reply::Line("ERR usage: SHIP <wm> [<seg> <off> <max> [<term>]]".into()),
         };
-        match store.ship(&req) {
+        // The park is bounded by the read tick so that a drain still
+        // takes at most one tick.
+        let mut shipped = store.ship(&req);
+        if let Ok(ShipResponse::CaughtUp { lsn, .. }) = shipped {
+            if store.wait_for_commit(lsn, self.ship_wait) > lsn {
+                shipped = store.ship(&req);
+            }
+        }
+        match shipped {
             Ok(ShipResponse::Chunk(c)) => {
                 let seal = c
                     .seal
@@ -745,10 +763,17 @@ fn serve_connection(
 /// The connection is established lazily and dropped on any error, so
 /// every [`ShipTransport::ship`] call after a failure transparently
 /// reconnects — [`trustmap_store::Follower::run`] supplies the backoff.
+///
+/// Connecting, and every read and write, is bounded by the server's
+/// default write timeout (10 s, far above the leader's parked `SHIP`):
+/// a leader that goes silent without closing the connection (power
+/// loss, partition, a stopped process) fails the call instead of
+/// holding the follower forever.
 #[derive(Debug)]
 pub struct TcpTransport {
     addr: String,
     conn: Option<BufReader<TcpStream>>,
+    timeout: Duration,
 }
 
 impl TcpTransport {
@@ -758,7 +783,31 @@ impl TcpTransport {
         TcpTransport {
             addr: addr.into(),
             conn: None,
+            timeout: ServeConfig::default().write_timeout,
         }
+    }
+
+    /// Connects to the first address `addr` resolves to that answers
+    /// within the timeout, with that timeout on reads and writes.
+    fn connect(&self) -> std::io::Result<TcpStream> {
+        let mut last = None;
+        for addr in self.addr.to_socket_addrs()? {
+            match TcpStream::connect_timeout(&addr, self.timeout) {
+                Ok(stream) => {
+                    stream.set_nodelay(true)?;
+                    stream.set_read_timeout(Some(self.timeout))?;
+                    stream.set_write_timeout(Some(self.timeout))?;
+                    return Ok(stream);
+                }
+                Err(e) => last = Some(e),
+            }
+        }
+        Err(last.unwrap_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("`{}` resolves to no address", self.addr),
+            )
+        }))
     }
 
     fn io(e: std::io::Error) -> trustmap_core::Error {
@@ -770,9 +819,7 @@ impl TcpTransport {
     /// the next call starts fresh.
     fn round_trip(&mut self, request: &str) -> trustmap_core::Result<String> {
         if self.conn.is_none() {
-            let stream = TcpStream::connect(&self.addr).map_err(Self::io)?;
-            stream.set_nodelay(true).map_err(Self::io)?;
-            self.conn = Some(BufReader::new(stream));
+            self.conn = Some(BufReader::new(self.connect().map_err(Self::io)?));
         }
         let conn = self.conn.as_mut().expect("connected above");
         let outcome = (|| {
@@ -1395,6 +1442,168 @@ mod tests {
         let requests = leader.join().expect("leader");
         assert_eq!(requests.matches("SHIP 0 ").count(), 2);
         assert!(requests.ends_with("SNAPSHOT\n"));
+    }
+
+    const FROM_GENESIS: ShipRequest = ShipRequest {
+        watermark: 0,
+        seg_first: 0,
+        offset: 0,
+        max_bytes: 0,
+        term: 0,
+    };
+
+    /// Polls `done` until it holds, failing the test after five seconds.
+    fn eventually(what: &str, done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A leader that accepts and then never answers (its host lost power
+    /// without a FIN) fails the ship call within the transport's timeout,
+    /// and the next call dials a fresh connection. The test bounds itself
+    /// so that a transport without timeouts fails it instead of hanging.
+    #[test]
+    fn ship_client_times_out_a_silent_leader_and_redials() {
+        assert_eq!(
+            TcpTransport::new("leader:7171").timeout,
+            ServeConfig::default().write_timeout
+        );
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        // Holds both connections open without a byte of reply.
+        let leader = std::thread::spawn(move || {
+            (0..2)
+                .map(|_| listener.accept().expect("accept").0)
+                .collect::<Vec<_>>()
+        });
+        let (tx, rx) = std::sync::mpsc::channel();
+        let follower = std::thread::spawn(move || {
+            let mut transport = TcpTransport::new(addr.to_string());
+            transport.timeout = Duration::from_millis(200);
+            let outcomes: Vec<_> = (0..2)
+                .map(|_| transport.ship(&FROM_GENESIS).map(|_| ()))
+                .map(|r| r.map_err(|e| e.to_string()))
+                .collect();
+            let _ = tx.send(outcomes);
+        });
+        let outcomes = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("a silent leader must not hold the follower");
+        follower.join().expect("follower thread");
+        assert!(outcomes.iter().all(Result::is_err), "{outcomes:?}");
+        let held = leader.join().expect("leader");
+        assert_eq!(held.len(), 2, "the second call redialed");
+    }
+
+    /// The long poll, pinned by mechanism: a follower whose floor between
+    /// caught-up polls is a minute still sees a write within seconds,
+    /// because its caught-up `SHIP` was parked on the leader and the
+    /// commit, not the bound, ended the park.
+    #[test]
+    fn a_parked_follower_is_woken_by_the_next_commit() {
+        use std::sync::atomic::AtomicBool;
+        use trustmap_store::{FollowConfig, Follower};
+
+        let (ldir, fdir) = (fresh_dir("park-leader"), fresh_dir("park-follower"));
+        let recovered = Store::open(&ldir).expect("fresh store");
+        let store = recovered.store.clone();
+        let config = ServeConfig {
+            window: GroupCommitWindow::per_edit(),
+            read_timeout: Duration::from_secs(5),
+            threads: 2,
+            ..Default::default()
+        };
+        let f = Arc::new(Frontend::new(
+            recovered.session,
+            Some(store.clone()),
+            &config,
+        ));
+        let server = Server::start(Arc::clone(&f), "127.0.0.1:0", &config).expect("bind");
+        let write = |i: usize| {
+            f.write(WriteOp::Believe {
+                user: format!("user{i}"),
+                value: "v".into(),
+            })
+            .expect("durable write")
+            .lsn
+        };
+        let first = write(0);
+
+        let mut follower = Follower::open(&fdir).expect("open follower");
+        let slot = follower.epoch_slot();
+        let stop = Arc::new(AtomicBool::new(false));
+        let runner = {
+            let (stop, addr) = (Arc::clone(&stop), server.addr().to_string());
+            std::thread::spawn(move || {
+                let cfg = FollowConfig {
+                    poll: Duration::from_secs(60),
+                    ..FollowConfig::default()
+                };
+                follower.run(&mut TcpTransport::new(addr), &cfg, &stop);
+                follower
+            })
+        };
+        assert!(slot.wait_for_lsn(first, Duration::from_secs(5)).is_some());
+        eventually("the caught-up follower parks", || {
+            store.counters().ships_parked >= 1
+        });
+        assert_eq!(store.counters().ships_woken, 0);
+
+        let acked = write(1);
+        assert!(
+            slot.wait_for_lsn(acked, Duration::from_secs(5)).is_some(),
+            "a write after caught-up must reach the follower long before its poll"
+        );
+        let counters = store.counters();
+        assert_eq!(counters.ships_woken, 1, "the commit ended the park");
+
+        // Stop the follower: one more commit wakes its parked request.
+        eventually("the follower parks again", || {
+            store.counters().ships_parked > counters.ships_parked
+        });
+        stop.store(true, std::sync::atomic::Ordering::Release);
+        write(2);
+        let follower = runner.join().expect("follower thread");
+        assert_eq!(follower.counters().reconnects, 0);
+        server.stop();
+        let _ = std::fs::remove_dir_all(&ldir);
+        let _ = std::fs::remove_dir_all(&fdir);
+    }
+
+    /// A parked `SHIP` holds its worker for at most one read tick, so
+    /// `Server::stop` still drains within the delay it always allowed;
+    /// the parked follower gets its `caughtup`.
+    #[test]
+    fn stop_drains_a_parked_ship_within_a_tick() {
+        let dir = fresh_dir("park-drain");
+        let recovered = Store::open(&dir).expect("fresh store");
+        let store = recovered.store.clone();
+        let config = ServeConfig::default();
+        let f = Arc::new(Frontend::new(
+            recovered.session,
+            Some(store.clone()),
+            &config,
+        ));
+        let server = Server::start(Arc::clone(&f), "127.0.0.1:0", &config).expect("bind");
+        let addr = server.addr().to_string();
+        let shipper = std::thread::spawn(move || {
+            let reply = TcpTransport::new(addr).ship(&FROM_GENESIS);
+            matches!(reply, Ok(ShipResponse::CaughtUp { lsn: 0, .. }))
+        });
+        eventually("the request parks", || store.counters().ships_parked == 1);
+        let started = std::time::Instant::now();
+        server.stop();
+        let took = started.elapsed();
+        assert!(took < 2 * config.read_timeout, "stop took {took:?}");
+        assert!(
+            shipper.join().expect("shipper"),
+            "the parked request is answered"
+        );
+        assert_eq!(store.counters().ships_woken, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Full replication vertical: leader behind a TCP server, follower

@@ -11,12 +11,20 @@
 //! [`trustmap::Session`] (incremental path) and through the paper's
 //! "simply re-run the algorithm" baseline (binarize + Algorithm 1 after
 //! every edit), then records edits/sec for both and the speedup.
+//!
+//! Its `build` block times what serving a network starts with: building
+//! the live engine (`IncrementalResolver::new`, one bulk BTN build and
+//! one whole-network solve) and a bulk load — every edit of the network
+//! committed as one batch into an empty session, which reseeds the
+//! engine instead of patching edit by edit. The gates are counters: the
+//! streams stay on the incremental path, the bulk load reseeds exactly
+//! once, and the 10^5-user stream beats full re-resolution 10x.
 
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use trustmap::workloads::{apply_edit, edit_stream, power_law, EditMix};
-use trustmap::{resolve_network, Session};
-use trustmap_bench::Table;
+use trustmap::{resolve_network, ExplicitBelief, IncrementalResolver, Session, TrustNetwork};
+use trustmap_bench::{median_time, ms, Table};
 
 struct Row {
     users: usize,
@@ -28,11 +36,66 @@ struct Row {
     mean_dirty_nodes: f64,
     speedup: f64,
     batch_speedup: f64,
+    engine_new_ms: f64,
+    bulk_load_edits: usize,
+    bulk_load_ms: f64,
+    bulk_load_reseeds: u64,
+}
+
+/// Commits every edit of `net` as one batch into an empty session: users
+/// and values first, then the mappings and beliefs. Returns the edit
+/// count, the batch's wall time and the engine rebuilds it took.
+fn bulk_load(net: &TrustNetwork) -> (usize, Duration, u64) {
+    let mut session = Session::new(TrustNetwork::new());
+    session.snapshot().expect("empty network");
+    let before = session.stats();
+    let t = Instant::now();
+    session.begin_batch().expect("engine is live");
+    for u in net.users() {
+        session.user(net.user_name(u));
+    }
+    for v in net.domain().values() {
+        session.value(net.domain().name(v));
+    }
+    let mut edits = 0;
+    for m in net.mappings() {
+        session
+            .trust(m.child, m.parent, m.priority)
+            .expect("valid edit");
+        edits += 1;
+    }
+    for u in net.users() {
+        if let ExplicitBelief::Pos(v) = net.belief(u) {
+            session.believe(u, *v).expect("valid edit");
+            edits += 1;
+        }
+    }
+    let report = session.commit().expect("positive network");
+    let elapsed = t.elapsed();
+    let reseeds = session.stats().full_rebuilds - before.full_rebuilds;
+    assert!(
+        report.full_rebuild && reseeds == 1,
+        "a bulk load ({edits} edits, {} users) must reseed exactly once (took {reseeds})",
+        net.user_count()
+    );
+    (edits, elapsed, reseeds)
 }
 
 fn measure(users: usize, edits: usize, full_samples: usize, seed: u64) -> Row {
     let w = power_law(users, 2, 4, 0.2, seed);
     let size = w.net.size();
+
+    let engine_new = median_time(3, 3, Duration::ZERO, || {
+        std::hint::black_box(IncrementalResolver::new(&w.net).expect("positive network"));
+    });
+    let mut bulk = Vec::new();
+    let (mut bulk_load_edits, mut bulk_load_reseeds) = (0, 0);
+    for _ in 0..3 {
+        let (edits, elapsed, reseeds) = bulk_load(&w.net);
+        (bulk_load_edits, bulk_load_reseeds) = (edits, reseeds);
+        bulk.push(elapsed);
+    }
+    bulk.sort_unstable();
     let stream = edit_stream(&w, edits, EditMix::default(), seed ^ 0x5EED);
 
     // Incremental: one session, every edit through the delta path.
@@ -94,6 +157,10 @@ fn measure(users: usize, edits: usize, full_samples: usize, seed: u64) -> Row {
         mean_dirty_nodes: mean_dirty,
         speedup: (full_ms * 1e3) / inc_us,
         batch_speedup: inc_us / batch_us,
+        engine_new_ms: ms(engine_new),
+        bulk_load_edits,
+        bulk_load_ms: ms(bulk[1]),
+        bulk_load_reseeds,
     }
 }
 
@@ -123,6 +190,8 @@ fn main() {
         "mean dirty nodes",
         "speedup",
         "batch win",
+        "engine build ms",
+        "bulk load ms",
     ]);
     let mut rows = Vec::new();
     for &(users, edits, full_samples) in configs {
@@ -136,6 +205,8 @@ fn main() {
             format!("{:.1}", row.mean_dirty_nodes),
             format!("{:.0}x", row.speedup),
             format!("{:.2}x", row.batch_speedup),
+            format!("{:.1}", row.engine_new_ms),
+            format!("{:.1}", row.bulk_load_ms),
         ]);
         rows.push(row);
     }
@@ -155,7 +226,9 @@ fn main() {
              \"incremental_us_per_edit\": {:.3}, \"incremental_edits_per_sec\": {:.1}, \
              \"batch64_us_per_edit\": {:.3}, \"batch_speedup_vs_single\": {:.3}, \
              \"full_ms_per_edit\": {:.3}, \"full_edits_per_sec\": {:.3}, \
-             \"mean_dirty_nodes\": {:.2}, \"speedup\": {:.1}}}",
+             \"mean_dirty_nodes\": {:.2}, \"speedup\": {:.1}, \
+             \"build\": {{\"engine_new_ms\": {:.3}, \"bulk_load_edits\": {}, \
+             \"bulk_load_ms\": {:.3}, \"bulk_load_reseeds\": {}}}}}",
             r.users,
             r.size,
             r.edits,
@@ -167,6 +240,10 @@ fn main() {
             1e3 / r.full_ms_per_edit,
             r.mean_dirty_nodes,
             r.speedup,
+            r.engine_new_ms,
+            r.bulk_load_edits,
+            r.bulk_load_ms,
+            r.bulk_load_reseeds,
         );
         json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }

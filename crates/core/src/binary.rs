@@ -146,14 +146,21 @@ pub struct Btn {
 
 impl Btn {
     /// The nodes of `net`'s users alone, node `u` for user `u`: no
-    /// parents, beliefs or synthetic nodes yet.
-    pub(crate) fn of_users(net: &TrustNetwork) -> Btn {
+    /// parents, beliefs or synthetic nodes yet, and room for `capacity`
+    /// nodes in every node table.
+    fn of_users(net: &TrustNetwork, capacity: usize) -> Btn {
         let n = net.user_count();
+        let mut beliefs = Vec::with_capacity(capacity);
+        beliefs.resize(n, ExplicitBelief::None);
+        let mut parents = Vec::with_capacity(capacity);
+        parents.resize(n, Parents::None);
+        let mut kind = Vec::with_capacity(capacity);
+        kind.extend((0..n as u32).map(|u| NodeKind::User(User(u))));
         Btn {
             domain: net.domain().clone(),
-            beliefs: vec![ExplicitBelief::None; n],
-            parents: vec![Parents::None; n],
-            kind: (0..n as u32).map(|u| NodeKind::User(User(u))).collect(),
+            beliefs,
+            parents,
+            kind,
             user_names: Arc::clone(net.user_names()),
             user_count: n,
             belief_root: vec![None; n],
@@ -192,6 +199,14 @@ impl Btn {
         match self.kind[node as usize] {
             NodeKind::User(u) => Some(u),
             _ => None,
+        }
+    }
+
+    /// The user whose structure `node` belongs to: the user of a user
+    /// node, the owner of a synthetic belief root or cascade node.
+    pub(crate) fn owner(&self, node: NodeId) -> User {
+        match self.kind[node as usize] {
+            NodeKind::User(u) | NodeKind::BeliefRoot(u) | NodeKind::Cascade(u, _) => u,
         }
     }
 
@@ -302,6 +317,12 @@ impl Btn {
 ///    rules (a)–(e) of Figure 9. Equal-priority parents form tied sub-trees;
 ///    strictly dominating parents enter through preferred edges.
 pub fn binarize(net: &TrustNetwork) -> Btn {
+    binarize_with_spare(net, |_| 0)
+}
+
+/// [`binarize`], leaving room in every node table for `spare(nodes)` more
+/// nodes than it lays out — for a BTN that edits will grow.
+pub(crate) fn binarize_with_spare(net: &TrustNetwork, spare: impl FnOnce(usize) -> usize) -> Btn {
     let n = net.user_count();
 
     // Parent lists `(parent node, priority)` of all children in one array,
@@ -329,10 +350,7 @@ pub fn binarize(net: &TrustNetwork) -> Btn {
         *at += 1;
     }
 
-    let mut btn = Btn::of_users(net);
-    btn.beliefs.reserve_exact(synthetic);
-    btn.parents.reserve_exact(synthetic);
-    btn.kind.reserve_exact(synthetic);
+    let mut btn = Btn::of_users(net, n + synthetic + spare(n + synthetic));
 
     for x in 0..n {
         let user = User(x as u32);

@@ -11,6 +11,9 @@
 //!
 //! The key properties the engines rely on:
 //!
+//! * **Bulk build** — the BTN is born as [`crate::binary::binarize`] lays
+//!   it out, in one pass; the engines seed it with one whole-network
+//!   solve.
 //! * **Persistent belief roots** — a user's synthetic `x0` root survives
 //!   belief-value flips and revocations, so those edits are non-structural
 //!   (only the explicit belief at one existing node changes).
@@ -21,7 +24,7 @@
 //!   pushed onto the caller's seed list, which the engines forward-close
 //!   into their dirty regions.
 
-use crate::binary::{cascade, push_node, Btn, NodeKind, Parents};
+use crate::binary::{binarize_with_spare, cascade, push_node, Btn, NodeKind, Parents};
 use crate::network::TrustNetwork;
 use crate::signed::ExplicitBelief;
 use crate::user::User;
@@ -36,15 +39,19 @@ pub(crate) trait NodeSideTables {
     /// Node `x` was freed (recycled into the allocator); clear any cached
     /// solution state so its next incarnation starts blank.
     fn reset(&mut self, x: NodeId);
+    /// Reserve room for `additional` more nodes in every side array (see
+    /// [`DeltaBtn::reserve_side`]).
+    fn reserve(&mut self, additional: usize);
 }
 
 /// The live BTN plus the structural side state needed to patch it.
 #[derive(Debug, Clone)]
 pub(crate) struct DeltaBtn {
-    /// The binarized network being maintained. Structurally equivalent to
-    /// [`crate::binary::binarize`] of the current network but with its own
-    /// node layout (recycled synthetic nodes, late users appended) —
-    /// always address users through [`Btn::node_of`].
+    /// The binarized network being maintained. Built with
+    /// [`crate::binary::binarize`]'s layout; edits then recycle synthetic
+    /// nodes and append late users, so it stays structurally equivalent
+    /// to a fresh binarization under its own layout — always address
+    /// users through [`Btn::node_of`].
     pub btn: Btn,
     /// Per-user parent lists `(parent node, priority)` in declaration
     /// order — the engine-side mirror of the network's mappings, so edits
@@ -60,25 +67,63 @@ pub(crate) struct DeltaBtn {
     free: Vec<NodeId>,
 }
 
+/// Spare capacity, in nodes, a bulk build leaves in every node table of
+/// `nodes` nodes: as many again — the headroom push-growth's doubling
+/// leaves. Laid out at exact size, the tables would all re-allocate at
+/// once on the first structural edit.
+fn headroom(nodes: usize) -> usize {
+    nodes
+}
+
 impl DeltaBtn {
-    /// Builds the structural skeleton for `net`: user nodes only, no
-    /// beliefs or cascades yet — callers must [`DeltaBtn::reconcile_user`]
-    /// every user once (which is also how the engines seed their initial
-    /// full solve).
+    /// Builds the live BTN for `net` in one bulk pass: binarization's
+    /// nodes and layout, with the per-user parent lists, the child
+    /// adjacency and each user's cascade nodes derived from it. The
+    /// engines then seed their solution with one whole-network solve over
+    /// [`DeltaBtn::btn`] and give their own node tables the same headroom
+    /// through [`DeltaBtn::reserve_side`]; [`DeltaBtn::reconcile_user`]
+    /// is for edits only.
     pub fn new(net: &TrustNetwork) -> DeltaBtn {
-        let n = net.user_count();
-        let btn = Btn::of_users(net);
-        let mut plists: Vec<Vec<(NodeId, i64)>> = vec![Vec::new(); n];
+        let btn = binarize_with_spare(net, headroom);
+        let mut plists: Vec<Vec<(NodeId, i64)>> = vec![Vec::new(); net.user_count()];
         for m in net.mappings() {
             plists[m.child.index()].push((m.parent.0, m.priority));
+        }
+        let nodes = btn.node_count();
+        let mut out_degree = vec![0u32; nodes];
+        for z in btn.parents.iter().flat_map(Parents::iter) {
+            out_degree[z as usize] += 1;
+        }
+        let mut children: Vec<Vec<NodeId>> = Vec::with_capacity(nodes + headroom(nodes));
+        children.extend(
+            out_degree
+                .into_iter()
+                .map(|d| Vec::with_capacity(d as usize)),
+        );
+        let mut cascade_nodes: Vec<Vec<NodeId>> = vec![Vec::new(); net.user_count()];
+        for x in btn.nodes() {
+            for z in btn.parents[x as usize].iter() {
+                children[z as usize].push(x);
+            }
+            // Binarization allocates each cascade's interior nodes in
+            // ascending order, as a rebuild would.
+            if let NodeKind::Cascade(u, _) = btn.kind[x as usize] {
+                cascade_nodes[u.index()].push(x);
+            }
         }
         DeltaBtn {
             btn,
             plists,
-            children: vec![Vec::new(); n],
-            cascade_nodes: vec![Vec::new(); n],
+            children,
+            cascade_nodes,
             free: Vec::new(),
         }
+    }
+
+    /// Gives the engine's `side` tables, solved at exact size, the
+    /// headroom the BTN's own tables were built with.
+    pub fn reserve_side(&self, side: &mut dyn NodeSideTables) {
+        side.reserve(headroom(self.btn.node_count()));
     }
 
     /// Appends nodes for users created in `net` since the last sync and

@@ -31,9 +31,12 @@
 //!
 //! Cost per edit is O(dirty region + its edges) plus one SCC-scratch run
 //! per Step-2 round — no allocation proportional to the network. The
-//! [`edits` benchmark](../../bench/benches/edits.rs) measures two to three
-//! orders of magnitude over full re-resolution on 10^5-node power-law
-//! networks.
+//! `edits_bench` binary (`crates/bench/src/bin/edits_bench.rs`) measures
+//! two to three orders of magnitude over full re-resolution on 10^5-node
+//! power-law networks.
+//!
+//! Building the engine is the paper's re-run itself: one bulk
+//! binarization and one whole-network solve, adopted as the cache.
 //!
 //! [`resolve_network`]: crate::resolution::resolve_network
 
@@ -43,7 +46,8 @@ use crate::deltabtn::{DeltaBtn, NodeSideTables};
 use crate::error::{Error, Result};
 use crate::lineage::Lineage;
 use crate::network::TrustNetwork;
-use crate::resolution::{UserResolution, UserRow};
+use crate::parallel::resolve_parallel;
+use crate::resolution::{resolve_with, Options, UserResolution, UserRow};
 use crate::signed::ExplicitBelief;
 use crate::user::User;
 use crate::value::Value;
@@ -145,6 +149,13 @@ impl NodeSideTables for BasicSide<'_> {
         self.poss[x as usize] = Arc::clone(self.empty);
         self.reachable[x as usize] = false;
     }
+
+    fn reserve(&mut self, additional: usize) {
+        self.poss.reserve_exact(additional);
+        self.reachable.reserve_exact(additional);
+        self.dirty.reserve_exact(additional);
+        self.closed.reserve_exact(additional);
+    }
 }
 
 /// The incremental resolution engine: a live BTN plus its resolved state,
@@ -176,7 +187,8 @@ pub struct IncrementalResolver {
 }
 
 impl IncrementalResolver {
-    /// Builds the engine from `net` and solves it fully once.
+    /// Builds the engine from `net` and solves it fully once, through
+    /// the one-pass solver [`crate::parallel::resolve_parallel`] uses.
     ///
     /// Fails like [`crate::resolution::resolve`] if the network carries
     /// constraints (negative beliefs) — those require the Skeptic pipeline.
@@ -186,25 +198,39 @@ impl IncrementalResolver {
 
     /// Like [`IncrementalResolver::new`] but records lineage pointers
     /// (Section 2.5, *Retrieving lineage*) and keeps them fresh across
-    /// edits: each regional solve clears and re-records the pointers of
-    /// dirty nodes only, so provenance queries stay O(chain) after edits
+    /// edits: the build solves through Algorithm 1 as printed
+    /// ([`crate::resolution::resolve_with`]), which records them, and
+    /// each regional solve clears and re-records the pointers of dirty
+    /// nodes only, so provenance queries stay O(chain) after edits
     /// instead of requiring a from-scratch traced resolution.
     pub fn new_traced(net: &TrustNetwork) -> Result<Self> {
         IncrementalResolver::build(net, true)
     }
 
+    /// One bulk BTN build, then one whole-network solve adopted as the
+    /// cache: the one-pass solver, or Algorithm 1 as printed when lineage
+    /// pointers must be recorded.
     fn build(net: &TrustNetwork, traced: bool) -> Result<Self> {
         if let Some(u) = net.first_negative_user() {
             return Err(Error::NegativeBeliefsUnsupported(u));
         }
-        let n = net.user_count();
-        let empty: Arc<[Value]> = Arc::from([] as [Value; 0]);
+        let delta = DeltaBtn::new(net);
+        let (poss, reachable, lineage) = if traced {
+            let opts = Options {
+                lineage: true,
+                ..Options::default()
+            };
+            resolve_with(&delta.btn, opts)?.into_parts()
+        } else {
+            resolve_parallel(&delta.btn, 1)?.into_parts()
+        };
+        let n = delta.btn.node_count();
         let mut engine = IncrementalResolver {
-            delta: DeltaBtn::new(net),
-            poss: vec![Arc::clone(&empty); n],
-            reachable: vec![false; n],
+            delta,
+            poss,
+            reachable,
             last_dirty_users: Vec::new(),
-            lineage: traced.then(|| Lineage::new(n)),
+            lineage,
             dirty: vec![false; n],
             dirty_list: Vec::new(),
             closed: vec![false; n],
@@ -213,27 +239,17 @@ impl IncrementalResolver {
             worklist: Vec::new(),
             stack: Vec::new(),
             members_buf: Vec::new(),
-            empty,
+            empty: Arc::from([] as [Value; 0]),
         };
-        let mut seeds = Vec::new();
-        for u in 0..n as u32 {
-            engine.reconcile_user(net, User(u), &mut seeds);
-        }
-        // Initial solve: everything is dirty.
-        engine.dirty_list.clear();
-        for x in 0..engine.delta.btn.node_count() as NodeId {
-            engine.dirty[x as usize] = true;
-            engine.dirty_list.push(x);
-        }
-        engine.solve_region();
-        engine.last_dirty_users = (0..n as u32).map(User).collect();
+        let (delta, mut side) = engine.split();
+        delta.reserve_side(&mut side);
         Ok(engine)
     }
 
-    /// Routes a structural reconcile through the shared [`DeltaBtn`],
-    /// keeping this engine's node tables in sync.
-    fn reconcile_user(&mut self, net: &TrustNetwork, u: User, seeds: &mut Vec<NodeId>) {
-        let mut side = BasicSide {
+    /// The live BTN beside this engine's node tables, borrowed apart so
+    /// the [`DeltaBtn`] can patch the one and keep the other in sync.
+    fn split(&mut self) -> (&mut DeltaBtn, BasicSide<'_>) {
+        let side = BasicSide {
             poss: &mut self.poss,
             reachable: &mut self.reachable,
             dirty: &mut self.dirty,
@@ -241,15 +257,23 @@ impl IncrementalResolver {
             lineage: self.lineage.as_mut(),
             empty: &self.empty,
         };
-        self.delta.reconcile_user(net, u, seeds, &mut side);
+        (&mut self.delta, side)
+    }
+
+    /// Routes a structural reconcile through the shared [`DeltaBtn`],
+    /// keeping this engine's node tables in sync.
+    fn reconcile_user(&mut self, net: &TrustNetwork, u: User, seeds: &mut Vec<NodeId>) {
+        let (delta, mut side) = self.split();
+        delta.reconcile_user(net, u, seeds, &mut side);
     }
 
     /// The live BTN backing the cached resolution.
     ///
-    /// Structurally equivalent to [`crate::binary::binarize`] of the
-    /// current network, but with its own node layout: synthetic nodes are
-    /// recycled across cascade rebuilds and late-created users sit after
-    /// them, so always address users through [`Btn::node_of`].
+    /// Built with [`crate::binary::binarize`]'s layout and structurally
+    /// equivalent to it ever after, but edits give it its own node layout:
+    /// synthetic nodes are recycled across cascade rebuilds and
+    /// late-created users sit after them, so always address users through
+    /// [`Btn::node_of`].
     pub fn btn(&self) -> &Btn {
         &self.delta.btn
     }
@@ -393,15 +417,8 @@ impl IncrementalResolver {
 
     /// Appends nodes for users created in `net` since the engine was built.
     fn grow_users(&mut self, net: &TrustNetwork) {
-        let mut side = BasicSide {
-            poss: &mut self.poss,
-            reachable: &mut self.reachable,
-            dirty: &mut self.dirty,
-            closed: &mut self.closed,
-            lineage: self.lineage.as_mut(),
-            empty: &self.empty,
-        };
-        self.delta.grow_users(net, &mut side);
+        let (delta, mut side) = self.split();
+        delta.grow_users(net, &mut side);
     }
 
     /// Marks the forward closure of `seeds` over trust edges as dirty —

@@ -118,11 +118,11 @@ impl Resolution {
         Arc::clone(&self.poss[node as usize])
     }
 
-    /// Consumes the resolution into its per-node possible sets and
-    /// reachability mask (used by the incremental resolver to seed its
-    /// cache without cloning).
-    pub fn into_parts(self) -> (Vec<Arc<[Value]>>, Vec<bool>) {
-        (self.poss, self.reachable)
+    /// Consumes the resolution into its per-node possible sets,
+    /// reachability mask and lineage pointers (used by the incremental
+    /// resolver to seed its cache without cloning).
+    pub fn into_parts(self) -> (Vec<Arc<[Value]>>, Vec<bool>, Option<Lineage>) {
+        (self.poss, self.reachable, self.lineage)
     }
 
     /// Assembles a resolution from externally computed parts — the exit of

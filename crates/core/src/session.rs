@@ -31,9 +31,9 @@
 //!   ([`Session::snapshot`] keeps the basic-model contract and errors).
 //!
 //! Crossing the sign boundary (first constraint asserted, or the last one
-//! revoked) rebuilds the engine once; within a regime every typed edit
-//! stays on the delta path with the same [`DeltaStats`] / `BatchReport`
-//! accounting.
+//! revoked) rebuilds the engine once, and so does a batch with more edits
+//! than the network has users; otherwise every typed edit stays on the
+//! delta path with the same [`DeltaStats`] / `BatchReport` accounting.
 //!
 //! ### Durability
 //!
@@ -75,8 +75,10 @@ pub struct BatchReport {
     pub edits: usize,
     /// Size of the single combined dirty region (in BTN nodes).
     pub dirty_nodes: usize,
-    /// Whether the commit had to build the engine from scratch (first
-    /// snapshot; per-user change reporting is unavailable then).
+    /// Whether the commit built the engine from scratch instead of
+    /// draining the batch: the first snapshot (per-user change reporting
+    /// is unavailable then), a batch that crossed the sign boundary, or
+    /// one with more edits than the network has users.
     pub full_rebuild: bool,
 }
 
@@ -284,7 +286,9 @@ impl Session {
     /// recompute; constraint edits stay on the delta path when the
     /// session is already in skeptic mode, while a batch that *crosses*
     /// the sign boundary (first constraint in, last constraint out)
-    /// commits as one engine rebuild on the other pipeline.
+    /// commits as one engine rebuild on the other pipeline. A batch with
+    /// more edits than the network has users — a bulk load — also commits
+    /// as one rebuild, which is cheaper than patching edit by edit.
     ///
     /// Re-entrant: calling `begin_batch` while a batch is already open is
     /// a no-op — the open batch simply continues (there is no nesting;
@@ -304,9 +308,10 @@ impl Session {
         self.batching
     }
 
-    /// Closes the current batch, re-solves the combined dirty region once,
-    /// and returns the single change report. Without an open batch this
-    /// just flushes whatever is pending (an empty report if nothing is).
+    /// Closes the current batch, re-solves the combined dirty region once
+    /// (or reseeds the engine, for a batch larger than the network), and
+    /// returns the single change report. Without an open batch this just
+    /// flushes whatever is pending (an empty report if nothing is).
     pub fn commit(&mut self) -> Result<BatchReport> {
         self.batching = false;
         // WAL-first: everything the batch buffered with the durability
@@ -327,9 +332,13 @@ impl Session {
             });
         }
         let edits = std::mem::take(&mut self.pending);
-        // A batch that crossed the sign boundary cannot drain through the
-        // old engine; rebuild on the right pipeline and diff around it.
-        if self.net.has_constraints() != matches!(self.engine, Some(LiveEngine::Skeptic(_))) {
+        // Rebuild and diff around the rebuild when the batch crossed the
+        // sign boundary (the old engine cannot drain it) or carries more
+        // edits than the network has users (a patch costs at least one
+        // reconcile per edit, a rebuild about one per user).
+        let crossed =
+            self.net.has_constraints() != matches!(self.engine, Some(LiveEngine::Skeptic(_)));
+        if crossed || edits.len() > self.net.user_count() {
             let before = self.cert_positive_vec();
             self.invalidate();
             self.refresh()?;

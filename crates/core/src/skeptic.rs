@@ -540,6 +540,15 @@ impl SkepticScratch {
         self.mark.resize(n, 0);
         self.in_comp.resize(n, 0);
     }
+
+    /// Reserves room for `additional` more nodes in the node-indexed
+    /// arrays.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.in_region.reserve_exact(additional);
+        self.closed.reserve_exact(additional);
+        self.mark.reserve_exact(additional);
+        self.in_comp.reserve_exact(additional);
+    }
 }
 
 /// Bumps the epoch counter, clearing the stamp arrays on (astronomically
@@ -864,6 +873,18 @@ impl SkepticPlannedResolver {
     /// was built from; only its explicit (root) beliefs may differ. The
     /// result equals [`resolve_skeptic`] on every node.
     pub fn resolve(&self, btn: &Btn, threads: usize) -> Result<SkepticResolution> {
+        let (rep, pref_neg, _) = self.solve(btn, threads);
+        Ok(SkepticResolution { rep, pref_neg })
+    }
+
+    /// [`SkepticPlannedResolver::resolve`] as parts: `repPoss`, `prefNeg`
+    /// and the reachability mask of its preprocessing — the cache the
+    /// incremental engine seeds from.
+    pub(crate) fn solve(
+        &self,
+        btn: &Btn,
+        threads: usize,
+    ) -> (Vec<RepPoss>, Vec<NegSet>, Vec<bool>) {
         assert_eq!(
             btn.node_count(),
             self.nodes,
@@ -887,7 +908,7 @@ impl SkepticPlannedResolver {
             nodes: n,
         };
         run_shards(&ctx, threads);
-        Ok(SkepticResolution { rep, pref_neg })
+        (rep, pref_neg, reachable)
     }
 }
 

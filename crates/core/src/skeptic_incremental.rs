@@ -21,7 +21,7 @@
 //!    reachability and `prefNeg`, then Algorithm 2's Step-1/Step-2
 //!    alternation ([`crate::skeptic`]'s shared regional replay, also the
 //!    cyclic-unit solver of
-//!    [`SkepticPlannedResolver`](crate::skeptic::SkepticPlannedResolver))
+//!    [`SkepticPlannedResolver`])
 //!    re-runs inside the region with clean nodes frozen at their cached
 //!    representations.
 //!
@@ -29,15 +29,17 @@
 //! [`resolve_skeptic`](crate::skeptic::resolve_skeptic) over random signed
 //! edit streams; the `skeptic_bench` binary measures the per-edit win.
 
-use crate::binary::Btn;
+use crate::binary::{Btn, Parents};
 use crate::cow::CowCopies;
 use crate::deltabtn::{DeltaBtn, NodeSideTables};
 use crate::error::{Error, Result};
 use crate::incremental::{BeliefChange, Edit};
 use crate::network::TrustNetwork;
+use crate::parallel::ParOptions;
 use crate::signed::{ExplicitBelief, NegSet};
 use crate::skeptic::{
-    solve_skeptic_region, RepPoss, SkepticNet, SkepticScratch, SkepticUserResolution, VecStore,
+    solve_skeptic_region, RepPoss, SkepticNet, SkepticPlannedResolver, SkepticScratch,
+    SkepticUserResolution, VecStore,
 };
 use crate::user::User;
 use crate::value::Value;
@@ -109,6 +111,27 @@ impl NodeSideTables for SkepticSide<'_> {
         self.pref_neg[x as usize] = NegSet::empty();
         self.reachable[x as usize] = false;
     }
+
+    fn reserve(&mut self, additional: usize) {
+        self.rep.reserve_exact(additional);
+        self.pref_neg.reserve_exact(additional);
+        self.reachable.reserve_exact(additional);
+        self.dirty.reserve_exact(additional);
+        self.region.reserve(additional);
+    }
+}
+
+/// Fails if any of `nodes` has tied parent priorities (Algorithm 2
+/// requires a tie-free BTN), naming the user whose structure it belongs
+/// to: every node at a build, the reconciled nodes at an edit batch.
+fn check_ties(btn: &Btn, nodes: impl IntoIterator<Item = NodeId>) -> Result<()> {
+    match nodes
+        .into_iter()
+        .find(|&x| matches!(btn.parents(x), Parents::Tied(..)))
+    {
+        Some(x) => Err(Error::TiesUnsupported(btn.owner(x))),
+        None => Ok(()),
+    }
 }
 
 /// The incremental skeptic engine: a live BTN plus its cached Algorithm-2
@@ -136,37 +159,49 @@ pub struct SkepticIncremental {
 }
 
 impl SkepticIncremental {
-    /// Builds the engine from `net` and solves it fully once.
+    /// Builds the engine from `net` and solves it fully once: one bulk
+    /// BTN build, then one whole-network solve through
+    /// [`SkepticPlannedResolver`] adopted as the cache.
     ///
     /// Fails like [`crate::skeptic::resolve_skeptic`] on tied priorities;
     /// constraints are of course supported.
     pub fn new(net: &TrustNetwork) -> Result<Self> {
-        let n = net.user_count();
+        let delta = DeltaBtn::new(net);
+        check_ties(&delta.btn, delta.btn.nodes())?;
+        let opts = ParOptions {
+            threads: 1,
+            ..ParOptions::default()
+        };
+        let (rep, pref_neg, reachable) =
+            SkepticPlannedResolver::new(&delta.btn, opts)?.solve(&delta.btn, 1);
+        let n = delta.btn.node_count();
         let mut engine = SkepticIncremental {
-            delta: DeltaBtn::new(net),
-            rep: vec![RepPoss::default(); n],
-            pref_neg: vec![NegSet::empty(); n],
-            reachable: vec![false; n],
+            delta,
+            rep,
+            pref_neg,
+            reachable,
             last_dirty_users: Vec::new(),
             dirty: vec![false; n],
             dirty_list: Vec::new(),
             region: SkepticScratch::new(n),
             stack: Vec::new(),
         };
-        let mut seeds = Vec::new();
-        for u in 0..n as u32 {
-            engine.reconcile_user(net, User(u), &mut seeds);
-        }
-        engine.check_ties(&seeds)?;
-        // Initial solve: everything is dirty.
-        engine.dirty_list.clear();
-        for x in 0..engine.delta.btn.node_count() as NodeId {
-            engine.dirty[x as usize] = true;
-            engine.dirty_list.push(x);
-        }
-        engine.solve_region();
-        engine.last_dirty_users = (0..n as u32).map(User).collect();
+        let (delta, mut side) = engine.split();
+        delta.reserve_side(&mut side);
         Ok(engine)
+    }
+
+    /// The live BTN beside this engine's node tables, borrowed apart so
+    /// the [`DeltaBtn`] can patch the one and keep the other in sync.
+    fn split(&mut self) -> (&mut DeltaBtn, SkepticSide<'_>) {
+        let side = SkepticSide {
+            rep: &mut self.rep,
+            pref_neg: &mut self.pref_neg,
+            reachable: &mut self.reachable,
+            dirty: &mut self.dirty,
+            region: &mut self.region,
+        };
+        (&mut self.delta, side)
     }
 
     /// The live BTN backing the cached resolution (own node layout —
@@ -298,7 +333,7 @@ impl SkepticIncremental {
                 }
             }
         }
-        self.check_ties(&seeds)?;
+        check_ties(&self.delta.btn, seeds.iter().copied())?;
 
         self.compute_dirty(&seeds);
         // Capture pre-solve certain positives of every user in the region.
@@ -325,43 +360,16 @@ impl SkepticIncremental {
         Ok(changes)
     }
 
-    /// Fails if any node reconciled by this batch ended up with tied
-    /// parent priorities (Algorithm 2 requires a tie-free BTN).
-    fn check_ties(&self, seeds: &[NodeId]) -> Result<()> {
-        for &x in seeds {
-            if matches!(
-                self.delta.btn.parents[x as usize],
-                crate::binary::Parents::Tied(..)
-            ) {
-                let user = self.delta.btn.origin(x).unwrap_or(User(x));
-                return Err(Error::TiesUnsupported(user));
-            }
-        }
-        Ok(())
-    }
-
     /// Appends nodes for users created in `net` since the engine was built.
     fn grow_users(&mut self, net: &TrustNetwork) {
-        let mut side = SkepticSide {
-            rep: &mut self.rep,
-            pref_neg: &mut self.pref_neg,
-            reachable: &mut self.reachable,
-            dirty: &mut self.dirty,
-            region: &mut self.region,
-        };
-        self.delta.grow_users(net, &mut side);
+        let (delta, mut side) = self.split();
+        delta.grow_users(net, &mut side);
     }
 
     /// Routes a structural reconcile through the shared [`DeltaBtn`].
     fn reconcile_user(&mut self, net: &TrustNetwork, u: User, seeds: &mut Vec<NodeId>) {
-        let mut side = SkepticSide {
-            rep: &mut self.rep,
-            pref_neg: &mut self.pref_neg,
-            reachable: &mut self.reachable,
-            dirty: &mut self.dirty,
-            region: &mut self.region,
-        };
-        self.delta.reconcile_user(net, u, seeds, &mut side);
+        let (delta, mut side) = self.split();
+        delta.reconcile_user(net, u, seeds, &mut side);
     }
 
     /// Marks the forward closure of `seeds` over trust edges as dirty.

@@ -2,10 +2,14 @@
 //! random networks and random 20-step edit streams, the session's
 //! incrementally patched `poss`/`cert` must be identical to a from-scratch
 //! `resolve_network` after every single step (same spirit as
-//! `tests/proptest_invariants.rs`).
+//! `tests/proptest_invariants.rs`). The engine's bulk build must equal an
+//! engine grown from empty edit by edit, and a batch that reseeds the
+//! engine must report what draining it would have.
 
 use proptest::prelude::*;
-use trustmap::{resolve_network, Edit, Session, TrustNetwork, User, Value};
+use trustmap::resolution::UserResolution;
+use trustmap::workloads::apply_edit;
+use trustmap::{resolve_network, Edit, IncrementalResolver, Session, TrustNetwork, User, Value};
 
 /// A raw network description proptest can generate.
 #[derive(Debug, Clone)]
@@ -99,8 +103,161 @@ fn concretize(raw: RawEdit, users: usize, values: &[Value]) -> Edit {
     }
 }
 
+/// `net`'s users and values alone: no mappings, no beliefs.
+fn bare(net: &TrustNetwork) -> TrustNetwork {
+    let mut bare = TrustNetwork::new();
+    for u in net.users() {
+        bare.user(net.user_name(u));
+    }
+    for v in net.domain().values() {
+        bare.value(net.domain().name(v));
+    }
+    bare
+}
+
+/// The edits that grow `net` from [`bare`]: every mapping as a trust
+/// edit in declaration order, then every belief.
+fn construction_edits(net: &TrustNetwork) -> Vec<Edit> {
+    let mut edits: Vec<Edit> = net
+        .mappings()
+        .iter()
+        .map(|m| Edit::Trust {
+            child: m.child,
+            parent: m.parent,
+            priority: m.priority,
+        })
+        .collect();
+    edits.extend(
+        net.users()
+            .filter_map(|u| net.belief(u).positive().map(|v| Edit::Believe(u, v))),
+    );
+    edits
+}
+
+/// Every user's possible set in `engine`, read through its own layout,
+/// equals `reference`'s; every possible value of a traced engine has a
+/// lineage chain ending at a root that asserts it.
+fn check_engine(
+    engine: &IncrementalResolver,
+    net: &TrustNetwork,
+    reference: &UserResolution,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    let btn = engine.btn();
+    for u in net.users() {
+        prop_assert_eq!(
+            engine.poss(btn.node_of(u)),
+            reference.poss(u),
+            "{}: poss diverged for user {}",
+            what,
+            u
+        );
+    }
+    if let Some(lineage) = engine.lineage() {
+        for x in btn.nodes().filter(|&x| !btn.parents(x).is_root()) {
+            for &v in engine.poss(x) {
+                let chain = lineage.trace(x, v);
+                let root = chain.as_ref().and_then(|c| c.last().copied());
+                prop_assert_eq!(
+                    root.and_then(|r| btn.belief(r).positive()),
+                    Some(v),
+                    "{}: ({}, {:?}) has no sound lineage",
+                    what,
+                    x,
+                    v
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The bulk-seeded engine (plain and traced), an engine grown from
+    /// the bare users by patching the construction edits one at a time,
+    /// and a full resolution agree on every user. The same random edit
+    /// stream then keeps all three engines equal to a full resolution
+    /// after every step — cascade recycling on the binarize layout
+    /// included.
+    #[test]
+    fn bulk_seed_equals_patching_from_empty(
+        raw in raw_net(6, 10),
+        edits in raw_edits(16),
+    ) {
+        let (mut net, values) = build(&raw);
+        let mut seeded = IncrementalResolver::new(&net).expect("positive network");
+        let mut traced = IncrementalResolver::new_traced(&net).expect("positive network");
+        let mut grown_net = bare(&net);
+        let mut grown = IncrementalResolver::new(&grown_net).expect("empty network");
+        for edit in construction_edits(&net) {
+            apply_edit(&mut grown_net, edit);
+            grown.apply_edits(&grown_net, &[edit]);
+        }
+        let reference = resolve_network(&net).expect("resolves");
+        check_engine(&seeded, &net, &reference, "seeded")?;
+        check_engine(&traced, &net, &reference, "traced seed")?;
+        check_engine(&grown, &net, &reference, "grown")?;
+        for (step, &raw_edit) in edits.iter().enumerate() {
+            let edit = concretize(raw_edit, raw.users, &values);
+            apply_edit(&mut net, edit);
+            for engine in [&mut seeded, &mut traced, &mut grown] {
+                engine.apply_edits(&net, &[edit]);
+            }
+            let reference = resolve_network(&net).expect("resolves");
+            let at = |what: &str| format!("step {step} ({edit:?}), {what}");
+            check_engine(&seeded, &net, &reference, &at("seeded"))?;
+            check_engine(&traced, &net, &reference, &at("traced seed"))?;
+            check_engine(&grown, &net, &reference, &at("grown"))?;
+        }
+    }
+
+    /// A batch with more edits than the network has users reseeds the
+    /// engine — one more full rebuild — and reports the same changes as
+    /// the same batch drained through the engine the session started
+    /// with.
+    #[test]
+    fn reseeding_batch_reports_like_a_drain(
+        raw in raw_net(5, 8),
+        edits in raw_edits(12),
+    ) {
+        let (net, values) = build(&raw);
+        let mut session = Session::new(net.clone());
+        session.snapshot().expect("positive network");
+        let mut drained = IncrementalResolver::new(&net).expect("positive network");
+        session.begin_batch().expect("engine is live");
+        let batch: Vec<Edit> = edits
+            .iter()
+            .map(|&raw_edit| concretize(raw_edit, raw.users, &values))
+            .collect();
+        for &edit in &batch {
+            match edit {
+                Edit::Believe(u, v) => session.believe(u, v).expect("valid"),
+                Edit::Revoke(u) => session.revoke(u).expect("valid"),
+                Edit::Trust { child, parent, priority } => {
+                    session.trust(child, parent, priority).expect("valid")
+                }
+            }
+        }
+        prop_assert!(batch.len() > session.network().user_count());
+        let report = session.commit().expect("positive network");
+        prop_assert!(report.full_rebuild, "the batch must reseed");
+        prop_assert_eq!(report.edits, batch.len());
+        prop_assert_eq!(session.stats().full_rebuilds, 2);
+        prop_assert_eq!(session.stats().incremental_edits, 0);
+
+        let mut expected = drained.apply_edits(session.network(), &batch);
+        let mut reported = report.changes.clone();
+        expected.sort_by_key(|c| c.user);
+        reported.sort_by_key(|c| c.user);
+        prop_assert_eq!(reported, expected);
+        let reference = resolve_network(session.network()).expect("resolves");
+        let snapshot = session.snapshot().expect("resolves").clone();
+        for u in session.network().users() {
+            prop_assert_eq!(snapshot.poss(u), reference.poss(u), "user {}", u);
+        }
+    }
 
     /// After every step of a random 20-edit stream, the incremental
     /// session equals a from-scratch resolution of the same network.

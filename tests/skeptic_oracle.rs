@@ -7,12 +7,15 @@
 //! stream (believe/revoke/constraint/trust mixes). On *positive* networks
 //! the Skeptic paradigm coincides with the basic model (Section 3), so
 //! there the engine must also match [`IncrementalResolver`] byte for byte
-//! — the groundwork for merging the twin engines.
+//! — the groundwork for merging the twin engines. The engine's bulk build
+//! must equal an engine grown from empty edit by edit, and still refuse
+//! tied priorities.
 
 use proptest::prelude::*;
 use trustmap::skeptic::resolve_skeptic;
 use trustmap::{
-    IncrementalResolver, NegSet, SignedEdit, SkepticIncremental, TrustNetwork, User, Value,
+    Error, ExplicitBelief, IncrementalResolver, NegSet, Session, SignedEdit, SkepticIncremental,
+    TrustNetwork, User, Value,
 };
 use trustmap_core::parallel::ParOptions;
 use trustmap_core::SkepticPlannedResolver;
@@ -135,8 +138,102 @@ fn apply_to_net(net: &mut TrustNetwork, edit: &SignedEdit) {
     }
 }
 
+/// `net`'s users and values alone, and the signed edits that grow it
+/// back: every mapping as a trust edit in declaration order, then every
+/// positive or negative belief.
+fn bare_and_construction(net: &TrustNetwork) -> (TrustNetwork, Vec<SignedEdit>) {
+    let mut bare = TrustNetwork::new();
+    for u in net.users() {
+        bare.user(net.user_name(u));
+    }
+    for v in net.domain().values() {
+        bare.value(net.domain().name(v));
+    }
+    let mut edits: Vec<SignedEdit> = net
+        .mappings()
+        .iter()
+        .map(|m| SignedEdit::Trust {
+            child: m.child,
+            parent: m.parent,
+            priority: m.priority,
+        })
+        .collect();
+    for u in net.users() {
+        match net.belief(u) {
+            ExplicitBelief::Pos(v) => edits.push(SignedEdit::Believe(u, *v)),
+            ExplicitBelief::Negs(neg) => edits.push(SignedEdit::Reject(u, neg.clone())),
+            ExplicitBelief::None => {}
+        }
+    }
+    (bare, edits)
+}
+
+/// Every user's `repPoss` and `prefNeg` in `engine`, read through its own
+/// layout, equal a from-scratch Algorithm 2 run over `net`.
+fn check_engine(
+    engine: &SkepticIncremental,
+    net: &TrustNetwork,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    let btn = trustmap_core::binarize(net);
+    let reference = resolve_skeptic(&btn).expect("tie-free by construction");
+    for u in net.users() {
+        let x = engine.btn().node_of(u);
+        prop_assert_eq!(
+            engine.rep_poss(x),
+            reference.rep_poss(btn.node_of(u)),
+            "{}: repPoss diverged for user {}",
+            what,
+            u
+        );
+        prop_assert_eq!(
+            engine.pref_neg(x),
+            reference.pref_neg(btn.node_of(u)),
+            "{}: prefNeg diverged for user {}",
+            what,
+            u
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The bulk-seeded engine, an engine grown from the bare users by
+    /// patching the construction edits one at a time, and a full
+    /// Algorithm 2 run agree on every user; the same random signed edit
+    /// stream then keeps both engines equal to a full run after every
+    /// step.
+    #[test]
+    fn bulk_seed_equals_patching_from_empty(
+        raw in raw_net(6, 10),
+        edits in raw_edits(16),
+    ) {
+        let (mut net, values) = build(&raw);
+        let mut seeded = SkepticIncremental::new(&net).expect("tie-free");
+        let (mut grown_net, construction) = bare_and_construction(&net);
+        let mut grown = SkepticIncremental::new(&grown_net).expect("empty network");
+        for edit in &construction {
+            apply_to_net(&mut grown_net, edit);
+            grown
+                .apply_edits(&grown_net, std::slice::from_ref(edit))
+                .expect("tie-free");
+        }
+        check_engine(&seeded, &net, "seeded")?;
+        check_engine(&grown, &net, "grown")?;
+        for (step, &raw_edit) in edits.iter().enumerate() {
+            let edit = concretize(raw_edit, step, raw.users, &values);
+            apply_to_net(&mut net, &edit);
+            for engine in [&mut seeded, &mut grown] {
+                engine
+                    .apply_edits(&net, std::slice::from_ref(&edit))
+                    .expect("tie-free stream");
+            }
+            check_engine(&seeded, &net, &format!("step {step} ({edit:?}), seeded"))?;
+            check_engine(&grown, &net, &format!("step {step} ({edit:?}), grown"))?;
+        }
+    }
 
     /// Identical representations at 1–8 threads, in both dependency modes
     /// and at a shard granularity small enough to force real cross-shard
@@ -326,6 +423,53 @@ fn all_options() -> impl Iterator<Item = ParOptions> {
                 exact_deps,
             })
     })
+}
+
+/// Ties still fail the skeptic engine's build, naming the tied user: the
+/// bulk build checks every node, with no seed list to go by. A network
+/// with one tied user — at its own node (two equal parents), or inside
+/// its cascade (the lowest two of three) — fails `SkepticIncremental::new`
+/// and a commit that reseeds the engine alike.
+#[test]
+fn ties_fail_the_bulk_build_for_the_tied_user() {
+    for interior in [false, true] {
+        let mut net = TrustNetwork::new();
+        let [guard, source, x, a, b, c, tied] =
+            users(&mut net, ["guard", "source", "x", "a", "b", "c", "tied"]);
+        let v = net.value("v");
+        net.reject(guard, NegSet::of([v])).unwrap();
+        net.believe(source, v).unwrap();
+        net.trust(x, guard, 2).unwrap();
+        net.trust(x, source, 1).unwrap();
+        let mut session = Session::new(net.clone());
+        session.skeptic_snapshot().expect("tie-free");
+
+        let mut tie = vec![(a, 5), (b, 5)];
+        if interior {
+            tie.push((c, 9));
+        }
+        for &(parent, priority) in &tie {
+            net.trust(tied, parent, priority).unwrap();
+        }
+        assert!(
+            matches!(SkepticIncremental::new(&net), Err(Error::TiesUnsupported(u)) if u == tied),
+            "interior={interior}: the build must name the tied user"
+        );
+
+        // Re-asserting one belief once per user makes the batch larger
+        // than the network, so the commit reseeds rather than drains.
+        session.begin_batch().unwrap();
+        for _ in 0..net.user_count() {
+            session.believe(source, v).unwrap();
+        }
+        for &(parent, priority) in &tie {
+            session.trust(tied, parent, priority).unwrap();
+        }
+        assert!(
+            matches!(session.commit(), Err(Error::TiesUnsupported(u)) if u == tied),
+            "interior={interior}: the reseeding commit must name the tied user"
+        );
+    }
 }
 
 /// Interns `names` in order.

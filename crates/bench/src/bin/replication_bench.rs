@@ -310,9 +310,9 @@ fn measure(cfg: &Config) -> Row {
             floor_respected,
             "a sealed segment survived wholly below the snapshot watermark {last_snapshot_lsn}"
         );
-        assert!(
-            row.bootstraps >= 1,
-            "the fresh follower should have bootstrapped from the snapshot"
+        assert_eq!(
+            row.bootstraps, 1,
+            "the fresh follower should bootstrap from the snapshot exactly once"
         );
         assert!(
             row.chaos_faults_injected > 0 && row.chaos_crc_rejects > 0 && row.chaos_reconnects > 0,

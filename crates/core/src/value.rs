@@ -29,8 +29,7 @@ impl fmt::Display for Value {
 
 /// Interner mapping value names to dense [`Value`] ids.
 ///
-/// The domain `D` of the paper; every network owns one. Names are optional:
-/// synthetic workloads can mint anonymous values with [`Domain::fresh`].
+/// The domain `D` of the paper; every network owns one.
 ///
 /// Cloning a domain shares its [`NameTable`]; the table is copied only
 /// when one of the clones interns a value the other has not seen.
@@ -48,12 +47,6 @@ impl Domain {
     /// Interns `name`, returning the existing id if already present.
     pub fn intern(&mut self, name: &str) -> Value {
         Value(NameTable::intern_shared(&mut self.names, name))
-    }
-
-    /// Mints a fresh anonymous value (named `_N`).
-    pub fn fresh(&mut self) -> Value {
-        let name = format!("_{}", self.names.len());
-        self.intern(&name)
     }
 
     /// Looks up a value by name without interning.
@@ -105,15 +98,6 @@ mod tests {
         assert_eq!(d.name(jar), "jar");
         assert_eq!(d.get("cow"), Some(cow));
         assert_eq!(d.get("fish"), None);
-    }
-
-    #[test]
-    fn fresh_values_are_distinct() {
-        let mut d = Domain::new();
-        let a = d.fresh();
-        let b = d.fresh();
-        assert_ne!(a, b);
-        assert_eq!(d.len(), 2);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! * [`snapshot`] — a full network image (binary + debuggable text
 //!   flavors) carrying the LSN watermark recovery resumes from, so
 //!   recovery cost is O(snapshot + tail), never O(history); retention
-//!   drops sealed segments wholly below the newest snapshot's watermark;
+//!   drops sealed segments wholly below the recovered image's watermark;
 //! * [`replica`] — a log-shipping follower that pulls sealed segments
 //!   plus the live tail, replays committed units through the incremental
 //!   engines, and publishes epoch views for replica-side reads;
@@ -156,6 +156,9 @@ struct Inner {
     sealed: Vec<segment::SegmentMeta>,
     rotate_bytes: u64,
     retain_on_snapshot: bool,
+    /// LSN of the image history rests on (0 = genesis): recovery sets
+    /// it, [`Store::snapshot_now`] advances it, retention and `SHIP` read it.
+    image_lsn: u64,
     /// Lowest watermark a follower may still resume from: the most recent
     /// `SHIP` request's watermark (a lightweight replication slot).
     /// Retention never drops a segment a known follower has yet to pull.
@@ -311,12 +314,17 @@ pub(crate) struct RecoveredDir {
 }
 
 /// Recovers the session and log layout of a store directory: load the
-/// newest loadable snapshot, walk the segment chain in LSN order, replay
-/// committed units above the watermark through the incremental engines.
+/// image ([`snapshot::load_latest`]), walk the segment chain in LSN order,
+/// replay committed units above the watermark through the incremental
+/// engines. The only place that decides the history base (see
+/// [`snapshot`]).
 ///
 /// Failure policy (the corpus gate's contract):
 /// * torn/corrupt tail of the **live** segment → roll back to the last
 ///   commit frame (warn);
+/// * a chain that does not reach `image lsn + 1` (a damaged newest
+///   snapshot whose older fallback sits below retired history) → hard
+///   error naming the missing range;
 /// * a **sealed** segment recovery still needs (above the snapshot
 ///   watermark) that is missing, gapped, or fails its CRC → hard error,
 ///   never guess;
@@ -418,30 +426,29 @@ pub(crate) fn recover_dir(dir: &Path) -> Result<RecoveredDir> {
 
     for (idx, (first, path)) in files.iter().enumerate() {
         let is_last = idx + 1 == files.len();
-        // LSNs are dense, so the chain is intact iff each segment starts
-        // right after its predecessor's last commit frame.
-        if let Some(exp) = expected_first {
-            if *first < exp {
+        // LSNs are dense, so history is intact iff the chain reaches the
+        // image's successor with each segment right after its predecessor.
+        let needed = expected_first.unwrap_or(0).max(snapshot_lsn + 1);
+        match expected_first {
+            Some(exp) if *first < exp => {
                 return Err(Error::Io(format!(
                     "overlapping segments: {} starts inside its predecessor (expected lsn {exp})",
                     segment::file_name(*first)
-                )));
+                )))
             }
-            if *first > exp {
-                if snapshot_lsn + 1 >= *first {
-                    warnings.push(format!(
-                        "log chain gap at lsns {exp}..{} — below the snapshot watermark \
-                         {snapshot_lsn}, skipped",
-                        *first - 1
-                    ));
-                } else {
-                    return Err(Error::Io(format!(
-                        "log chain gap: lsns {exp}..{} are missing and above the snapshot \
-                         watermark {snapshot_lsn}",
-                        *first - 1
-                    )));
-                }
+            _ if *first > needed => {
+                return Err(Error::Io(format!(
+                    "log chain gap: lsns {needed}..{} are missing and above the snapshot \
+                     watermark {snapshot_lsn}",
+                    *first - 1
+                )))
             }
+            Some(exp) if *first > exp => warnings.push(format!(
+                "log chain gap at lsns {exp}..{} — below the snapshot watermark {snapshot_lsn}, \
+                 skipped",
+                *first - 1
+            )),
+            _ => {}
         }
         let manifest_meta = manifest
             .as_ref()
@@ -705,6 +712,7 @@ impl Store {
                 sealed,
                 rotate_bytes: opts.rotate_bytes.max(1),
                 retain_on_snapshot: opts.retain_on_snapshot,
+                image_lsn: stats.snapshot_lsn,
                 ship_floor: None,
                 next_lsn: last_lsn + 1,
                 last_committed: last_lsn,
@@ -743,20 +751,15 @@ impl Store {
         }
         let mut g = self.inner.lock().expect("store mutex");
         snapshot::write(&g.dir, session.network(), g.last_committed, g.seg_len)?;
+        let g = &mut *g;
+        g.image_lsn = g.last_committed;
         if g.retain_on_snapshot {
-            let watermark = g.last_committed;
-            retire_locked(&mut g, watermark)?;
+            let floor = g.ship_floor.map_or(g.image_lsn, |f| f.min(g.image_lsn));
+            let (segments, bytes) = retire_below(&g.dir, &mut g.sealed, floor)?;
+            g.counters.segments_retired += segments;
+            g.counters.bytes_retired += bytes;
         }
         Ok(g.last_committed)
-    }
-
-    /// Retires sealed segments wholly below the retention floor:
-    /// `min(newest snapshot watermark, ship floor)`. The live segment is
-    /// never touched. Returns what was reclaimed.
-    pub fn retire(&self) -> Result<Retired> {
-        let mut g = self.inner.lock().expect("store mutex");
-        let watermark = snapshot::list(&g.dir).first().copied().unwrap_or(0);
-        retire_locked(&mut g, watermark)
     }
 
     /// The LSN of the last durable commit frame (0 before any commit).
@@ -865,7 +868,7 @@ impl Store {
         } else {
             req.max_bytes as u64
         };
-        let (dir, sealed, live_first, live_len, last_committed, term) = {
+        let (dir, sealed, live_first, live_len, last_committed, term, image_lsn) = {
             let mut g = self.inner.lock().expect("store mutex");
             g.ship_floor = Some(req.watermark);
             if req.term > g.term && g.fenced.is_none_or(|t| t < req.term) {
@@ -878,15 +881,15 @@ impl Store {
                 g.seg_len,
                 g.last_committed,
                 g.term,
+                g.image_lsn,
             )
         };
         let first_available = sealed.first().map(|m| m.first_lsn).unwrap_or(live_first);
         let behind = |w: u64| -> Result<ShipResponse> {
-            let snapshot_lsn = snapshot::list(&dir).first().copied().unwrap_or(0);
-            if snapshot_lsn + 1 < first_available {
-                // Should be impossible (retention floors at the snapshot
-                // watermark), but never point a follower at a bootstrap
-                // that cannot catch up either.
+            if image_lsn + 1 < first_available {
+                // Should be impossible (retention floors at the image, which
+                // recovery proved the chain reaches), but never point a
+                // follower at a bootstrap that cannot catch up either.
                 return Err(Error::Io(format!(
                     "follower watermark {w} predates segment {first_available} and no snapshot \
                      bridges the gap"
@@ -894,7 +897,7 @@ impl Store {
             }
             Ok(ShipResponse::Behind {
                 first_available,
-                snapshot_lsn,
+                snapshot_lsn: image_lsn,
                 term,
             })
         };
@@ -1025,16 +1028,19 @@ impl Store {
         }))
     }
 
-    /// The newest snapshot as a shippable blob (its binary encoding), for
-    /// bootstrapping a follower that fell below the retention horizon.
-    /// `None` when no snapshot exists yet.
-    pub fn snapshot_blob(&self) -> Result<Option<SnapshotBlob>> {
-        let dir = self.dir();
-        let (snap, _warnings) = snapshot::load_latest(&dir);
-        Ok(snap.map(|s| SnapshotBlob {
-            lsn: s.lsn,
-            bytes: snapshot::encode(&s.net, s.lsn, s.wal_offset),
-        }))
+    /// The image history rests on as a shippable blob
+    /// ([`snapshot::image_bytes`]), for bootstrapping a follower that fell
+    /// below the retention horizon. An error before the first snapshot.
+    pub fn snapshot_blob(&self) -> Result<SnapshotBlob> {
+        let (dir, lsn) = {
+            let g = self.inner.lock().expect("store mutex");
+            (g.dir.clone(), g.image_lsn)
+        };
+        if lsn == 0 {
+            return Err(Error::Io("leader has no snapshot to bootstrap from".into()));
+        }
+        let bytes = snapshot::image_bytes(&dir, lsn)?;
+        Ok(SnapshotBlob { lsn, bytes })
     }
 
     fn buffer(&self, payload: &Payload) {
@@ -1066,17 +1072,6 @@ impl Store {
     }
 }
 
-/// What one retention pass reclaimed.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Retired {
-    /// Sealed segments unlinked.
-    pub segments: u64,
-    /// Bytes they occupied (data + footers).
-    pub bytes: u64,
-    /// The floor used: `min(snapshot watermark, ship floor)`.
-    pub floor: u64,
-}
-
 /// The shape of the on-disk log (see [`Store::layout`]).
 #[derive(Debug, Clone)]
 pub struct LogLayout {
@@ -1090,18 +1085,20 @@ pub struct LogLayout {
     pub last_committed: u64,
 }
 
-fn retire_locked(g: &mut Inner, snapshot_lsn: u64) -> Result<Retired> {
-    let floor = match g.ship_floor {
-        Some(f) => snapshot_lsn.min(f),
-        None => snapshot_lsn,
-    };
+/// Retention, leader and follower alike: unlinks the sealed segments
+/// wholly at or below `floor` and drops them from `sealed` and the
+/// manifest; returns how many went and the bytes they held.
+pub(crate) fn retire_below(
+    dir: &Path,
+    sealed: &mut Vec<segment::SegmentMeta>,
+    floor: u64,
+) -> Result<(u64, u64)> {
     let mut segments = 0u64;
     let mut bytes = 0u64;
-    let mut kept = Vec::with_capacity(g.sealed.len());
-    for m in std::mem::take(&mut g.sealed) {
+    let mut kept = Vec::with_capacity(sealed.len());
+    for m in std::mem::take(sealed) {
         if m.last_lsn <= floor {
-            let path = segment::path(&g.dir, m.first_lsn);
-            match std::fs::remove_file(&path) {
+            match std::fs::remove_file(segment::path(dir, m.first_lsn)) {
                 Ok(()) => {
                     segments += 1;
                     bytes += m.data_len + segment::FOOTER_LEN as u64;
@@ -1116,20 +1113,14 @@ fn retire_locked(g: &mut Inner, snapshot_lsn: u64) -> Result<Retired> {
             kept.push(m);
         }
     }
-    g.sealed = kept;
+    *sealed = kept;
     if segments > 0 {
         // The manifest must stop listing the retired segments, and the
         // unlinks must survive a power loss (write_manifest syncs the
         // directory).
-        segment::write_manifest(&g.dir, &g.sealed)?;
-        g.counters.segments_retired += segments;
-        g.counters.bytes_retired += bytes;
+        segment::write_manifest(dir, sealed)?;
     }
-    Ok(Retired {
-        segments,
-        bytes,
-        floor,
-    })
+    Ok((segments, bytes))
 }
 
 /// Seals the live segment (footer + fsync), updates the manifest, and

@@ -138,7 +138,8 @@ pub enum ShipResponse {
     Behind {
         /// First LSN still available in the leader's log.
         first_available: u64,
-        /// Watermark of the leader's newest snapshot (always bridges to
+        /// LSN of the image the leader's history rests on — the one
+        /// [`ShipTransport::fetch_snapshot`] returns (always bridges to
         /// `first_available`).
         snapshot_lsn: u64,
         /// The leader's current term.
@@ -162,7 +163,7 @@ pub struct SnapshotBlob {
 pub trait ShipTransport {
     /// One pull: request committed bytes after the follower's position.
     fn ship(&mut self, req: &ShipRequest) -> Result<ShipResponse>;
-    /// Fetch the leader's newest snapshot (bootstrap path).
+    /// Fetch the image the leader's history rests on (bootstrap path).
     fn fetch_snapshot(&mut self) -> Result<SnapshotBlob>;
 }
 
@@ -185,9 +186,7 @@ impl ShipTransport for LocalTransport {
     }
 
     fn fetch_snapshot(&mut self) -> Result<SnapshotBlob> {
-        self.store
-            .snapshot_blob()?
-            .ok_or_else(|| Error::Io("leader has no snapshot to bootstrap from".into()))
+        self.store.snapshot_blob()
     }
 }
 
@@ -275,11 +274,6 @@ impl<T> FaultyTransport<T> {
             rng: SplitMix64::new(plan.seed),
             faults_injected: 0,
         }
-    }
-
-    /// The wrapped transport.
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
     }
 }
 
@@ -595,23 +589,7 @@ impl Follower {
     pub fn snapshot_now(&mut self) -> Result<u64> {
         let live_len = self.live.as_ref().map(|l| l.len).unwrap_or(0);
         snapshot::write(&self.dir, self.session.network(), self.watermark, live_len)?;
-        let mut kept = Vec::with_capacity(self.sealed.len());
-        let mut removed = false;
-        for m in std::mem::take(&mut self.sealed) {
-            if m.last_lsn <= self.watermark {
-                match std::fs::remove_file(segment::path(&self.dir, m.first_lsn)) {
-                    Ok(()) => removed = true,
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => removed = true,
-                    Err(_) => kept.push(m),
-                }
-            } else {
-                kept.push(m);
-            }
-        }
-        self.sealed = kept;
-        if removed {
-            segment::write_manifest(&self.dir, &self.sealed)?;
-        }
+        crate::retire_below(&self.dir, &mut self.sealed, self.watermark)?;
         Ok(self.watermark)
     }
 
@@ -749,7 +727,14 @@ impl Follower {
                 self.counters.caught_up += 1;
                 Ok(Step::CaughtUp { leader_lsn: lsn })
             }
-            ShipResponse::Behind { snapshot_lsn, .. } => self.bootstrap(transport, snapshot_lsn),
+            ShipResponse::Behind {
+                first_available,
+                snapshot_lsn,
+                ..
+            } => self.bootstrap(
+                transport,
+                snapshot_lsn.max(first_available.saturating_sub(1)),
+            ),
             ShipResponse::Chunk(chunk) => self.apply_chunk(chunk),
         }
     }
@@ -949,15 +934,19 @@ impl Follower {
     /// Snapshot bootstrap: retention outran the log position, so replace
     /// local state wholesale with the leader's snapshot and resume
     /// shipping from its watermark. The epoch slot is carried over so
-    /// reader handles never go stale.
-    fn bootstrap(&mut self, transport: &mut dyn ShipTransport, _hint: u64) -> Result<Step> {
+    /// reader handles never go stale. A blob below `advertised` (the
+    /// `Behind` reply's image, and at least its first available lsn − 1)
+    /// could never catch up, one below the watermark would regress it:
+    /// both are refused, not applied.
+    fn bootstrap(&mut self, transport: &mut dyn ShipTransport, advertised: u64) -> Result<Step> {
         let blob = transport.fetch_snapshot()?;
         let Some(snap) = snapshot::decode(&blob.bytes) else {
             return self.reject("bootstrap snapshot blob fails its CRC".into());
         };
-        if snap.lsn < self.watermark {
+        if snap.lsn < advertised.max(self.watermark) {
             return self.reject(format!(
-                "bootstrap snapshot at lsn {} regresses watermark {}",
+                "bootstrap snapshot at lsn {} is older than the advertised image {advertised} \
+                 or regresses watermark {}",
                 snap.lsn, self.watermark
             ));
         }
@@ -968,8 +957,10 @@ impl Follower {
         // watermark). The equal-lsn bootstrap changes no state and loses
         // no ack — it re-anchors the log position past the retired
         // segment so shipping can resume.
-        // Drop the local log (it is below the leader's retention horizon
-        // anyway) and re-anchor on the snapshot.
+        // Re-anchor on the snapshot first, then drop the local log (below
+        // the leader's retention horizon anyway): a crash in between leaves
+        // segments below the new image, never a chain short of it.
+        snapshot::write(&self.dir, &snap.net, snap.lsn, 0)?;
         self.live = None;
         self.sealed.clear();
         for (_, path) in segment::list_files(&self.dir).map_err(|e| io_err("list segments", e))? {
@@ -977,7 +968,6 @@ impl Follower {
                 .map_err(|e| io_err(&format!("remove {}", path.display()), e))?;
         }
         segment::write_manifest(&self.dir, &[])?;
-        snapshot::write(&self.dir, &snap.net, snap.lsn, 0)?;
         let exact = self.session.exact_enabled();
         let mut session = Session::new(snap.net);
         session.adopt_epoch_slot(Arc::clone(&self.slot));
@@ -1404,6 +1394,134 @@ mod tests {
         let _ = std::fs::remove_dir_all(&ldir);
         let _ = std::fs::remove_dir_all(&fdir);
         let _ = std::fs::remove_dir_all(&gdir);
+    }
+
+    /// A leader with two snapshots whose newest retired the history above
+    /// the older one: returns it with both snapshot LSNs.
+    fn leader_with_two_images(dir: &Path) -> (crate::Recovered, u64, u64) {
+        let mut leader = seed_leader(dir, 40);
+        let older = leader.store.snapshot_now(&leader.session).expect("snap");
+        let users: Vec<_> = (0..6)
+            .map(|i| leader.session.user(&format!("u{i}")))
+            .collect();
+        let v = leader.session.value("v0");
+        for &u in users.iter().cycle().take(60) {
+            leader.session.believe(u, v).expect("edit");
+        }
+        let newest = leader.store.snapshot_now(&leader.session).expect("snap");
+        let u = leader.session.user("u0");
+        leader.session.revoke(u).expect("edit");
+        let layout = leader.store.layout();
+        let first = layout
+            .sealed
+            .first()
+            .map_or(layout.live_first_lsn, |m| m.first_lsn);
+        assert!(
+            first > older + 1,
+            "precondition: retention must outrun {older}"
+        );
+        (leader, older, newest)
+    }
+
+    fn image_path(dir: &Path, lsn: u64, ext: &str) -> PathBuf {
+        dir.join(format!("snapshot-{lsn:020}.{ext}"))
+    }
+
+    /// A leader whose image was damaged after retention ships nothing
+    /// rather than the older snapshot the retained chain cannot catch up
+    /// from: every step fails naming the image, and the follower never
+    /// bootstraps (shipping the older one bootstrapped it once a step).
+    #[test]
+    fn a_damaged_image_is_refused_never_replaced_by_an_older_one() {
+        let ldir = fresh_dir("bad-image-l");
+        let fdir = fresh_dir("bad-image-f");
+        let (leader, _, newest) = leader_with_two_images(&ldir);
+        for ext in ["bin", "tn"] {
+            std::fs::write(image_path(&ldir, newest, ext), b"garbage").unwrap();
+        }
+        let mut t = LocalTransport::new(leader.store.clone());
+        let mut f = Follower::open(&fdir).expect("open follower");
+        for _ in 0..5 {
+            let err = f.step(&mut t).expect_err("no image to bootstrap from");
+            assert!(
+                err.to_string()
+                    .contains(&format!("snapshot image at lsn {newest}")),
+                "{err}"
+            );
+        }
+        assert_eq!(f.counters().bootstraps, 0);
+        assert_eq!(f.watermark(), 0);
+        let _ = std::fs::remove_dir_all(&ldir);
+        let _ = std::fs::remove_dir_all(&fdir);
+    }
+
+    /// When only the image's text twin survives, the leader encodes it
+    /// once and the follower bootstraps on the image itself, then catches
+    /// up byte-identical.
+    #[test]
+    fn an_image_with_only_its_twin_left_still_bootstraps() {
+        let ldir = fresh_dir("twin-image-l");
+        let fdir = fresh_dir("twin-image-f");
+        let (leader, _, newest) = leader_with_two_images(&ldir);
+        std::fs::write(image_path(&ldir, newest, "bin"), b"garbage").unwrap();
+        let mut t = LocalTransport::new(leader.store.clone());
+        let mut f = Follower::open(&fdir).expect("open follower");
+        let mut bootstraps = Vec::new();
+        loop {
+            match f.step(&mut t).expect("step") {
+                Step::Bootstrapped { snapshot_lsn } => bootstraps.push(snapshot_lsn),
+                Step::CaughtUp { .. } => break,
+                Step::Rejected { reason } => panic!("clean transport rejected: {reason}"),
+                Step::Applied { .. } => {}
+            }
+        }
+        assert_eq!(bootstraps, vec![newest]);
+        assert_eq!(
+            render_network(f.network()),
+            render_network(leader.session.network())
+        );
+        assert_eq!(
+            crate::committed_log(&ldir).unwrap(),
+            crate::committed_log(&fdir).unwrap()
+        );
+        let _ = std::fs::remove_dir_all(&ldir);
+        let _ = std::fs::remove_dir_all(&fdir);
+    }
+
+    /// A leader that answers `SNAPSHOT` with an image older than the one
+    /// its `Behind` reply advertised (an older build's fallback) is
+    /// refused through the reject path, not bootstrapped from.
+    #[test]
+    fn a_blob_older_than_the_advertised_image_is_rejected() {
+        struct StaleImage(LocalTransport, SnapshotBlob);
+        impl ShipTransport for StaleImage {
+            fn ship(&mut self, req: &ShipRequest) -> Result<ShipResponse> {
+                self.0.ship(req)
+            }
+            fn fetch_snapshot(&mut self) -> Result<SnapshotBlob> {
+                Ok(self.1.clone())
+            }
+        }
+        let ldir = fresh_dir("stale-image-l");
+        let fdir = fresh_dir("stale-image-f");
+        let (leader, older, newest) = leader_with_two_images(&ldir);
+        let blob = SnapshotBlob {
+            lsn: older,
+            bytes: std::fs::read(image_path(&ldir, older, "bin")).unwrap(),
+        };
+        let mut t = StaleImage(LocalTransport::new(leader.store.clone()), blob);
+        let mut f = Follower::open(&fdir).expect("open follower");
+        match f.step(&mut t).expect("step") {
+            Step::Rejected { reason } => assert!(
+                reason.contains(&format!("advertised image {newest}")),
+                "{reason}"
+            ),
+            other => panic!("a stale image must be rejected, got {other:?}"),
+        }
+        assert_eq!(f.counters().crc_rejects, 1);
+        assert_eq!(f.counters().bootstraps, 0);
+        let _ = std::fs::remove_dir_all(&ldir);
+        let _ = std::fs::remove_dir_all(&fdir);
     }
 
     /// Backoff grows exponentially to the cap and jitter stays within

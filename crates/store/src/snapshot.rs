@@ -5,7 +5,8 @@
 //!
 //! * `snapshot-<lsn>.bin` — the compact binary form (magic, watermark,
 //!   interning tables, mappings, beliefs, trailing CRC32). This is what
-//!   recovery loads: a linear decode with no per-record framing overhead.
+//!   recovery loads and what `SNAPSHOT` ships: a linear decode with no
+//!   per-record framing overhead.
 //! * `snapshot-<lsn>.tn` — the debuggable text twin: two `#!` header
 //!   lines (watermark + WAL offset) followed by the id-exact
 //!   `trustmap_core::format` rendering. `trustmap log`-style tooling and
@@ -16,6 +17,11 @@
 //! interning order), which WAL tail records rely on. A snapshot is only
 //! ever taken at a commit boundary, so `lsn` is always a committed LSN
 //! and `wal_offset` points just past that commit frame.
+//!
+//! History is the *image* [`load_latest`] picks plus a dense segment chain
+//! from `image lsn + 1`: a damaged newest snapshot falls back to an older
+//! one only while the chain still reaches it; otherwise recovery fails
+//! loudly, naming the missing range.
 
 use crate::record::{crc32, put_i64, put_negset, put_str, put_u32, put_u64, Reader};
 use std::fs;
@@ -140,17 +146,17 @@ pub(crate) fn encode(net: &TrustNetwork, lsn: u64, wal_offset: u64) -> Vec<u8> {
     buf
 }
 
-pub(crate) fn decode(bytes: &[u8]) -> Option<Snapshot> {
+/// The CRC-checked body of a binary snapshot (watermark onward); `None`
+/// when the magic or the CRC trailer does not match.
+fn checked_body(bytes: &[u8]) -> Option<&[u8]> {
     let body = bytes.strip_prefix(MAGIC.as_slice())?;
-    if body.len() < 4 {
-        return None;
-    }
-    let (body, crc_bytes) = body.split_at(body.len() - 4);
+    let (body, crc_bytes) = body.split_at(body.len().checked_sub(4)?);
     let crc = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-    if crc32(body) != crc {
-        return None;
-    }
-    let mut r = Reader::new(body);
+    (crc32(body) == crc).then_some(body)
+}
+
+pub(crate) fn decode(bytes: &[u8]) -> Option<Snapshot> {
+    let mut r = Reader::new(checked_body(bytes)?);
     let lsn = r.u64()?;
     let wal_offset = r.u64()?;
     let net = decode_net(&mut r)?;
@@ -244,7 +250,7 @@ pub fn write(dir: &Path, net: &TrustNetwork, lsn: u64, wal_offset: u64) -> Resul
 }
 
 /// All snapshot LSNs present in `dir` (either flavor), descending.
-pub fn list(dir: &Path) -> Vec<u64> {
+fn list(dir: &Path) -> Vec<u64> {
     let mut lsns: Vec<u64> = match fs::read_dir(dir) {
         Ok(entries) => entries
             .filter_map(|e| e.ok())
@@ -264,11 +270,10 @@ pub fn list(dir: &Path) -> Vec<u64> {
     lsns
 }
 
-/// Loads the newest loadable snapshot in `dir`: binary flavor first, its
-/// text twin if the binary is damaged, then older snapshots. Returns the
-/// snapshot (if any survived) and a warning per damaged file skipped on
-/// the way — corruption degrades recovery to an older commit point, it
-/// never fails it.
+/// Loads the image: the newest snapshot in `dir` that loads — binary
+/// flavor first, its text twin if the binary is damaged, then older
+/// snapshots — and a warning per damaged file skipped on the way.
+/// Recovery refuses an image the segment chain no longer reaches.
 pub fn load_latest(dir: &Path) -> (Option<Snapshot>, Vec<String>) {
     let mut warnings = Vec::new();
     for lsn in list(dir) {
@@ -296,6 +301,26 @@ pub fn load_latest(dir: &Path) -> (Option<Snapshot>, Vec<String>) {
         }
     }
     (None, warnings)
+}
+
+/// The image at `lsn` for shipping: its `.bin` bytes once they pass the
+/// magic + CRC check, else its text twin encoded once — never an older
+/// snapshot; an error names an image neither flavor of which verifies.
+pub fn image_bytes(dir: &Path, lsn: u64) -> Result<Vec<u8>> {
+    let bin = bin_path(dir, lsn);
+    let bytes = fs::read(&bin).unwrap_or_default();
+    if checked_body(&bytes).and_then(|b| Reader::new(b).u64()) == Some(lsn) {
+        return Ok(bytes);
+    }
+    let twin = fs::read_to_string(tn_path(dir, lsn)).ok();
+    match twin.as_deref().and_then(decode_text) {
+        Some(twin) if twin.lsn == lsn => Ok(encode(&twin.net, lsn, twin.wal_offset)),
+        _ => Err(Error::Io(format!(
+            "snapshot image at lsn {lsn} does not verify ({} is damaged and has no loadable \
+             text twin); refusing to ship an older snapshot",
+            bin.display()
+        ))),
+    }
 }
 
 #[cfg(test)]
@@ -378,6 +403,33 @@ mod tests {
         let (snap, warnings) = load_latest(&dir);
         assert_eq!(snap.unwrap().lsn, 5);
         assert_eq!(warnings.len(), 2);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `image_bytes` ships the `.bin` file as it lies, re-encodes a
+    /// surviving twin to the same bytes, and names an image that no
+    /// longer verifies instead of shipping an older one.
+    #[test]
+    fn image_bytes_ship_the_file_or_its_twin_never_an_older_snapshot() {
+        let dir = std::env::temp_dir().join(format!(
+            "trustmap-snap-test-{}-{}",
+            std::process::id(),
+            line!()
+        ));
+        fs::create_dir_all(&dir).unwrap();
+        let net = sample();
+        write(&dir, &net, 5, 10).unwrap();
+        write(&dir, &net, 9, 20).unwrap();
+        let clean = fs::read(bin_path(&dir, 9)).unwrap();
+        assert_eq!(image_bytes(&dir, 9).unwrap(), clean);
+        // Another snapshot's bytes under the image's name do not verify.
+        fs::copy(bin_path(&dir, 5), bin_path(&dir, 9)).unwrap();
+        assert_eq!(image_bytes(&dir, 9).unwrap(), clean, "from the twin");
+        fs::write(bin_path(&dir, 9), b"garbage").unwrap();
+        assert_eq!(image_bytes(&dir, 9).unwrap(), clean, "from the twin");
+        fs::write(tn_path(&dir, 9), b"garbage").unwrap();
+        let err = image_bytes(&dir, 9).unwrap_err().to_string();
+        assert!(err.contains("snapshot image at lsn 9"), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -20,6 +20,12 @@
 //! Single-segment fixtures are attacked in both layouts: as the segment
 //! file `wal-…0001.seg` and as a legacy `wal.log` (exercising the
 //! migration path on every damaged input).
+//!
+//! Damage to the newest snapshot after retention has retired the history
+//! above the older one must fail recovery loudly, naming the missing LSN
+//! range (`history`), never land on an older network.
+
+mod history;
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -779,4 +785,30 @@ fn term_file_damage_fails_loudly_and_absence_means_term_zero() {
     assert_eq!(r.store.term(), 0);
     let _ = fs::remove_dir_all(&dir);
     let _ = fs::remove_dir_all(&seed);
+}
+
+/// The snapshot recovery falls back to must still be reachable: with
+/// both flavors of the newest snapshot damaged, or its binary damaged on
+/// a network the text twin cannot carry, the older snapshot's successor
+/// LSNs are retired — recovery refuses and names the range.
+#[test]
+fn a_damaged_newest_snapshot_above_retired_history_fails_loudly() {
+    for damage in [
+        history::Damage::BothFlavors,
+        history::Damage::BinaryWithoutTwin,
+    ] {
+        let dir = fresh_dir("damaged-image");
+        let missing = history::damaged_newest_snapshot(&dir, damage);
+        match Store::open(&dir) {
+            Err(e) => assert!(
+                e.to_string().contains(&missing),
+                "{damage:?}: the error must name {missing}: {e}"
+            ),
+            Ok(r) => panic!(
+                "{damage:?}: recovery landed on lsn {} from snapshot {} with {missing} retired",
+                r.stats.last_lsn, r.stats.snapshot_lsn
+            ),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

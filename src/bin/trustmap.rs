@@ -257,7 +257,7 @@ fn describe(payload: &Payload) -> String {
 
 /// Lists the segmented log without opening (or locking) the store:
 /// every `wal-*.seg` file with its LSN span, size, leadership term,
-/// seal state, and — against the newest snapshot watermark — whether
+/// seal state, and — against the image recovery would load — whether
 /// the next retention pass may reclaim it. Cross-term seams (where a
 /// failover sealed one era and the next began) are flagged inline.
 fn cmd_segments(dir: &str) -> std::result::Result<(), String> {
@@ -269,7 +269,7 @@ fn cmd_segments(dir: &str) -> std::result::Result<(), String> {
         println!("no log segments in {dir} (store term {store_term})");
         return Ok(());
     }
-    let watermark = snapshot::list(path).first().copied().unwrap_or(0);
+    let watermark = snapshot::load_latest(path).0.map_or(0, |s| s.lsn);
     let manifest = match segment::read_manifest(path) {
         segment::ManifestState::Missing => "missing (will be rebuilt from footers)".to_owned(),
         segment::ManifestState::Corrupt(why) => format!("corrupt ({why}); footers win"),

@@ -493,18 +493,17 @@ impl Frontend {
         }
     }
 
-    /// Serves the newest snapshot as a raw blob (`SNAPSHOT`), for
-    /// follower bootstrap.
+    /// Serves the image the store's history rests on as a raw blob
+    /// (`SNAPSHOT`), for follower bootstrap.
     fn ship_snapshot(&self) -> Reply {
         let Some(store) = &self.store else {
             return Reply::Line("ERR shipping needs a store (replicas do not re-ship)".into());
         };
         match store.snapshot_blob() {
-            Ok(Some(blob)) => Reply::Chunk {
+            Ok(blob) => Reply::Chunk {
                 line: format!("OK snapshot lsn={} len={}", blob.lsn, blob.bytes.len()),
                 bytes: blob.bytes,
             },
-            Ok(None) => Reply::Line("ERR leader has no snapshot yet".into()),
             Err(e) => Reply::Line(format!("ERR {e}")),
         }
     }

@@ -9,11 +9,19 @@
 //! single edits, explicit batches, sign-boundary crossings, snapshots,
 //! and mid-stream reopens — and checks equivalence against an in-memory
 //! mirror after every step.
+//!
+//! `trustmap recover` is the offline form of the same check: on a store
+//! whose newest snapshot is damaged above retired history it must fail
+//! with the error `Store::open` returns.
+
+#[path = "../crates/store/tests/history/mod.rs"]
+mod history;
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
+use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use trustmap::format::render_network;
 use trustmap::store::{segment, Store};
@@ -265,5 +273,36 @@ proptest! {
             lsn
         );
         fs::remove_dir_all(&store_dir).ok();
+    }
+}
+
+/// `trustmap recover` runs `Store::open`, so it refuses a store whose
+/// newest snapshot is damaged above retired history: exit non-zero, with
+/// the same message naming the missing LSN range.
+#[test]
+fn trustmap_recover_names_the_history_a_damaged_snapshot_cut_off() {
+    for damage in [
+        history::Damage::BothFlavors,
+        history::Damage::BinaryWithoutTwin,
+    ] {
+        let dir = fresh_dir();
+        let missing = history::damaged_newest_snapshot(&dir, damage);
+        let expected = Store::open(&dir)
+            .expect_err("the chain no longer reaches the older snapshot")
+            .to_string();
+        assert!(expected.contains(&missing), "{damage:?}: {expected}");
+        let out = Command::new(env!("CARGO_BIN_EXE_trustmap"))
+            .arg("recover")
+            .arg(&dir)
+            .output()
+            .expect("spawn trustmap");
+        assert!(!out.status.success(), "{damage:?}: recover must fail");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        assert_eq!(
+            stderr.lines().next(),
+            Some(format!("error: {expected}").as_str()),
+            "{damage:?}"
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -4,12 +4,23 @@
 //! `resolve_network` after every single step (same spirit as
 //! `tests/proptest_invariants.rs`). The engine's bulk build must equal an
 //! engine grown from empty edit by edit, and a batch that reseeds the
-//! engine must report what draining it would have.
+//! engine must report what draining it would have. Query routing never
+//! changes an answer: a cold session's whole solve and a warm session's
+//! patched rows both equal Algorithm 1 as printed, and `EXPLAIN` does no
+//! solver work.
 
+mod common;
+
+use common::{random_network, NetSpec};
 use proptest::prelude::*;
+use trustmap::plan::QueryRow;
 use trustmap::resolution::UserResolution;
 use trustmap::workloads::apply_edit;
-use trustmap::{resolve_network, Edit, IncrementalResolver, Session, TrustNetwork, User, Value};
+use trustmap::Strategy as Route;
+use trustmap::{
+    resolve_network, Edit, IncrementalResolver, Query, QueryTarget, Session, TrustNetwork, User,
+    Value,
+};
 
 /// A raw network description proptest can generate.
 #[derive(Debug, Clone)]
@@ -323,5 +334,79 @@ proptest! {
             prop_assert_eq!(snapshot.poss(u), reference.poss(u), "user {}", u);
         }
         prop_assert_eq!(session.stats().full_rebuilds, 1);
+    }
+}
+
+/// The rows of every user as Algorithm 1 as printed defines them.
+fn reference_rows(net: &TrustNetwork) -> Vec<QueryRow> {
+    let res = resolve_network(net).expect("positive network");
+    net.users()
+        .map(|u| QueryRow {
+            user: u,
+            cert: res.cert(u),
+            poss: res.poss(u).to_vec(),
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Query routing never changes an answer: `CERT *` and `POSS *` on a
+    /// cold session (no engine: one whole solve) and on a warm one (the
+    /// patched engine) both equal Algorithm 1 as printed, row for row.
+    #[test]
+    fn cold_and_warm_reads_equal_the_reference_solver(
+        seed in any::<u64>(),
+        users in 2usize..12,
+        mappings in 0usize..24,
+    ) {
+        let net = random_network(
+            NetSpec { users, values: 3, mappings, believer_p: 0.5, tie_free: true },
+            seed,
+        );
+        let reference = reference_rows(&net);
+        for query in [Query::cert(QueryTarget::All), Query::poss(QueryTarget::All)] {
+            let cold = Session::new(net.clone()).query(&query).expect("resolves");
+            let mut warm = Session::new(net.clone());
+            warm.snapshot().expect("positive network resolves");
+            let warm = warm.query(&query).expect("resolves");
+            prop_assert_eq!(cold.report.strategy, Route::WholeSolve);
+            prop_assert_eq!(warm.report.strategy, Route::IncrementalPatch);
+            prop_assert_eq!(&cold.rows, &reference, "{}: whole solve diverged", query);
+            prop_assert_eq!(&warm.rows, &reference, "{}: patched rows diverged", query);
+        }
+    }
+}
+
+/// `EXPLAIN` costs no solver work: no engine build, no region drained,
+/// no edit applied — warm or cold, with edits pending or not.
+#[test]
+fn explain_does_no_solver_work() {
+    let net = random_network(
+        NetSpec {
+            users: 10,
+            values: 3,
+            mappings: 14,
+            believer_p: 0.5,
+            tie_free: true,
+        },
+        23,
+    );
+    let mut s = Session::new(net);
+    for warm in [false, true] {
+        if warm {
+            s.snapshot().expect("positive network resolves");
+            let v = s.value("v0");
+            s.believe(User(0), v).expect("known user");
+        }
+        let before = s.stats();
+        let text = s.explain(&Query::poss(QueryTarget::All)).unwrap();
+        assert!(text.contains("plan: "), "{text}");
+        assert!(text.contains("candidate: "), "{text}");
+        let after = s.stats();
+        assert_eq!(after.full_rebuilds, before.full_rebuilds);
+        assert_eq!(after.dirty_nodes, before.dirty_nodes);
+        assert_eq!(after.incremental_edits, before.incremental_edits);
     }
 }

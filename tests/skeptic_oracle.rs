@@ -9,13 +9,20 @@
 //! there the engine must also match [`IncrementalResolver`] byte for byte
 //! — the groundwork for merging the twin engines. The engine's bulk build
 //! must equal an engine grown from empty edit by edit, and still refuse
-//! tied priorities.
+//! tied priorities. Query routing never changes an answer: a cold
+//! session's whole solve and a warm session's patched rows both equal
+//! the sequential Algorithm 2.
 
+mod common;
+
+use common::{random_network, NetSpec};
 use proptest::prelude::*;
+use trustmap::plan::QueryRow;
 use trustmap::skeptic::resolve_skeptic;
+use trustmap::Strategy as Route;
 use trustmap::{
-    Error, ExplicitBelief, IncrementalResolver, NegSet, Session, SignedEdit, SkepticIncremental,
-    TrustNetwork, User, Value,
+    Error, ExplicitBelief, IncrementalResolver, NegSet, Query, QueryTarget, Session, SignedEdit,
+    SkepticIncremental, TrustNetwork, User, Value,
 };
 use trustmap_core::parallel::ParOptions;
 use trustmap_core::SkepticPlannedResolver;
@@ -351,6 +358,61 @@ proptest! {
                     "step {} ({:?}): certain value diverged for {}", step, edit, u
                 );
             }
+        }
+    }
+}
+
+/// The rows of every user as the sequential Algorithm 2 defines them.
+fn reference_rows(net: &TrustNetwork) -> Vec<QueryRow> {
+    let btn = trustmap_core::binarize(net);
+    let res = resolve_skeptic(&btn).expect("tie-free network");
+    net.users()
+        .map(|u| {
+            let rep = res.rep_poss(btn.node_of(u));
+            QueryRow {
+                user: u,
+                cert: rep.cert_positive(),
+                poss: rep.pos.iter().copied().collect(),
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Query routing never changes an answer on signed networks either:
+    /// `CERT *` and `POSS *` on a cold session (one whole Algorithm 2
+    /// solve) and on a warm one (the patched skeptic engine) both equal
+    /// the sequential Algorithm 2, row for row.
+    #[test]
+    fn cold_and_warm_reads_equal_the_reference_solver(
+        seed in any::<u64>(),
+        users in 2usize..10,
+        mappings in 0usize..20,
+        rejects in proptest::collection::vec((0usize..16, 0usize..3), 1..4),
+    ) {
+        let mut net = random_network(
+            NetSpec { users, values: 3, mappings, believer_p: 0.4, tie_free: true },
+            seed,
+        );
+        let values: Vec<_> = (0..3)
+            .map(|i| net.domain().get(&format!("v{i}")).expect("interned"))
+            .collect();
+        for (u, v) in rejects {
+            // Rejections replace positive beliefs; collisions are fine.
+            let _ = net.reject(User((u % users) as u32), NegSet::of([values[v]]));
+        }
+        let reference = reference_rows(&net);
+        for query in [Query::cert(QueryTarget::All), Query::poss(QueryTarget::All)] {
+            let cold = Session::new(net.clone()).query(&query).expect("resolves");
+            let mut warm = Session::new(net.clone());
+            warm.skeptic_snapshot().expect("tie-free network resolves");
+            let warm = warm.query(&query).expect("resolves");
+            prop_assert_eq!(cold.report.strategy, Route::WholeSolve);
+            prop_assert_eq!(warm.report.strategy, Route::IncrementalPatch);
+            prop_assert_eq!(&cold.rows, &reference, "{}: whole solve diverged", query);
+            prop_assert_eq!(&warm.rows, &reference, "{}: patched rows diverged", query);
         }
     }
 }

@@ -31,10 +31,7 @@ pub enum Error {
     /// A durability sink failed to persist or recover session state (the
     /// message carries the underlying I/O or corruption detail).
     Io(String),
-    /// The query planner could not produce a plan — an unknown user or
-    /// strategy name, or a forced strategy that cannot answer the query
-    /// (e.g. forcing the basic Algorithm-1 solve on a constraint-carrying
-    /// network).
+    /// A query names a user the network does not have.
     Plan(String),
     /// A commit was refused because this store has observed a higher
     /// leadership term than its own: some follower has been promoted and

@@ -27,8 +27,7 @@
 //!   on one thread); plans ride the region-compact layer
 //!   (`trustmap_graph::region` + the internal `compact` module), whole
 //!   networks being the degenerate identity view;
-//! * [`plan`] — the query AST and the two-strategy planner (patch the
-//!   live engine when one exists, else solve the whole network);
+//! * [`plan`] — the query AST and the two routes a read takes;
 //! * [`stable`] — the stable-solution semantics (Definition 2.4) with an
 //!   exhaustive ground-truth enumerator;
 //! * [`lineage`] — tracing each belief to the explicit assertion it stems
@@ -155,9 +154,7 @@ pub use names::NameTable;
 pub use network::{Mapping, TrustNetwork};
 pub use paradigm::Paradigm;
 pub use parallel::{resolve_network_parallel, resolve_parallel, ParOptions, PlannedResolver};
-pub use plan::{
-    PlanContext, PlanReport, Planner, Query, QueryResult, QueryRow, QueryTarget, ReadKind, Strategy,
-};
+pub use plan::{Query, QueryResult, QueryRow, QueryTarget, ReadKind, Route};
 pub use resolution::{resolve, resolve_network, resolve_with, Options, Resolution, SccMode};
 pub use session::{BatchReport, BeliefChange, Session};
 pub use signed::{BeliefSet, ExplicitBelief, NegSet};

@@ -52,9 +52,7 @@ use crate::exact::{ExactCounters, ExactEngine, ExactUserResolution};
 use crate::incremental::{DeltaStats, Edit, IncrementalResolver};
 use crate::lineage::Lineage;
 use crate::network::TrustNetwork;
-use crate::plan::{
-    PlanContext, PlanReport, Planner, Query, QueryResult, QueryRow, QueryTarget, Strategy,
-};
+use crate::plan::{Query, QueryResult, QueryRow, QueryTarget, Route};
 use crate::resolution::UserResolution;
 use crate::signed::{BeliefSet, NegSet};
 use crate::skeptic::{RepPoss, SkepticUserResolution};
@@ -222,17 +220,6 @@ impl Session {
     /// record) first.
     pub fn set_durability(&mut self, hook: Box<dyn Durability>) {
         self.durability = Some(hook);
-    }
-
-    /// Detaches and returns the durability sink, leaving the session
-    /// in-memory only.
-    pub fn take_durability(&mut self) -> Option<Box<dyn Durability>> {
-        self.durability.take()
-    }
-
-    /// Read access to the attached durability sink, if any.
-    pub fn durability(&self) -> Option<&dyn Durability> {
-        self.durability.as_deref()
     }
 
     /// Records one applied edit with the durability sink; outside a batch
@@ -414,13 +401,6 @@ impl Session {
         Ok(())
     }
 
-    /// Disables exact maintenance and drops its state (subsequent epoch
-    /// views publish no exact table).
-    pub fn disable_exact(&mut self) {
-        self.exact = ExactSlot::Off;
-        self.published = None;
-    }
-
     /// Whether exact maintenance is enabled (true even while the current
     /// state has overflowed the enumeration caps).
     pub fn exact_enabled(&self) -> bool {
@@ -567,76 +547,64 @@ impl Session {
     }
 
     // ------------------------------------------------------------------
-    // The unified query API: every read routes through the planner
-    // ([`crate::plan`]).
+    // The unified query API: one rule routes every read.
     // ------------------------------------------------------------------
 
-    /// Executes `query` through the planner — the single routing
-    /// authority over the two physical execution strategies
-    /// ([`Strategy`]). Both strategies return bit-identical rows
-    /// (`tests/plan_oracle.rs`), so the choice can never change
-    /// semantics.
+    /// Executes `query` on the route the rule picks: an `EXACT` read
+    /// reads the maintained exact engine, any other read patches the live
+    /// engine when one exists ([`Route::IncrementalPatch`]) and solves
+    /// the whole network when none does ([`Route::WholeSolve`]). Both
+    /// routes return bit-identical rows (`tests/incremental_oracle.rs`,
+    /// `tests/skeptic_oracle.rs`), so the route never changes an answer.
     ///
-    /// `EXPLAIN` queries ([`Query::explain`]) plan without executing and
-    /// return empty rows — render the plan with
-    /// [`crate::plan::PlanReport::render`]. `FORCE` ([`Query::force`])
-    /// overrides the planner's rule but still validates applicability
-    /// ([`Error::Plan`] otherwise). Inside an open batch every read is
-    /// isolated at the pre-batch snapshot, which only the live engine
-    /// holds: queries silently plan as [`Strategy::IncrementalPatch`],
-    /// and forcing [`Strategy::WholeSolve`] is [`Error::Plan`]. The query's
+    /// Inside an open batch the engine is always live ([`Session::begin_batch`]
+    /// builds it), so reads stay isolated at the pre-batch snapshot.
+    /// `EXPLAIN` queries ([`Query::explain`]) execute nothing and return
+    /// empty rows; [`Session::explain`] renders their route. The query's
     /// LSN pin is a serve-protocol concern and is ignored here — an
     /// in-process session is always current.
     pub fn query(&mut self, query: &Query) -> Result<QueryResult> {
-        let mut query = query.clone();
-        if self.batching {
-            match query.force {
-                None | Some(Strategy::IncrementalPatch) => {
-                    query.force = Some(Strategy::IncrementalPatch);
-                }
-                Some(other) => {
-                    return Err(Error::Plan(format!(
-                        "cannot force {} inside an open batch: mid-batch reads \
-                         are isolated at the pre-batch snapshot, which only the \
-                         incremental engine holds",
-                        other.name()
-                    )));
-                }
-            }
-        }
-        let report = self.plan_query(&query)?;
+        let route = self.route(query);
         if query.explain {
             return Ok(QueryResult {
                 rows: Vec::new(),
-                report,
+                route,
             });
         }
         let users = self.target_users(&query.target)?;
-        let rows = if query.exact {
-            self.rows_exact(&users)?
-        } else {
-            match report.strategy {
-                Strategy::IncrementalPatch => self.rows_incremental(&users)?,
-                Strategy::WholeSolve => self.rows_whole(&users)?,
+        let rows = match (query.exact, route) {
+            (true, _) => self.rows_exact(&users)?,
+            (false, Route::IncrementalPatch) => self.rows_incremental(&users)?,
+            (false, Route::WholeSolve) => self.rows_whole(&users)?,
+        };
+        Ok(QueryResult { rows, route })
+    }
+
+    /// Names the route `query` would take and what it does, on one line
+    /// (`plan: <route> (<what it does>)`), without executing anything —
+    /// no solver work.
+    pub fn explain(&self, query: &Query) -> String {
+        let route = self.route(query);
+        let what = match (query.exact, route) {
+            (true, _) => "read the maintained exact engine",
+            (false, Route::IncrementalPatch) => "drain pending region, read patched snapshot",
+            (false, Route::WholeSolve) if self.net.has_constraints() => {
+                "binarize + one-pass Algorithm 2"
             }
+            (false, Route::WholeSolve) => "binarize + one-pass Algorithm 1",
         };
-        Ok(QueryResult { rows, report })
+        format!("plan: {route} ({what})")
     }
 
-    /// Plans `query` and renders the `EXPLAIN` text (chosen strategy and
-    /// every candidate) without executing anything — no solver work.
-    pub fn explain(&self, query: &Query) -> Result<String> {
-        Ok(self.plan_query(query)?.render())
-    }
-
-    /// Plans without executing: the rule reads the pipeline sign and
-    /// whether an engine is live.
-    fn plan_query(&self, query: &Query) -> Result<PlanReport> {
-        let ctx = PlanContext {
-            skeptic: self.net.has_constraints(),
-            engine_live: self.engine.is_some(),
-        };
-        Planner::plan(query, &ctx)
+    /// The rule: exact beliefs are maintained incrementally, so an
+    /// `EXACT` read and any read with a live engine patch it; otherwise
+    /// there is nothing to patch and the whole network is solved.
+    fn route(&self, query: &Query) -> Route {
+        if query.exact || self.engine.is_some() {
+            Route::IncrementalPatch
+        } else {
+            Route::WholeSolve
+        }
     }
 
     /// Resolves a query target to concrete user handles, in user order
@@ -652,7 +620,7 @@ impl Session {
         })
     }
 
-    /// [`Strategy::IncrementalPatch`]: drain pending edits and read the
+    /// [`Route::IncrementalPatch`]: drain pending edits and read the
     /// patched snapshot.
     fn rows_incremental(&mut self, users: &[User]) -> Result<Vec<QueryRow>> {
         self.refresh()?;
@@ -686,7 +654,7 @@ impl Session {
             .collect())
     }
 
-    /// [`Strategy::WholeSolve`]: binarize and run the one-pass
+    /// [`Route::WholeSolve`]: binarize and run the one-pass
     /// condensation solver of whichever pipeline the network's sign
     /// demands, on one thread.
     fn rows_whole(&mut self, users: &[User]) -> Result<Vec<QueryRow>> {
@@ -713,8 +681,8 @@ impl Session {
         })
     }
 
-    /// The exact read path behind `EXACT` queries: always the maintained
-    /// exact engine, never a planner choice.
+    /// The exact read path behind `EXACT` queries: the maintained exact
+    /// engine.
     fn rows_exact(&mut self, users: &[User]) -> Result<Vec<QueryRow>> {
         self.refresh()?;
         match &self.exact {
@@ -1675,23 +1643,6 @@ mod tests {
     }
 
     #[test]
-    fn query_routes_all_forced_strategies_to_identical_rows() {
-        let (mut s, _, jar, _) = session();
-        let charlie = s.user("Charlie");
-        s.believe(charlie, jar).unwrap();
-        s.snapshot().unwrap(); // warm engine → incremental applicable
-        let q = Query::poss(QueryTarget::All);
-        let baseline = s.query(&q).unwrap().rows;
-        assert!(!baseline.is_empty());
-        for strategy in Strategy::ALL {
-            let forced = s.query(&q.clone().force(strategy)).unwrap();
-            assert_eq!(forced.rows, baseline, "{strategy} diverged");
-            assert_eq!(forced.report.strategy, strategy);
-            assert!(forced.report.forced);
-        }
-    }
-
-    #[test]
     fn query_by_name_and_unknown_name() {
         let (mut s, [_, _, charlie], jar, _) = session();
         s.believe(charlie, jar).unwrap();
@@ -1708,18 +1659,35 @@ mod tests {
     }
 
     #[test]
-    fn explain_does_no_solver_work_and_names_the_strategy() {
-        let (mut s, [_, _, charlie], jar, _) = session();
+    fn explain_does_no_solver_work_and_names_the_route() {
+        let (mut s, [_, bob, charlie], jar, _) = session();
         s.believe(charlie, jar).unwrap();
-        let text = s.explain(&Query::cert(QueryTarget::All)).unwrap();
-        assert!(text.contains("plan: "));
-        assert!(text.contains("candidate: "));
-        // Planning alone never builds an engine.
+        let q = Query::cert(QueryTarget::All);
+        assert_eq!(
+            s.explain(&q),
+            "plan: whole-solve (binarize + one-pass Algorithm 1)"
+        );
+        assert_eq!(
+            s.explain(&q.clone().exact()),
+            "plan: incremental-patch (read the maintained exact engine)"
+        );
+        s.reject(bob, NegSet::of([jar])).unwrap();
+        assert_eq!(
+            s.explain(&q),
+            "plan: whole-solve (binarize + one-pass Algorithm 2)"
+        );
+        // Naming the route never builds an engine.
         assert_eq!(s.stats().full_rebuilds, 0);
-        // An EXPLAIN query through query() returns the report, no rows.
-        let result = s.query(&Query::cert(QueryTarget::All).explain()).unwrap();
+        // An EXPLAIN query through query() returns the route, no rows.
+        let result = s.query(&q.clone().explain()).unwrap();
         assert!(result.rows.is_empty());
+        assert_eq!(result.route, Route::WholeSolve);
         assert_eq!(s.stats().full_rebuilds, 0);
+        s.skeptic_snapshot().unwrap();
+        assert_eq!(
+            s.explain(&q),
+            "plan: incremental-patch (drain pending region, read patched snapshot)"
+        );
     }
 
     #[test]
@@ -1730,30 +1698,25 @@ mod tests {
         s.begin_batch().unwrap();
         s.believe(charlie, cow).unwrap();
         let result = s.query(&Query::cert(QueryTarget::Handle(alice))).unwrap();
-        assert_eq!(result.report.strategy, Strategy::IncrementalPatch);
+        assert_eq!(result.route, Route::IncrementalPatch);
         assert_eq!(result.rows[0].cert, Some(jar), "isolated at pre-batch");
-        // Forcing a from-scratch solve mid-batch would leak the dirty state.
-        let err = s
-            .query(&Query::cert(QueryTarget::Handle(alice)).force(Strategy::WholeSolve))
-            .unwrap_err();
-        assert!(matches!(err, Error::Plan(_)));
         s.commit().unwrap();
         let result = s.query(&Query::cert(QueryTarget::Handle(alice))).unwrap();
         assert_eq!(result.rows[0].cert, Some(cow));
     }
 
     #[test]
-    fn cold_sessions_plan_a_whole_solve_and_warm_ones_patch() {
+    fn cold_sessions_solve_the_whole_network_and_warm_ones_patch() {
         let (mut s, [alice, bob, charlie], jar, _) = session();
         s.believe(charlie, jar).unwrap();
         s.reject(bob, NegSet::of([jar])).unwrap();
         let result = s.query(&Query::cert(QueryTarget::Handle(alice))).unwrap();
-        assert_eq!(result.report.strategy, Strategy::WholeSolve);
+        assert_eq!(result.route, Route::WholeSolve);
         // Warm session (an engine-building read happened): patching wins,
         // and answers the same row.
         s.skeptic_snapshot().unwrap();
         let warm = s.query(&Query::cert(QueryTarget::Handle(alice))).unwrap();
-        assert_eq!(warm.report.strategy, Strategy::IncrementalPatch);
+        assert_eq!(warm.route, Route::IncrementalPatch);
         assert_eq!(warm.rows, result.rows);
     }
 

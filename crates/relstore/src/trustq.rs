@@ -8,29 +8,25 @@
 //! ```text
 //! query    := [EXPLAIN] (CERT | POSS) target modifier*
 //! target   := '*' | '#'<digits> | <name>
-//! modifier := EXACT | FORCE <strategy> | '@'<lsn>
+//! modifier := EXACT | '@'<lsn>
 //! ```
 //!
 //! Keywords are case-insensitive; user names are case-preserved and may
 //! be any whitespace-free word that is not a keyword. Each modifier may
-//! appear at most once, in any order. `<strategy>` is `incremental-patch`
-//! or `whole-solve`; any other name — the strategies retired by the
-//! census included — is a parse error naming those two. `Query`'s
-//! `Display` impl renders the canonical form back, so
-//! `parse(q.to_string()) == q`.
+//! appear at most once, in any order. `Query`'s `Display` impl renders
+//! the canonical form back, so `parse(q.to_string()) == q`.
 //!
 //! ```
 //! use trustmap_relstore::trustq::parse_query;
-//! use trustmap_core::{QueryTarget, Strategy};
+//! use trustmap_core::QueryTarget;
 //!
-//! let q = parse_query("explain poss * force whole-solve").unwrap();
-//! assert!(q.explain);
+//! let q = parse_query("explain poss * exact").unwrap();
+//! assert!(q.explain && q.exact);
 //! assert_eq!(q.target, QueryTarget::All);
-//! assert_eq!(q.force, Some(Strategy::WholeSolve));
 //! ```
 
 use std::fmt;
-use trustmap_core::{Query, QueryTarget, ReadKind, Strategy, User};
+use trustmap_core::{Query, QueryTarget, ReadKind, User};
 
 /// A lexical token of the query language.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,15 +39,13 @@ pub enum Token {
     Poss,
     /// `EXACT`.
     Exact,
-    /// `FORCE`.
-    Force,
     /// `*` — every user.
     Star,
     /// `#<digits>` — a user by interned handle.
     Handle(u32),
     /// `@<digits>` — an LSN pin.
     At(u64),
-    /// Any other whitespace-free word (a user name or strategy name).
+    /// Any other whitespace-free word (a user name).
     Word(String),
 }
 
@@ -62,7 +56,6 @@ impl fmt::Display for Token {
             Token::Cert => f.write_str("CERT"),
             Token::Poss => f.write_str("POSS"),
             Token::Exact => f.write_str("EXACT"),
-            Token::Force => f.write_str("FORCE"),
             Token::Star => f.write_str("*"),
             Token::Handle(h) => write!(f, "#{h}"),
             Token::At(lsn) => write!(f, "@{lsn}"),
@@ -107,7 +100,6 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
             "CERT" => Token::Cert,
             "POSS" => Token::Poss,
             "EXACT" => Token::Exact,
-            "FORCE" => Token::Force,
             "*" => Token::Star,
             _ if word.starts_with('#') => match word[1..].parse() {
                 Ok(h) => Token::Handle(h),
@@ -168,22 +160,12 @@ pub fn parse_query(input: &str) -> Result<Query, ParseError> {
             Token::Exact => return err("duplicate EXACT", pos - 1),
             Token::At(lsn) if query.pin.is_none() => query.pin = Some(*lsn),
             Token::At(_) => return err("duplicate @<lsn> pin", pos - 1),
-            Token::Force if query.force.is_none() => match next(&mut pos) {
-                Some(Token::Word(name)) => match Strategy::parse(name) {
-                    Some(s) => query.force = Some(s),
-                    None => {
-                        let known = Strategy::ALL.map(Strategy::name).join(" or ");
-                        return err(
-                            format!("unknown strategy {name:?} (expected {known})"),
-                            pos - 1,
-                        );
-                    }
-                },
-                Some(t) => return err(format!("expected a strategy name, found {t}"), pos - 1),
-                None => return err("FORCE needs a strategy name", pos),
-            },
-            Token::Force => return err("duplicate FORCE", pos - 1),
-            t => return err(format!("unexpected {t}"), pos - 1),
+            t => {
+                return err(
+                    format!("unexpected {t} (expected EXACT or @<lsn>)"),
+                    pos - 1,
+                )
+            }
         }
     }
     Ok(query)
@@ -198,7 +180,7 @@ mod tests {
         let q = parse_query("CERT alice").unwrap();
         assert_eq!(q.kind, ReadKind::Cert);
         assert_eq!(q.target, QueryTarget::Named("alice".into()));
-        assert!(!q.exact && q.pin.is_none() && q.force.is_none() && !q.explain);
+        assert!(!q.exact && q.pin.is_none() && !q.explain);
 
         let q = parse_query("CERT alice EXACT @17").unwrap();
         assert!(q.exact);
@@ -212,21 +194,24 @@ mod tests {
     }
 
     #[test]
-    fn parses_targets_and_force() {
+    fn parses_targets() {
         assert_eq!(parse_query("POSS *").unwrap().target, QueryTarget::All);
         assert_eq!(
             parse_query("CERT #7").unwrap().target,
             QueryTarget::Handle(User(7))
         );
-        let q = parse_query("explain cert * force whole_solve").unwrap();
-        assert!(q.explain);
-        assert_eq!(q.force, Some(Strategy::WholeSolve));
+        assert!(parse_query("explain cert *").unwrap().explain);
     }
 
     #[test]
     fn keywords_are_case_insensitive_names_are_not() {
         let q = parse_query("cert Alice").unwrap();
         assert_eq!(q.target, QueryTarget::Named("Alice".into()));
+        // `force` is a name like any other.
+        for name in ["force", "Force", "FORCE"] {
+            let q = parse_query(&format!("CERT {name}")).unwrap();
+            assert_eq!(q.target, QueryTarget::Named(name.into()));
+        }
     }
 
     #[test]
@@ -235,7 +220,7 @@ mod tests {
             "CERT alice",
             "POSS *",
             "CERT #7 EXACT",
-            "EXPLAIN POSS * FORCE whole-solve",
+            "EXPLAIN POSS * EXACT",
             "CERT alice EXACT @42",
         ] {
             let q = parse_query(text).unwrap();
@@ -245,20 +230,14 @@ mod tests {
     }
 
     #[test]
-    fn retired_strategy_names_get_the_unknown_strategy_error() {
-        for retired in [
-            "compact-region-solve",
-            "skeptic-resolve",
-            "bulk-few-objects",
-            "sharded-whole-solve",
+    fn a_trailing_word_names_the_modifiers() {
+        for (text, word) in [
+            ("CERT alice bob", "bob"),
+            ("CERT alice FORCE whole-solve", "FORCE"),
         ] {
-            let e = parse_query(&format!("CERT alice FORCE {retired}")).unwrap_err();
             assert_eq!(
-                e.to_string(),
-                format!(
-                    "unknown strategy {retired:?} (expected incremental-patch or \
-                     whole-solve) (at word 3)"
-                )
+                parse_query(text).unwrap_err().to_string(),
+                format!("unexpected {word} (expected EXACT or @<lsn>) (at word 2)")
             );
         }
     }
@@ -273,7 +252,6 @@ mod tests {
             "CERT alice @nope",
             "CERT #x",
             "CERT alice FORCE warp-drive",
-            "CERT alice FORCE",
             "CERT alice bob",
             "EXPLAIN EXPLAIN CERT alice",
             "POSS * @1 @2",

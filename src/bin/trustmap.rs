@@ -15,11 +15,9 @@
 //! trustmap lp       <file>            # print the logic-program translation
 //! trustmap stats    <file>            # network and binarization statistics
 //! trustmap query    <file> <query…>   # run one unified-language query,
-//!                                     # e.g. `CERT alice`, `POSS * EXACT`,
-//!                                     # `CERT bob FORCE whole-solve`
-//! trustmap explain  <file> <query…>   # plan (don't run) the query: show
-//!                                     # the chosen strategy, the candidate
-//!                                     # costs, and the statistics consulted
+//!                                     # e.g. `CERT alice`, `POSS * EXACT`
+//! trustmap explain  <file> <query…>   # name the route the query takes
+//!                                     # (don't run it)
 //!
 //! trustmap log      <dir>             # dump a store's write-ahead log
 //! trustmap segments <dir>             # list the store's log segments
@@ -151,8 +149,8 @@ fn names<'a>(net: &'a TrustNetwork, values: &[trustmap::Value]) -> Vec<&'a str> 
 /// <query…>`: the CLI face of the unified query language. The words
 /// after the file join into one query line, parse through the same
 /// `trustq` grammar the serve protocol uses, and run through
-/// [`Session::query`] — so the planner picks the strategy here exactly
-/// as it does in-process.
+/// [`Session::query`]. A file has no live engine, so a non-exact read
+/// solves the whole network once; the trailer names the route.
 fn cmd_query(
     net: &TrustNetwork,
     rest: &[String],
@@ -172,23 +170,14 @@ fn cmd_query(
         session.enable_exact().map_err(|e| e.to_string())?;
     }
     if query.explain {
-        println!("{}", session.explain(&query).map_err(|e| e.to_string())?);
+        println!("{}", session.explain(&query));
         return Ok(());
     }
     let result = session.query(&query).map_err(|e| e.to_string())?;
     print_table(|out| {
         writeln!(out, "{:<16} {:<14} possible", "user", "certain")?;
         write_rows(out, net, &result.rows)?;
-        writeln!(
-            out,
-            "plan: {}{}",
-            result.report.strategy,
-            if result.report.forced {
-                " (forced)"
-            } else {
-                ""
-            }
-        )
+        writeln!(out, "plan: {}", result.route)
     })
 }
 
@@ -583,13 +572,11 @@ fn cmd_skeptic(net: &TrustNetwork) -> std::result::Result<(), String> {
     })
 }
 
-/// Certain beliefs per user, routed through [`Session::query`] so the
-/// planner picks the strategy (use `trustmap explain` to see
-/// which). The default path answers with Algorithm 2 semantics (sound
-/// but possibly over-approximating the possible set on cyclic
-/// constraint networks); `--exact` runs the per-region exact evaluator
-/// instead, so the printed possible sets are tight (see
-/// `docs/FIDELITY.md`, F1).
+/// Certain beliefs per user: `CERT *` through [`Session::query`]. The
+/// default path is one whole solve with Algorithm 2 semantics (sound but
+/// possibly over-approximating the possible set on cyclic constraint
+/// networks); `--exact` reads the per-region exact evaluator instead, so
+/// the printed possible sets are tight (see `docs/FIDELITY.md`, F1).
 fn cmd_cert(net: &TrustNetwork, exact: bool) -> std::result::Result<(), String> {
     let mut session = Session::new(net.clone());
     let mut query = Query::cert(QueryTarget::All);

@@ -71,9 +71,7 @@ pub use trustmap_core::{
     Session, SignedEdit, SkepticIncremental, SkepticPlannedResolver, SkepticResolution,
     SkepticUserResolution, TrustNetwork, User, Value,
 };
-pub use trustmap_core::{
-    plan, PlanContext, PlanReport, Planner, Query, QueryResult, QueryTarget, ReadKind, Strategy,
-};
+pub use trustmap_core::{plan, Query, QueryResult, QueryTarget, ReadKind, Route};
 
 pub use trustmap_store as store;
 

@@ -24,7 +24,7 @@
 //! ```text
 //! CERT <user> [EXACT] [@<lsn>]    → OK <value|-> epoch=<e> lsn=<l>
 //! POSS <user> [EXACT] [@<lsn>]    → OK <v1,v2,...|-> epoch=<e> lsn=<l>
-//! EXPLAIN <query>                 → OK plan: … | logical: … | candidate: … | candidate: …
+//! EXPLAIN <query>                 → OK plan: epoch-read (<what it reads>) epoch=<e> lsn=<l>
 //! BELIEVE <user> <value>          → OK lsn=<l> epoch=<e> group=<n>
 //! TRUST <child> <parent> <prio>   → OK lsn=<l> epoch=<e> group=<n>
 //! REVOKE <user>                   → OK lsn=<l> epoch=<e> group=<n>
@@ -44,14 +44,11 @@
 //! ([`trustmap_relstore::trustq`]) into the same
 //! [`trustmap_core::Query`] AST the in-process `Session::query` API and
 //! the CLI consume — one query language, three surfaces. A user target
-//! may also be an interned handle (`CERT #3`). `EXPLAIN <query>` plans
-//! the query as the writer session behind the reader's current epoch
-//! would (leader and replica alike) and renders the chosen physical
-//! strategy and every candidate — newlines of the canonical report
-//! joined with ` | ` to stay one reply line. `EXPLAIN` never executes
-//! the query. `FORCE` is honored inside `EXPLAIN` (applicability still
-//! checked); on a *serving* read it is refused, because serve reads come
-//! from the published epoch snapshot, not a strategy dispatch.
+//! may also be an interned handle (`CERT #3`). Every serving read takes
+//! one route, leader and replica alike: it reads the published epoch (its
+//! exact table for `EXACT`). `EXPLAIN <query>` names that route, the
+//! epoch and LSN the read would see, and the sign's algorithm, instead
+//! of the answer; it errs wherever the read itself would.
 //!
 //! `SHIP`/`SNAPSHOT` are the log-shipping verbs replication followers
 //! speak (see [`trustmap_store::replica`]): the reply is a parseable
@@ -88,7 +85,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use trustmap_core::epoch::{EpochReader, EpochSlot, EpochView};
-use trustmap_core::{PlanContext, Planner, Query, QueryTarget, ReadKind, Session, Value};
+use trustmap_core::{QueryTarget, ReadKind, Session, Value};
 use trustmap_relstore::trustq;
 use trustmap_store::{
     GroupCommitWindow, ShipChunk, ShipRequest, ShipResponse, ShipTransport, SnapshotBlob, Store,
@@ -170,19 +167,6 @@ fn render_values(view: &EpochView, values: &[Value]) -> String {
     } else {
         names.join(",")
     }
-}
-
-/// Plans (but does not execute) `query` as the session that published
-/// `view` would, and renders the report on one line. Publishing an epoch
-/// builds the engine, so a live engine exists exactly when a rendered
-/// epoch does (epoch 0 is the empty genesis view).
-fn explain(view: &EpochView, query: &Query) -> Result<String, String> {
-    let ctx = PlanContext {
-        skeptic: view.is_skeptic(),
-        engine_live: view.epoch() > 0,
-    };
-    let report = Planner::plan(query, &ctx).map_err(|e| e.to_string())?;
-    Ok(format!("OK {}", report.render().replace('\n', " | ")))
 }
 
 /// The serving brain: epoch-snapshot reads + group-commit writes, no
@@ -346,27 +330,14 @@ impl Frontend {
     }
 
     /// Handles one line of the unified query language (`CERT`, `POSS`,
-    /// `EXPLAIN` — see [`trustmap_relstore::trustq`]). Parsing, planning,
-    /// and rendering are shared with `Session::query` and the CLI; only
-    /// the execution differs — serving reads come straight from the
-    /// published epoch snapshot instead of dispatching a strategy.
+    /// `EXPLAIN` — see [`trustmap_relstore::trustq`]). Parsing is shared
+    /// with `Session::query` and the CLI; the read itself comes straight
+    /// from the published epoch snapshot.
     fn query_line(&self, reader: &mut EpochReader, line: &str) -> Reply {
         let query = match trustq::parse_query(line) {
             Ok(q) => q,
             Err(e) => return Reply::Line(format!("ERR {e}")),
         };
-        if query.explain {
-            return Reply::Line(
-                explain(reader.current(), &query).unwrap_or_else(|e| format!("ERR {e}")),
-            );
-        }
-        if query.force.is_some() {
-            return Reply::Line(
-                "ERR FORCE is an EXPLAIN/CLI modifier (serving reads come from the \
-                 published epoch snapshot, not a strategy dispatch)"
-                    .into(),
-            );
-        }
         let reply = self.read_at(reader, query.pin, |view| {
             let user = match &query.target {
                 QueryTarget::Named(name) => view
@@ -383,20 +354,28 @@ impl Frontend {
             };
             let no_exact =
                 || "no exact table in this epoch (start the leader with --exact)".to_string();
-            let text = match (query.kind, query.exact) {
-                (ReadKind::Cert, false) => view
+            let text = match (query.explain, query.kind, query.exact) {
+                (true, _, false) => format!(
+                    "plan: epoch-read (published Algorithm {} rows)",
+                    if view.is_skeptic() { 2 } else { 1 }
+                ),
+                (true, _, true) => {
+                    view.exact().ok_or_else(no_exact)?;
+                    "plan: epoch-read (published exact table)".into()
+                }
+                (false, ReadKind::Cert, false) => view
                     .cert(user)
                     .and_then(|v| view.names().value_name(v))
                     .unwrap_or("-")
                     .to_string(),
-                (ReadKind::Cert, true) => view
+                (false, ReadKind::Cert, true) => view
                     .cert_exact(user)
                     .ok_or_else(no_exact)?
                     .and_then(|v| view.names().value_name(v))
                     .unwrap_or("-")
                     .to_string(),
-                (ReadKind::Poss, false) => render_values(view, &view.poss(user)),
-                (ReadKind::Poss, true) => {
+                (false, ReadKind::Poss, false) => render_values(view, &view.poss(user)),
+                (false, ReadKind::Poss, true) => {
                     let exact = view.exact().ok_or_else(no_exact)?;
                     render_values(view, exact.poss(user))
                 }
@@ -1090,7 +1069,7 @@ mod tests {
 
     /// The read verbs are the unified query language: `#handle` targets,
     /// `POSS … EXACT`, and `EXPLAIN` all resolve through the same parser
-    /// and planner the `Session` API uses.
+    /// the `Session` API uses.
     #[test]
     fn read_verbs_speak_the_unified_query_language() {
         let dir = fresh_dir("trustq");
@@ -1116,38 +1095,44 @@ mod tests {
         // POSS composes with EXACT through the published exact table.
         assert!(line(&f, &mut r, "POSS bob EXACT").starts_with("OK fish "));
 
-        // EXPLAIN plans without executing and names the chosen strategy
-        // and every candidate, on one line.
+        // EXPLAIN names the route the read takes — the published epoch,
+        // or the exact table it carries — and the epoch and LSN it sees.
+        let at = seen_at(&line(&f, &mut r, "CERT bob"));
         assert_eq!(
             line(&f, &mut r, "EXPLAIN CERT bob"),
-            "OK plan: incremental-patch | logical: read cert of one user | \
-             candidate: incremental-patch (drain pending region, read patched snapshot) | \
-             candidate: whole-solve (binarize + one-pass Algorithm 1)"
+            format!("OK plan: epoch-read (published Algorithm 1 rows) {at}")
         );
-        let forced = line(&f, &mut r, "EXPLAIN CERT bob FORCE whole-solve");
-        assert!(forced.contains("whole-solve (forced)"), "{forced}");
-        // A retired strategy name is the parser's unknown-strategy error,
+        assert_eq!(
+            line(&f, &mut r, "EXPLAIN POSS bob EXACT"),
+            format!("OK plan: epoch-read (published exact table) {at}")
+        );
+        // `FORCE` is not a modifier: the parser's trailing-word error,
         // word for word what `trustq` and `trustmap query` print.
         assert_eq!(
-            line(&f, &mut r, "EXPLAIN CERT bob FORCE skeptic-resolve"),
+            line(&f, &mut r, "CERT bob FORCE whole-solve"),
             format!(
                 "ERR {}",
-                trustq::parse_query("EXPLAIN CERT bob FORCE skeptic-resolve").unwrap_err()
+                trustq::parse_query("CERT bob FORCE whole-solve").unwrap_err()
             )
         );
-
-        // FORCE on an executing read is refused: serving reads come from
-        // the epoch snapshot, never a strategy dispatch.
-        assert!(line(&f, &mut r, "CERT bob FORCE whole-solve").starts_with("ERR FORCE"));
-        // `*` spans every user — pointed at the CLI, not silently truncated.
+        // `*` spans every user — pointed at the CLI, not silently
+        // truncated; EXPLAIN errs wherever the read does.
         assert!(line(&f, &mut r, "POSS *").starts_with("ERR `*`"));
+        assert_eq!(
+            line(&f, &mut r, "EXPLAIN POSS *"),
+            line(&f, &mut r, "POSS *")
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The `epoch=<e> lsn=<l>` a read reply says it was served at.
+    fn seen_at(reply: &str) -> String {
+        reply[reply.find("epoch=").expect("a read reply")..].to_owned()
+    }
+
     /// `EXPLAIN` describes the server as it is, from the first request:
-    /// a recovered leader has published an epoch, so its engine is live,
-    /// and the whole-solve candidate names the algorithm of the network's
-    /// current sign.
+    /// a recovered leader reads its published epoch, and the route names
+    /// the algorithm of the network's current sign.
     #[test]
     fn explain_follows_the_published_epoch() {
         let dir = fresh_dir("explain-epoch");
@@ -1163,43 +1148,34 @@ mod tests {
         }
         let f = frontend(&dir);
         let mut r = f.reader();
-        let explain = line(&f, &mut r, "EXPLAIN CERT Alice");
-        assert!(
-            explain.starts_with("OK plan: incremental-patch | "),
-            "{explain}"
-        );
-        assert!(explain.ends_with("(binarize + one-pass Algorithm 1)"));
-        for strategy in ["incremental-patch", "whole-solve"] {
-            let forced = line(&f, &mut r, &format!("EXPLAIN CERT Alice FORCE {strategy}"));
-            assert!(
-                forced.starts_with(&format!("OK plan: {strategy} (forced) | ")),
-                "{forced}"
+        let explain = |r: &mut EpochReader, algorithm: u8| {
+            assert_eq!(
+                line(&f, r, "EXPLAIN CERT Alice"),
+                format!(
+                    "OK plan: epoch-read (published Algorithm {algorithm} rows) {}",
+                    seen_at(&line(&f, r, "CERT Alice"))
+                )
             );
-        }
-
-        // Crossing the sign boundary and back flips the whole-solve detail.
+        };
+        explain(&mut r, 1);
+        // Crossing the sign boundary and back flips the algorithm.
         assert!(line(&f, &mut r, "REJECT Bob fish").starts_with("OK lsn="));
-        let signed = line(&f, &mut r, "EXPLAIN CERT Alice");
-        assert!(
-            signed.ends_with("(binarize + one-pass Algorithm 2)"),
-            "{signed}"
-        );
+        explain(&mut r, 2);
         assert!(line(&f, &mut r, "REVOKE Bob").starts_with("OK lsn="));
-        assert_eq!(line(&f, &mut r, "EXPLAIN CERT Alice"), explain);
+        explain(&mut r, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A replica explains exactly as its leader does at the same LSN:
-    /// both derive the plan context from the epoch in front of the
-    /// reader, before anything has shipped and across the sign boundary.
+    /// both read the epoch in front of the reader, before anything has
+    /// shipped and across the sign boundary.
     #[test]
     fn replica_explains_as_its_leader_does() {
         use trustmap_store::{Follower, LocalTransport, Step};
         let queries = [
             "EXPLAIN CERT alice",
-            "EXPLAIN POSS alice FORCE whole-solve",
-            "EXPLAIN CERT alice FORCE incremental-patch",
-            "EXPLAIN CERT alice EXACT FORCE whole-solve",
+            "EXPLAIN POSS alice",
+            "EXPLAIN CERT alice EXACT",
         ];
         let (ldir, fdir) = (fresh_dir("explain-leader"), fresh_dir("explain-replica"));
         let config = ServeConfig {
@@ -1213,14 +1189,13 @@ mod tests {
         let replica = Frontend::replica(follower.epoch_slot(), &config);
         let (mut lr, mut rr) = (leader.reader(), replica.reader());
 
-        // A slot nobody has published to holds the genesis view: no
-        // engine stands behind it, and EXPLAIN says so.
+        // A slot nobody has published to holds the empty genesis view:
+        // EXPLAIN errs exactly as the read it describes.
         let bare = Frontend::replica(Arc::new(EpochSlot::new()), &config);
         let mut br = bare.reader();
-        assert!(line(&bare, &mut br, queries[0]).starts_with("OK plan: whole-solve | "));
         assert_eq!(
-            line(&bare, &mut br, queries[2]),
-            "ERR plan: forced strategy incremental-patch is inapplicable: no live engine to patch"
+            line(&bare, &mut br, queries[0]),
+            line(&bare, &mut br, "CERT alice")
         );
 
         for write in ["BELIEVE alice fish", "REJECT bob fish", "REVOKE bob"] {

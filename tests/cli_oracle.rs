@@ -4,7 +4,8 @@
 //! `resolve_network` (Algorithm 1 as printed) and `resolve_skeptic` (the
 //! sequential Algorithm 2) — on the shipped example and on generated
 //! power-law networks of both signs — with the references' own error text
-//! where they refuse.
+//! where they refuse. `trustmap query` speaks the wire's `trustq` grammar,
+//! errors included.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -197,12 +198,14 @@ fn query_refuses_retired_strategy_names_like_the_parser() {
         "skeptic-resolve",
         "bulk-few-objects",
         "sharded-whole-solve",
+        "incremental-patch",
+        "whole-solve",
     ] {
         let text = format!("CERT Alice FORCE {retired}");
         let parse_error = parse_query(&text).unwrap_err().to_string();
-        assert!(
-            parse_error.contains("incremental-patch or whole-solve"),
-            "{parse_error}"
+        assert_eq!(
+            parse_error,
+            "unexpected FORCE (expected EXACT or @<lsn>) (at word 2)"
         );
         let words: Vec<&str> = text.split(' ').collect();
         assert_eq!(
@@ -210,16 +213,51 @@ fn query_refuses_retired_strategy_names_like_the_parser() {
             Err(format!("error: {parse_error}"))
         );
     }
-    // The surviving names still route: a file has no live engine to
-    // patch, and the whole solve answers.
-    assert_eq!(
-        trustmap(&["query", indus, "CERT * FORCE incremental-patch"]),
-        Err(
-            "error: plan: forced strategy incremental-patch is inapplicable: \
-             no live engine to patch"
-                .to_owned()
-        )
+}
+
+/// `force` is a user name like any other, on the CLI and on the wire.
+#[test]
+fn a_user_named_force_is_queryable() {
+    use trustmap::serve::{Frontend, Reply, ServeConfig};
+    use trustmap::store::Store;
+
+    let mut net = TrustNetwork::new();
+    let force = net.user("Force");
+    let fish = net.value("fish");
+    net.believe(force, fish).unwrap();
+    let path = write_net("force", &net);
+    let rows = trustmap(&["query", path.to_str().unwrap(), "CERT Force"]).expect("runs");
+    assert!(
+        rows.lines()
+            .any(|row| row.split_whitespace().eq(["Force", "fish", "[\"fish\"]"])),
+        "{rows}"
     );
-    let whole = trustmap(&["query", indus, "CERT * FORCE whole-solve"]).expect("runs");
-    assert!(whole.contains("plan: whole-solve (forced)"), "{whole}");
+    let _ = std::fs::remove_file(path);
+
+    let dir =
+        std::env::temp_dir().join(format!("trustmap-cli-oracle-{}-force", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut recovered = Store::open(&dir).expect("fresh store");
+    recovered
+        .session
+        .apply(move |n| {
+            *n = net;
+            Ok(())
+        })
+        .expect("import");
+    let frontend = Frontend::new(
+        recovered.session,
+        Some(recovered.store),
+        &ServeConfig::default(),
+    );
+    let mut reader = frontend.reader();
+    for query in ["CERT Force", "cert Force", "POSS Force"] {
+        let reply = frontend.handle(&mut reader, query);
+        assert!(
+            matches!(&reply, Reply::Line(line) if line.starts_with("OK fish ")),
+            "{query}: {reply:?}"
+        );
+    }
+    frontend.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -19,7 +19,7 @@ use common::{random_network, NetSpec};
 use proptest::prelude::*;
 use trustmap::plan::QueryRow;
 use trustmap::skeptic::resolve_skeptic;
-use trustmap::Strategy as Route;
+use trustmap::Route;
 use trustmap::{
     Error, ExplicitBelief, IncrementalResolver, NegSet, Query, QueryTarget, Session, SignedEdit,
     SkepticIncremental, TrustNetwork, User, Value,
@@ -409,8 +409,8 @@ proptest! {
             let mut warm = Session::new(net.clone());
             warm.skeptic_snapshot().expect("tie-free network resolves");
             let warm = warm.query(&query).expect("resolves");
-            prop_assert_eq!(cold.report.strategy, Route::WholeSolve);
-            prop_assert_eq!(warm.report.strategy, Route::IncrementalPatch);
+            prop_assert_eq!(cold.route, Route::WholeSolve);
+            prop_assert_eq!(warm.route, Route::IncrementalPatch);
             prop_assert_eq!(&cold.rows, &reference, "{}: whole solve diverged", query);
             prop_assert_eq!(&warm.rows, &reference, "{}: patched rows diverged", query);
         }

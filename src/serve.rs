@@ -1524,6 +1524,10 @@ mod tests {
         eventually("the caught-up follower parks", || {
             store.counters().ships_parked >= 1
         });
+        // The follower is blocked in its park, so this count is exact; a
+        // count read after the write below could already include the
+        // follower's next park.
+        let parked = store.counters().ships_parked;
         assert_eq!(store.counters().ships_woken, 0);
 
         let acked = write(1);
@@ -1531,12 +1535,11 @@ mod tests {
             slot.wait_for_lsn(acked, Duration::from_secs(5)).is_some(),
             "a write after caught-up must reach the follower long before its poll"
         );
-        let counters = store.counters();
-        assert_eq!(counters.ships_woken, 1, "the commit ended the park");
+        assert_eq!(store.counters().ships_woken, 1, "the commit ended the park");
 
         // Stop the follower: one more commit wakes its parked request.
         eventually("the follower parks again", || {
-            store.counters().ships_parked > counters.ships_parked
+            store.counters().ships_parked > parked
         });
         stop.store(true, std::sync::atomic::Ordering::Release);
         write(2);

@@ -6,8 +6,8 @@
 //! engine grown from empty edit by edit, and a batch that reseeds the
 //! engine must report what draining it would have. Query routing never
 //! changes an answer: a cold session's whole solve and a warm session's
-//! patched rows both equal Algorithm 1 as printed, and `EXPLAIN` does no
-//! solver work.
+//! patched rows both equal Algorithm 1 as printed, fixed fixtures take
+//! each route on each sign, and `EXPLAIN` does no solver work.
 
 mod common;
 
@@ -18,8 +18,8 @@ use trustmap::resolution::UserResolution;
 use trustmap::workloads::apply_edit;
 use trustmap::Route;
 use trustmap::{
-    resolve_network, Edit, IncrementalResolver, Query, QueryTarget, Session, TrustNetwork, User,
-    Value,
+    resolve_network, Edit, IncrementalResolver, NegSet, Query, QueryTarget, Session, TrustNetwork,
+    User, Value,
 };
 
 /// A raw network description proptest can generate.
@@ -376,6 +376,44 @@ proptest! {
             prop_assert_eq!(&cold.rows, &reference, "{}: whole solve diverged", query);
             prop_assert_eq!(&warm.rows, &reference, "{}: patched rows diverged", query);
         }
+    }
+}
+
+/// Fixed fixtures where real `Session::query` calls take each route, on
+/// each sign: a cold session has no engine and solves the whole network
+/// without building one; once a read has built the engine, the next read
+/// patches its (here empty) dirty region. Both give the same rows.
+#[test]
+fn reads_reach_both_routes() {
+    let spec = NetSpec {
+        users: 8,
+        values: 3,
+        mappings: 12,
+        believer_p: 0.5,
+        tie_free: true,
+    };
+    let positive = random_network(spec, 7);
+    let mut signed = random_network(spec, 7);
+    let jar = signed.value("jar");
+    signed
+        .reject(User(0), NegSet::of([jar]))
+        .expect("known user");
+
+    for net in [positive, signed] {
+        let skeptic = net.has_constraints();
+        let mut s = Session::new(net);
+        let cold = s.query(&Query::poss(QueryTarget::All)).unwrap();
+        assert_eq!(cold.route, Route::WholeSolve);
+        assert_eq!(s.stats().full_rebuilds, 0, "a whole solve builds no engine");
+
+        if skeptic {
+            s.skeptic_snapshot().expect("resolves");
+        } else {
+            s.snapshot().expect("resolves");
+        }
+        let warm = s.query(&Query::poss(QueryTarget::All)).unwrap();
+        assert_eq!(warm.route, Route::IncrementalPatch);
+        assert_eq!(warm.rows, cold.rows, "routing changed the answer");
     }
 }
 

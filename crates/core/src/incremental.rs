@@ -1,40 +1,26 @@
 //! Incremental delta-resolution over edit streams.
 //!
 //! The paper's answer to updates is *"simply re-run the algorithm"*
-//! (Section 2.5) — correct, but O(network) per edit. For a community
-//! database the hot path is the edit stream: one user flips one belief and
-//! the system must refresh the consistent snapshot. This module maintains
+//! (Section 2.5) — correct, but O(network) per edit. This module keeps
 //! Algorithm 1's fixpoint **incrementally**:
 //!
 //! 1. **Delta capture.** Each [`Edit`] touches one user `u`. Belief flips
-//!    and revocations only change the explicit belief at `u`'s persistent
+//!    and revocations change only the explicit belief at `u`'s persistent
 //!    belief-root node; new trust mappings re-binarize `u`'s cascade in
-//!    place (recycling freed cascade nodes through a free list) — the rest
-//!    of the BTN is untouched.
-//! 2. **Dirty region.** Only nodes downstream of the touched nodes can
-//!    change (a node's possible set depends solely on its ancestors), so
-//!    the dirty region is the forward closure of the touched nodes over
-//!    trust edges.
-//! 3. **Boundary freeze + regional re-solve.** Clean nodes keep their
-//!    cached possible sets and act as pre-closed boundary inputs; Algorithm
-//!    1 (Step 1 preferred-edge propagation + Step 2 SCC flooding, batched)
-//!    re-runs *inside the dirty region only*, patching the cached per-node
-//!    possible sets in place.
-//!
-//! The regional solve is exactly Algorithm 1 restricted to the dirty
-//! subgraph: outside the region every node is either closed (reachable,
-//! cached) or excluded (unreachable), which is precisely the state the full
-//! algorithm would be in when it reached those nodes — so the patched
-//! fixpoint equals a from-scratch [`resolve_network`]
-//! (`tests/incremental_oracle.rs` checks this equivalence on random edit
-//! streams).
+//!    place, recycling freed cascade nodes (see `deltabtn`).
+//! 2. **Dirty region.** A node's possible set depends solely on its
+//!    ancestors, so only the forward closure of the touched nodes over
+//!    trust edges can change.
+//! 3. **Regional re-solve.** The region is re-solved by the regional
+//!    replay the one-pass solver runs on its cyclic units
+//!    (`parallel::replay_region`), with clean nodes frozen at their cached
+//!    sets — exactly the state a full run is in when it reaches the
+//!    region — so the patched fixpoint equals a from-scratch
+//!    [`resolve_network`] (`tests/incremental_oracle.rs`).
 //!
 //! Cost per edit is O(dirty region + its edges) plus one SCC-scratch run
-//! per Step-2 round — no allocation proportional to the network. The
-//! `edits_bench` binary (`crates/bench/src/bin/edits_bench.rs`) measures
-//! two to three orders of magnitude over full re-resolution on 10^5-node
-//! power-law networks.
-//!
+//! per Step-2 round; `edits_bench` (`crates/bench/src/bin/edits_bench.rs`)
+//! measures two to three orders of magnitude over full re-resolution.
 //! Building the engine is the paper's re-run itself: one bulk
 //! binarization and one whole-network solve, adopted as the cache.
 //!
@@ -44,16 +30,14 @@ use crate::binary::Btn;
 use crate::cow::CowCopies;
 use crate::deltabtn::{DeltaBtn, NodeSideTables};
 use crate::error::{Error, Result};
-use crate::lineage::Lineage;
 use crate::network::TrustNetwork;
-use crate::parallel::resolve_parallel;
-use crate::resolution::{resolve_with, Options, UserResolution, UserRow};
+use crate::parallel::{replay_region, resolve_parallel, ReplayNet, ReplayScratch};
+use crate::resolution::{UserResolution, UserRow};
 use crate::signed::ExplicitBelief;
 use crate::user::User;
 use crate::value::Value;
-use std::collections::BTreeSet;
 use std::sync::Arc;
-use trustmap_graph::{NodeId, SccScratch};
+use trustmap_graph::NodeId;
 
 /// One atomic edit of the trust network, in the vocabulary of Section 2.5.
 ///
@@ -127,34 +111,26 @@ pub struct BeliefChange {
 /// count and free list.
 struct BasicSide<'a> {
     poss: &'a mut Vec<Arc<[Value]>>,
-    reachable: &'a mut Vec<bool>,
     dirty: &'a mut Vec<bool>,
-    closed: &'a mut Vec<bool>,
-    lineage: Option<&'a mut Lineage>,
+    replay: &'a mut ReplayScratch,
     empty: &'a Arc<[Value]>,
 }
 
 impl NodeSideTables for BasicSide<'_> {
     fn grow(&mut self, n: usize) {
         self.poss.resize(n, Arc::clone(self.empty));
-        self.reachable.resize(n, false);
         self.dirty.resize(n, false);
-        self.closed.resize(n, false);
-        if let Some(l) = self.lineage.as_deref_mut() {
-            l.ensure(n);
-        }
+        self.replay.grow(n);
     }
 
     fn reset(&mut self, x: NodeId) {
         self.poss[x as usize] = Arc::clone(self.empty);
-        self.reachable[x as usize] = false;
     }
 
     fn reserve(&mut self, additional: usize) {
         self.poss.reserve_exact(additional);
-        self.reachable.reserve_exact(additional);
         self.dirty.reserve_exact(additional);
-        self.closed.reserve_exact(additional);
+        self.replay.reserve(additional);
     }
 }
 
@@ -166,79 +142,41 @@ pub struct IncrementalResolver {
     /// skeptic engine through [`crate::deltabtn`]).
     delta: DeltaBtn,
     /// Cached per-node possible sets (the resolution being maintained).
+    /// A node is reachable iff its set is non-empty.
     poss: Vec<Arc<[Value]>>,
-    /// Cached reachability from belief roots.
-    reachable: Vec<bool>,
     /// Users whose nodes were in the last dirty region (for snapshot
     /// patching).
     last_dirty_users: Vec<User>,
-    /// Region-locally maintained lineage pointers (None = not traced).
-    lineage: Option<Lineage>,
     // ---- reusable scratch ----
     dirty: Vec<bool>,
     dirty_list: Vec<NodeId>,
-    closed: Vec<bool>,
-    scratch: SccScratch,
-    is_source: Vec<bool>,
-    worklist: Vec<NodeId>,
+    replay: ReplayScratch,
     stack: Vec<NodeId>,
-    members_buf: Vec<NodeId>,
     empty: Arc<[Value]>,
 }
 
 impl IncrementalResolver {
-    /// Builds the engine from `net` and solves it fully once, through
-    /// the one-pass solver [`crate::parallel::resolve_parallel`] uses.
+    /// Builds the engine from `net` and solves it fully once: one bulk
+    /// BTN build, then one whole-network solve through the one-pass solver
+    /// [`crate::parallel::resolve_parallel`] uses, adopted as the cache.
     ///
     /// Fails like [`crate::resolution::resolve`] if the network carries
     /// constraints (negative beliefs) — those require the Skeptic pipeline.
     pub fn new(net: &TrustNetwork) -> Result<Self> {
-        IncrementalResolver::build(net, false)
-    }
-
-    /// Like [`IncrementalResolver::new`] but records lineage pointers
-    /// (Section 2.5, *Retrieving lineage*) and keeps them fresh across
-    /// edits: the build solves through Algorithm 1 as printed
-    /// ([`crate::resolution::resolve_with`]), which records them, and
-    /// each regional solve clears and re-records the pointers of dirty
-    /// nodes only, so provenance queries stay O(chain) after edits
-    /// instead of requiring a from-scratch traced resolution.
-    pub fn new_traced(net: &TrustNetwork) -> Result<Self> {
-        IncrementalResolver::build(net, true)
-    }
-
-    /// One bulk BTN build, then one whole-network solve adopted as the
-    /// cache: the one-pass solver, or Algorithm 1 as printed when lineage
-    /// pointers must be recorded.
-    fn build(net: &TrustNetwork, traced: bool) -> Result<Self> {
         if let Some(u) = net.first_negative_user() {
             return Err(Error::NegativeBeliefsUnsupported(u));
         }
         let delta = DeltaBtn::new(net);
-        let (poss, reachable, lineage) = if traced {
-            let opts = Options {
-                lineage: true,
-                ..Options::default()
-            };
-            resolve_with(&delta.btn, opts)?.into_parts()
-        } else {
-            resolve_parallel(&delta.btn, 1)?.into_parts()
-        };
+        let poss = resolve_parallel(&delta.btn, 1)?.into_poss();
         let n = delta.btn.node_count();
         let mut engine = IncrementalResolver {
             delta,
             poss,
-            reachable,
             last_dirty_users: Vec::new(),
-            lineage,
             dirty: vec![false; n],
             dirty_list: Vec::new(),
-            closed: vec![false; n],
-            scratch: SccScratch::new(),
-            is_source: Vec::new(),
-            worklist: Vec::new(),
+            replay: ReplayScratch::new(n),
             stack: Vec::new(),
-            members_buf: Vec::new(),
             empty: Arc::from([] as [Value; 0]),
         };
         let (delta, mut side) = engine.split();
@@ -251,10 +189,8 @@ impl IncrementalResolver {
     fn split(&mut self) -> (&mut DeltaBtn, BasicSide<'_>) {
         let side = BasicSide {
             poss: &mut self.poss,
-            reachable: &mut self.reachable,
             dirty: &mut self.dirty,
-            closed: &mut self.closed,
-            lineage: self.lineage.as_mut(),
+            replay: &mut self.replay,
             empty: &self.empty,
         };
         (&mut self.delta, side)
@@ -292,12 +228,6 @@ impl IncrementalResolver {
     /// Users whose nodes were touched by the most recent edit batch.
     pub fn last_dirty_users(&self) -> &[User] {
         &self.last_dirty_users
-    }
-
-    /// The maintained lineage pointers, if the engine was built with
-    /// [`IncrementalResolver::new_traced`].
-    pub fn lineage(&self) -> Option<&Lineage> {
-        self.lineage.as_ref()
     }
 
     /// Size of the most recent dirty region (in BTN nodes).
@@ -446,215 +376,19 @@ impl IncrementalResolver {
     }
 
     /// Algorithm 1 restricted to the dirty region, with clean nodes frozen
-    /// at their cached possible sets as the boundary. Clears the dirty
+    /// at their cached possible sets as the boundary: the regional replay
+    /// the one-pass solver runs on its cyclic units. Clears the dirty
     /// mask; `dirty_list` keeps the region for inspection until the next
     /// batch.
     fn solve_region(&mut self) {
-        // (R) Recompute reachability inside the region. A dirty node is
-        // reachable iff it is a belief root, or any parent is a reachable
-        // clean node (whose reachability cannot have changed), or a
-        // reachable dirty node (computed by this BFS).
-        self.stack.clear();
-        for &x in &self.dirty_list {
-            self.reachable[x as usize] = false;
-        }
-        for &x in &self.dirty_list {
-            let xs = x as usize;
-            if self.reachable[xs] {
-                continue;
-            }
-            let is_root =
-                self.delta.btn.parents[xs].is_root() && self.delta.btn.beliefs[xs].is_some();
-            let from_boundary = self.delta.btn.parents[xs]
-                .iter()
-                .any(|z| !self.dirty[z as usize] && self.reachable[z as usize]);
-            if is_root || from_boundary {
-                self.reachable[xs] = true;
-                self.stack.push(x);
-            }
-        }
-        while let Some(v) = self.stack.pop() {
-            for i in 0..self.delta.children[v as usize].len() {
-                let c = self.delta.children[v as usize][i];
-                let cs = c as usize;
-                if self.dirty[cs] && !self.reachable[cs] {
-                    self.reachable[cs] = true;
-                    self.stack.push(c);
-                }
-            }
-        }
-
-        // (I) Initialize the region: everything open and empty, then close
-        // the roots with their explicit beliefs.
-        if let Some(l) = self.lineage.as_mut() {
-            l.ensure(self.delta.btn.node_count());
-            for &x in &self.dirty_list {
-                l.clear_node(x);
-            }
-        }
-        let mut open_left = 0usize;
-        for &x in &self.dirty_list {
-            let xs = x as usize;
-            self.poss[xs] = Arc::clone(&self.empty);
-            self.closed[xs] = false;
-            if self.reachable[xs] {
-                open_left += 1;
-            }
-        }
-        for &x in &self.dirty_list {
-            let xs = x as usize;
-            if self.reachable[xs]
-                && self.delta.btn.parents[xs].is_root()
-                && self.delta.btn.beliefs[xs].is_some()
-            {
-                let v = self.delta.btn.beliefs[xs]
-                    .positive()
-                    .expect("engine rejects negative beliefs");
-                self.poss[xs] = Arc::from(vec![v]);
-                self.closed[xs] = true;
-                open_left -= 1;
-            }
-        }
-        // Seed Step 1: dirty nodes whose preferred parent is already
-        // closed — either a clean reachable boundary node or a dirty root.
-        self.worklist.clear();
-        for &x in &self.dirty_list {
-            let xs = x as usize;
-            if self.reachable[xs] && !self.closed[xs] {
-                if let Some(z) = self.delta.btn.parents[xs].preferred() {
-                    if self.closed_at(z) {
-                        self.worklist.push(x);
-                    }
-                }
-            }
-        }
-
-        // (M) Main loop: Step 1 / Step 2 alternation inside the region.
-        while open_left > 0 {
-            while let Some(x) = self.worklist.pop() {
-                let xs = x as usize;
-                if self.closed[xs] || !self.reachable[xs] {
-                    continue;
-                }
-                let z = self.delta.btn.parents[xs]
-                    .preferred()
-                    .expect("worklist node");
-                debug_assert!(self.closed_at(z));
-                self.poss[xs] = Arc::clone(&self.poss[z as usize]);
-                self.closed[xs] = true;
-                open_left -= 1;
-                if let Some(l) = self.lineage.as_mut() {
-                    l.record_preferred(x, z, &self.poss[xs]);
-                }
-                self.push_pref_children(x);
-            }
-            if open_left == 0 {
-                break;
-            }
-
-            // Step 2 on the open part of the region: reusable-scratch
-            // Tarjan over the dirty candidates only.
-            let (btn, dirty, reachable, closed, children) = (
-                &self.delta.btn,
-                &self.dirty,
-                &self.reachable,
-                &self.closed,
-                &self.delta.children,
-            );
-            let keep =
-                |v: NodeId| dirty[v as usize] && reachable[v as usize] && !closed[v as usize];
-            self.scratch
-                .run(&children[..], self.dirty_list.iter().copied(), keep);
-            let comp_count = self.scratch.count();
-            debug_assert!(comp_count > 0, "open region must contain a source SCC");
-            self.is_source.clear();
-            self.is_source.resize(comp_count, true);
-            for &x in self.scratch.visited() {
-                let cx = self.scratch.comp_of(x).expect("visited");
-                for z in btn.parents[x as usize].iter() {
-                    if keep(z) && self.scratch.comp_of(z) != Some(cx) {
-                        self.is_source[cx as usize] = false;
-                    }
-                }
-            }
-
-            let mut flooded = 0usize;
-            for c in 0..comp_count as u32 {
-                if !self.is_source[c as usize] {
-                    continue;
-                }
-                flooded += 1;
-                // possS = union of the cached/solved possible sets of all
-                // closed parents (boundary nodes included), snapshotted
-                // before any member closes. The same external pairs become
-                // every member's lineage pointers when tracing is on.
-                let mut union: BTreeSet<Value> = BTreeSet::new();
-                let mut external: Vec<(NodeId, Value)> = Vec::new();
-                for &x in self.scratch.members(c) {
-                    for z in self.delta.btn.parents[x as usize].iter() {
-                        let zs = z as usize;
-                        let z_closed = if self.dirty[zs] {
-                            self.closed[zs]
-                        } else {
-                            self.reachable[zs]
-                        };
-                        if z_closed {
-                            union.extend(self.poss[zs].iter().copied());
-                            if self.lineage.is_some() {
-                                external.extend(self.poss[zs].iter().map(|&v| (z, v)));
-                            }
-                        }
-                    }
-                }
-                let set: Arc<[Value]> = Arc::from(union.into_iter().collect::<Vec<_>>());
-                if let Some(l) = self.lineage.as_mut() {
-                    self.members_buf.clear();
-                    self.members_buf.extend_from_slice(self.scratch.members(c));
-                    for &x in &self.members_buf {
-                        l.record_flood(x, &set, &external, &self.members_buf);
-                    }
-                }
-                for i in 0..self.scratch.members(c).len() {
-                    let x = self.scratch.members(c)[i];
-                    self.poss[x as usize] = Arc::clone(&set);
-                    self.closed[x as usize] = true;
-                    open_left -= 1;
-                }
-                for i in 0..self.scratch.members(c).len() {
-                    let x = self.scratch.members(c)[i];
-                    self.push_pref_children(x);
-                }
-            }
-            // A finite open region always has a source SCC; failing this
-            // would loop forever, so assert unconditionally.
-            assert!(flooded > 0, "no source SCC found in open region");
-        }
-
-        // Clear the dirty mask for the next batch (the list itself is kept
-        // for inspection/patching).
+        let net = ReplayNet {
+            g: &self.delta.children[..],
+            parents: &self.delta.btn.parents,
+            beliefs: &self.delta.btn.beliefs,
+        };
+        replay_region(&net, &mut self.poss[..], &mut self.replay, &self.dirty_list);
         for &x in &self.dirty_list {
             self.dirty[x as usize] = false;
-        }
-    }
-
-    /// Whether `z` counts as closed for the regional solve: solved nodes
-    /// inside the region, cached reachable nodes outside it.
-    #[inline]
-    fn closed_at(&self, z: NodeId) -> bool {
-        if self.dirty[z as usize] {
-            self.closed[z as usize]
-        } else {
-            self.reachable[z as usize]
-        }
-    }
-
-    /// Enqueues the dirty preferred-edge children of a freshly closed node.
-    fn push_pref_children(&mut self, z: NodeId) {
-        for i in 0..self.delta.children[z as usize].len() {
-            let c = self.delta.children[z as usize][i];
-            if self.dirty[c as usize] && self.delta.btn.parents[c as usize].preferred() == Some(z) {
-                self.worklist.push(c);
-            }
         }
     }
 }
@@ -864,49 +598,23 @@ mod tests {
         ));
     }
 
-    /// Every possible value of every reachable user must trace to a root
-    /// explicitly asserting it — the soundness half of Section 2.5's
-    /// lineage property, maintained across edits.
-    fn assert_lineage_sound(engine: &IncrementalResolver) {
-        let lin = engine.lineage().expect("traced engine");
-        let btn = engine.btn();
-        for x in btn.nodes() {
-            for &v in engine.poss(x) {
-                if btn.parents(x).is_root() {
-                    continue;
-                }
-                let chain = lin
-                    .trace(x, v)
-                    .unwrap_or_else(|| panic!("({x}, {v:?}) has no lineage"));
-                let root = *chain.last().expect("nonempty chain");
-                assert_eq!(
-                    btn.belief(root).positive(),
-                    Some(v),
-                    "chain of ({x}, {v:?}) ends at a root asserting something else"
-                );
-            }
-        }
-    }
-
     #[test]
-    fn traced_engine_keeps_lineage_fresh_across_edits() {
+    fn believe_revoke_and_new_cascade_match_full() {
         let (mut net, [_, bob, charlie]) = indus_network();
         let jar = net.value("jar");
         let cow = net.value("cow");
         net.believe(charlie, jar).unwrap();
-        let mut engine = IncrementalResolver::new_traced(&net).unwrap();
-        assert_lineage_sound(&engine);
+        let mut engine = IncrementalResolver::new(&net).unwrap();
 
         net.believe(bob, cow).unwrap();
         engine.apply_edits(&net, &[Edit::Believe(bob, cow)]);
         assert_matches_full(&engine, &net);
-        assert_lineage_sound(&engine);
 
         net.revoke(bob).unwrap();
         engine.apply_edits(&net, &[Edit::Revoke(bob)]);
-        assert_lineage_sound(&engine);
+        assert_matches_full(&engine, &net);
 
-        // A structural edit (new cascade) keeps chains valid too.
+        // A structural edit (new cascade) stays equal too.
         let dave = net.user("Dave");
         net.trust(dave, bob, 10).unwrap();
         engine.apply_edits(
@@ -918,13 +626,12 @@ mod tests {
             }],
         );
         assert_matches_full(&engine, &net);
-        assert_lineage_sound(&engine);
     }
 
     #[test]
-    fn oscillator_flood_lineage_after_edit() {
-        // Figure 4b: flood lineage must point outside the SCC, also after
-        // the region is re-solved incrementally.
+    fn oscillator_flood_after_edit_matches_full() {
+        // Figure 4b: the {x1, x2} oscillator is flooded again when the
+        // region is re-solved incrementally.
         let mut net = TrustNetwork::new();
         let x1 = net.user("x1");
         let x2 = net.user("x2");
@@ -938,13 +645,11 @@ mod tests {
         net.trust(x2, x4, 40).unwrap();
         net.believe(x3, v).unwrap();
         net.believe(x4, w).unwrap();
-        let mut engine = IncrementalResolver::new_traced(&net).unwrap();
+        let mut engine = IncrementalResolver::new(&net).unwrap();
 
         net.believe(x4, v).unwrap();
         engine.apply_edits(&net, &[Edit::Believe(x4, v)]);
         assert_matches_full(&engine, &net);
-        assert_lineage_sound(&engine);
-        let n1 = engine.btn().node_of(x1);
-        assert!(engine.lineage().unwrap().flood_peers(n1).is_some());
+        assert_eq!(engine.poss(engine.btn().node_of(x1)), &[v]);
     }
 }

@@ -19,8 +19,8 @@
 //! * [`binary`] — binarization to the two-parent normal form
 //!   (Proposition 2.8);
 //! * [`resolution`] — Algorithm 1 as printed (round-looping Step 1 /
-//!   Step 2): the differential oracles' reference and the traced
-//!   (lineage) resolver;
+//!   Step 2): the differential oracles' reference and the lineage
+//!   resolver;
 //! * [`parallel`] — the production whole-network solver: one
 //!   condensation pass, level-scheduled shards, bit-identical to
 //!   [`resolution`] at every thread count (sessions and the CLI run it
@@ -34,11 +34,10 @@
 //!   from;
 //! * [`pairs`] — joint possible values, agreement checking, consensus
 //!   values (Proposition 2.13);
-//! * [`incremental`] — delta-resolution for edit streams: dirty-region
-//!   re-solving that patches the cached resolution, BTN, and (when
-//!   traced) lineage pointers in place instead of re-running Algorithm 1
-//!   over the whole network (the scalable answer to Section 2.5's
-//!   "simply re-run the algorithm");
+//! * [`incremental`] — delta-resolution for edit streams: the dirty
+//!   region is re-solved through [`parallel`]'s regional replay and the
+//!   cached resolution patched in place (the scalable answer to Section
+//!   2.5's "simply re-run the algorithm");
 //! * [`session`] — the editing façade over [`incremental`]: typed edits
 //!   take the delta path, explicit batches (`begin_batch`/`commit`)
 //!   drain as one dirty region with a single change report, arbitrary

@@ -31,24 +31,6 @@ impl Lineage {
         }
     }
 
-    /// Grows the per-node tables to cover `n` nodes (the incremental
-    /// engine appends nodes as users and cascades are created).
-    pub(crate) fn ensure(&mut self, n: usize) {
-        if self.sources.len() < n {
-            self.sources.resize_with(n, HashMap::new);
-            self.scc_peers.resize(n, None);
-        }
-    }
-
-    /// Drops all pointers recorded at `x` — the region-local reset before
-    /// a dirty node is re-solved. Clean nodes keep their entries, and
-    /// since lineage pointers always reference ancestors (which are clean
-    /// whenever `x` is clean), chains through the boundary stay intact.
-    pub(crate) fn clear_node(&mut self, x: NodeId) {
-        self.sources[x as usize].clear();
-        self.scc_peers[x as usize] = None;
-    }
-
     pub(crate) fn record_preferred(&mut self, x: NodeId, parent: NodeId, values: &[Value]) {
         let entry = &mut self.sources[x as usize];
         for &v in values {
@@ -159,39 +141,53 @@ mod tests {
 
     #[test]
     fn flood_lineage_points_outside_scc() {
-        // Oscillator: cycle {a,b} fed by roots r1 (v), r2 (w).
-        let mut net = TrustNetwork::new();
-        let a = net.user("a");
-        let b = net.user("b");
-        let r1 = net.user("r1");
-        let r2 = net.user("r2");
-        let v = net.value("v");
-        let w = net.value("w");
-        net.trust(a, b, 100).unwrap();
-        net.trust(b, a, 100).unwrap();
-        net.trust(a, r1, 50).unwrap();
-        net.trust(b, r2, 50).unwrap();
-        net.believe(r1, v).unwrap();
-        net.believe(r2, w).unwrap();
-        let btn = crate::binary::binarize(&net);
-        let res = resolve_with(
-            &btn,
-            Options {
-                lineage: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let lin = res.lineage().unwrap();
-        let na = btn.node_of(a);
-        // a's value v came from r1 (possibly through a cascade node).
-        let chain = lin.trace(na, v).unwrap();
-        assert_eq!(*chain.first().unwrap(), na);
-        let root_of_chain = *chain.last().unwrap();
-        assert_eq!(btn.belief(root_of_chain).positive(), Some(v));
-        // a and b were flooded together (their SCC includes both, possibly
-        // with cascade nodes).
-        let peers = lin.flood_peers(na).unwrap();
-        assert!(peers.contains(&btn.node_of(b)) || peers.contains(&na));
+        // Two oscillators fed by a v-root and a w-root: the cycle {a, b}
+        // with equal priorities, and Figure 4b's {x1, x2}, whose every
+        // cycle edge is preferred.
+        let mut osc = TrustNetwork::new();
+        let [a, b, r1, r2] = ["a", "b", "r1", "r2"].map(|n| osc.user(n));
+        let [v, w] = ["v", "w"].map(|n| osc.value(n));
+        osc.trust(a, b, 100).unwrap();
+        osc.trust(b, a, 100).unwrap();
+        osc.trust(a, r1, 50).unwrap();
+        osc.trust(b, r2, 50).unwrap();
+        osc.believe(r1, v).unwrap();
+        osc.believe(r2, w).unwrap();
+        let mut fig4b = TrustNetwork::new();
+        let [x1, x2, x3, x4] = ["x1", "x2", "x3", "x4"].map(|n| fig4b.user(n));
+        let [v, w] = ["v", "w"].map(|n| fig4b.value(n));
+        fig4b.trust(x1, x2, 100).unwrap();
+        fig4b.trust(x1, x3, 80).unwrap();
+        fig4b.trust(x2, x1, 50).unwrap();
+        fig4b.trust(x2, x4, 40).unwrap();
+        fig4b.believe(x3, v).unwrap();
+        fig4b.believe(x4, w).unwrap();
+
+        for (net, [a, b]) in [(osc, [a, b]), (fig4b, [x1, x2])] {
+            let btn = crate::binary::binarize(&net);
+            let res = resolve_with(
+                &btn,
+                Options {
+                    lineage: true,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            let lin = res.lineage().unwrap();
+            let na = btn.node_of(a);
+            assert_eq!(res.poss(na), &[v, w]);
+            for value in [v, w] {
+                // Each value came from its root (possibly through a
+                // cascade node).
+                let chain = lin.trace(na, value).unwrap();
+                assert_eq!(*chain.first().unwrap(), na);
+                let root_of_chain = *chain.last().unwrap();
+                assert_eq!(btn.belief(root_of_chain).positive(), Some(value));
+            }
+            // a and b were flooded together (their SCC includes both,
+            // possibly with cascade nodes).
+            let peers = lin.flood_peers(na).unwrap();
+            assert!(peers.contains(&btn.node_of(b)) || peers.contains(&na));
+        }
     }
 }

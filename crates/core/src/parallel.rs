@@ -30,9 +30,10 @@
 //! sealed (dependency edges only point downward) and unreachable parents
 //! hold empty sets forever. Acyclic singleton units take a closed-form
 //! fast path — root belief, preferred-parent copy, or sorted ≤2-way union
-//! with content interning. Cyclic units replay Algorithm 1's Step-1/Step-2
-//! alternation restricted to their members with a per-worker
-//! [`SccScratch`].
+//! with content interning. Cyclic units run `replay_region`, Algorithm
+//! 1's Step-1/Step-2 alternation restricted to their members — the one
+//! regional replay, which the incremental engine runs on its dirty
+//! regions too.
 //!
 //! ### Determinism invariants
 //!
@@ -173,9 +174,11 @@ impl PlannedResolver {
         let empty: Arc<[Value]> = Arc::from([] as [Value; 0]);
         let mut poss = vec![empty; self.nodes];
         let ctx = Ctx {
-            g: &self.view,
-            parents: &btn.parents,
-            beliefs: &btn.beliefs,
+            net: ReplayNet {
+                g: &self.view,
+                parents: &btn.parents,
+                beliefs: &btn.beliefs,
+            },
             plan: &self.plan,
             poss: SharedSlab::new(&mut poss),
         };
@@ -281,42 +284,20 @@ impl<T> SharedSlab<T> {
 /// (lookups still hit; misses allocate fresh).
 const SET_CACHE_CAP: usize = 4096;
 
-/// Per-worker scratch — allocated once per worker, reused across every
-/// unit the worker solves (`SccScratch` per worker, no shared mutable
-/// state).
-struct Worker {
-    /// Membership flags of the cyclic unit currently being solved.
-    in_unit: Vec<bool>,
-    /// Closed flags, valid only inside the current cyclic unit.
-    closed: Vec<bool>,
-    scratch: SccScratch,
-    worklist: Vec<NodeId>,
-    is_source: Vec<bool>,
-    members_buf: Vec<NodeId>,
-    union_buf: Vec<Value>,
-    /// Content-interning cache: most possible sets repeat (domains are
-    /// small relative to networks), so solves reuse one allocation per
-    /// distinct set instead of allocating per node.
-    cache: HashMap<Vec<Value>, PossSet>,
-}
+/// Content-interning cache: most possible sets repeat (domains are small
+/// relative to networks), so solves reuse one allocation per distinct set
+/// instead of allocating per node.
+type SetCache = HashMap<Vec<Value>, PossSet>;
 
-impl Worker {
-    fn new(n: usize) -> Self {
-        Worker {
-            in_unit: vec![false; n],
-            closed: vec![false; n],
-            scratch: SccScratch::new(),
-            worklist: Vec::new(),
-            is_source: Vec::new(),
-            members_buf: Vec::new(),
-            union_buf: Vec::new(),
-            cache: HashMap::new(),
-        }
-    }
+/// Per-worker scratch — allocated once per worker, reused across every
+/// unit the worker solves (no shared mutable state).
+struct Worker {
+    replay: ReplayScratch,
+    cache: SetCache,
 }
 
 /// Interns `vals` (sorted, deduplicated) in the worker cache.
-fn intern(cache: &mut HashMap<Vec<Value>, PossSet>, vals: &[Value]) -> PossSet {
+fn intern(cache: &mut SetCache, vals: &[Value]) -> PossSet {
     if let Some(set) = cache.get(vals) {
         return Arc::clone(set);
     }
@@ -335,9 +316,7 @@ fn intern(cache: &mut HashMap<Vec<Value>, PossSet>, vals: &[Value]) -> PossSet {
 /// whole-network identity view, the BTN's parents and beliefs, the plan,
 /// and the result slab, all in global node ids.
 struct Ctx<'a> {
-    g: &'a RegionCompactor,
-    parents: &'a [Parents],
-    beliefs: &'a [ExplicitBelief],
+    net: ReplayNet<'a, RegionCompactor>,
     plan: &'a ShardPlan,
     poss: SharedSlab<PossSet>,
 }
@@ -511,7 +490,10 @@ impl ShardSolver for Ctx<'_> {
     type Worker = Worker;
 
     fn new_worker(&self) -> Worker {
-        Worker::new(self.poss.len)
+        Worker {
+            replay: ReplayScratch::new(self.poss.len),
+            cache: SetCache::new(),
+        }
     }
 
     fn solve_shard(&self, worker: &mut Worker, s: u32) {
@@ -525,6 +507,12 @@ impl ShardSolver for Ctx<'_> {
 
 /// Solves every unit of shard `s` in plan order.
 fn solve_shard(ctx: &Ctx<'_>, worker: &mut Worker, s: u32) {
+    let Worker { replay, cache } = worker;
+    let mut store = SlabPoss {
+        slab: &ctx.poss,
+        cache,
+    };
+    let parents = ctx.net.parents;
     if ctx.plan.singleton_layout() {
         // All-singleton plan (a self-loop can never peel, so none exist
         // here): stream the shard's node list as a two-stage software
@@ -537,102 +525,204 @@ fn solve_shard(ctx: &Ctx<'_>, worker: &mut Worker, s: u32) {
         let nodes = ctx.plan.shard_nodes(s);
         for i in 0..nodes.len() {
             if i + LOOKAHEAD < nodes.len() {
-                prefetch(&ctx.parents[nodes[i + LOOKAHEAD] as usize]);
+                prefetch(&parents[nodes[i + LOOKAHEAD] as usize]);
             }
             if i + LOOKAHEAD / 2 < nodes.len() {
-                for z in ctx.parents[nodes[i + LOOKAHEAD / 2] as usize].iter() {
+                for z in parents[nodes[i + LOOKAHEAD / 2] as usize].iter() {
                     // SAFETY: a cache hint on an in-bounds slot; nothing is
                     // read.
                     unsafe { ctx.poss.prefetch(z) };
                 }
             }
-            solve_singleton(ctx, worker, nodes[i]);
+            solve_singleton(&ctx.net, &mut store, &mut replay.union_buf, nodes[i]);
         }
         return;
     }
     for u in ctx.plan.units(s) {
         let members = ctx.plan.unit_members(u);
         if let [x] = *members {
-            if !ctx.parents[x as usize].iter().any(|z| z == x) {
-                solve_singleton(ctx, worker, x);
+            if !parents[x as usize].iter().any(|z| z == x) {
+                solve_singleton(&ctx.net, &mut store, &mut replay.union_buf, x);
                 continue;
             }
         }
-        solve_cyclic(ctx, worker, u);
+        replay_region(&ctx.net, &mut store, replay, members);
     }
 }
 
 /// Closed-form solve of an acyclic singleton unit: every parent is final,
-/// so Algorithm 1's Step-1 copy or Step-2 flood collapses to one
-/// expression. An empty parent set marks an unreachable (never-closing)
-/// parent and contributes nothing, exactly as in the sequential resolver.
-fn solve_singleton(ctx: &Ctx<'_>, worker: &mut Worker, x: NodeId) {
-    let parents = &ctx.parents[x as usize];
-    let set = match *parents {
-        Parents::None => match ctx.beliefs[x as usize].positive() {
-            // A believing root; beliefless roots stay empty (unreachable).
-            Some(v) => intern(&mut worker.cache, &[v]),
-            None => return,
-        },
-        _ => {
-            // SAFETY (both reads): `x` is an acyclic singleton, so its
-            // parent `z` is an ancestor — sealed, or frozen empty.
-            let preferred_closed = parents
-                .preferred()
-                .filter(|&z| !unsafe { ctx.poss.read(z) }.is_empty());
-            if let Some(z) = preferred_closed {
-                // Step 1: a closed preferred parent always wins.
-                unsafe { Arc::clone(ctx.poss.read(z)) }
-            } else {
-                // Step 2 flood of a trivial SCC: union of the (≤ 2)
-                // closed parents' sets.
-                union_parents(ctx, worker, parents)
-            }
-        }
-    };
-    // SAFETY: `x` belongs to the shard this worker holds, and no unit
-    // writes a node twice.
-    unsafe { ctx.poss.write(x, set) };
+/// so [`settle`] applies at once.
+///
+/// Forced inline, with `settle`: as out-of-line calls they cost the
+/// one-pass solver about a fifth of its time on power-law networks.
+#[inline(always)]
+fn solve_singleton(
+    net: &ReplayNet<'_, RegionCompactor>,
+    store: &mut SlabPoss<'_>,
+    buf: &mut Vec<Value>,
+    x: NodeId,
+) {
+    let xs = x as usize;
+    if let Some(set) = settle(store, &net.parents[xs], &net.beliefs[xs], buf) {
+        store.set(x, set);
+    }
 }
 
-/// Sorted union of the parents' final possible sets, reusing existing
-/// allocations whenever one side is redundant.
-fn union_parents(ctx: &Ctx<'_>, worker: &mut Worker, parents: &Parents) -> PossSet {
-    let mut first: Option<&PossSet> = None;
-    let mut second: Option<&PossSet> = None;
-    for z in parents.iter() {
-        // SAFETY: parents of an acyclic singleton are ancestors — sealed,
-        // or frozen empty.
-        let set = unsafe { ctx.poss.read(z) };
-        if set.is_empty() {
-            continue;
-        }
-        if first.is_none() {
-            first = Some(set);
-        } else {
-            second = Some(set);
+// ---------------------------------------------------------------------------
+// Algorithm 1's regional replay.
+// ---------------------------------------------------------------------------
+
+/// Where the regional replay reads and writes possible sets: an exclusively
+/// borrowed slice for the incremental engine, the [`SharedSlab`] for the
+/// parallel workers (as [`crate::skeptic::RepStore`] is for Algorithm 2).
+pub(crate) trait PossStore {
+    /// The possible set of `x`.
+    fn poss(&self, x: NodeId) -> &PossSet;
+    /// Stores the possible set of `x` (the caller must own `x`'s region).
+    fn set(&mut self, x: NodeId, set: PossSet);
+    /// A set holding `vals` (sorted, deduplicated).
+    fn make(&mut self, vals: &[Value]) -> PossSet {
+        Arc::from(vals)
+    }
+}
+
+impl PossStore for [PossSet] {
+    #[inline]
+    fn poss(&self, x: NodeId) -> &PossSet {
+        &self[x as usize]
+    }
+    #[inline]
+    fn set(&mut self, x: NodeId, set: PossSet) {
+        self[x as usize] = set;
+    }
+}
+
+/// [`PossStore`] over the parallel workers' shared slab, interning the
+/// sets it makes in the worker's cache.
+///
+/// Safety: the scheduler guarantees each node is written by exactly one
+/// worker, and reads target sealed shards or the worker's own unit (see
+/// [`SharedSlab`]).
+struct SlabPoss<'a> {
+    slab: &'a SharedSlab<PossSet>,
+    cache: &'a mut SetCache,
+}
+
+impl PossStore for SlabPoss<'_> {
+    #[inline]
+    fn poss(&self, x: NodeId) -> &PossSet {
+        // SAFETY: scheduler contract (sealed ancestors / own unit).
+        unsafe { self.slab.read(x) }
+    }
+    #[inline]
+    fn set(&mut self, x: NodeId, set: PossSet) {
+        // SAFETY: the worker owns every node of the unit it solves, and no
+        // unit writes a node twice.
+        unsafe { self.slab.write(x, set) }
+    }
+    fn make(&mut self, vals: &[Value]) -> PossSet {
+        intern(self.cache, vals)
+    }
+}
+
+/// Immutable network view of the replay, indexed by BTN node id.
+pub(crate) struct ReplayNet<'a, A: ?Sized> {
+    /// Forward adjacency (edges parent → child).
+    pub g: &'a A,
+    /// Per-node (≤ 2) parents.
+    pub parents: &'a [Parents],
+    /// Per-node explicit beliefs (non-`None` only at roots).
+    pub beliefs: &'a [ExplicitBelief],
+}
+
+/// Reusable node-indexed scratch of [`replay_region`] — allocated once per
+/// worker (or once per incremental engine) and reused across every region
+/// it solves.
+#[derive(Debug, Clone)]
+pub(crate) struct ReplayScratch {
+    /// Membership flags of the region currently being solved.
+    in_region: Vec<bool>,
+    /// Closed flags, valid only inside the current region.
+    closed: Vec<bool>,
+    scc: SccScratch,
+    worklist: Vec<NodeId>,
+    is_source: Vec<bool>,
+    members_buf: Vec<NodeId>,
+    union_buf: Vec<Value>,
+    empty: PossSet,
+}
+
+impl ReplayScratch {
+    /// Scratch for a graph of `n` nodes.
+    pub(crate) fn new(n: usize) -> Self {
+        ReplayScratch {
+            in_region: vec![false; n],
+            closed: vec![false; n],
+            scc: SccScratch::new(),
+            worklist: Vec::new(),
+            is_source: Vec::new(),
+            members_buf: Vec::new(),
+            union_buf: Vec::new(),
+            empty: Arc::from([] as [Value; 0]),
         }
     }
-    match (first, second) {
-        (None, _) => intern(&mut worker.cache, &[]),
-        (Some(a), None) => Arc::clone(a),
-        (Some(a), Some(b)) => {
-            if Arc::ptr_eq(a, b) {
-                return Arc::clone(a);
-            }
-            let mut buf = std::mem::take(&mut worker.union_buf);
-            merge_sorted(a, b, &mut buf);
-            let set = if buf.as_slice() == a.as_ref() {
-                Arc::clone(a)
-            } else if buf.as_slice() == b.as_ref() {
-                Arc::clone(b)
-            } else {
-                intern(&mut worker.cache, &buf)
-            };
-            worker.union_buf = buf;
-            set
+
+    /// Grows the node-indexed arrays to cover `n` nodes.
+    pub(crate) fn grow(&mut self, n: usize) {
+        self.in_region.resize(n, false);
+        self.closed.resize(n, false);
+    }
+
+    /// Reserves room for `additional` more nodes in the node-indexed
+    /// arrays.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.in_region.reserve_exact(additional);
+        self.closed.reserve_exact(additional);
+    }
+}
+
+/// Algorithm 1's set for a node whose parents will not change any more:
+/// Step 1's copy of a non-empty preferred parent, else the flood of the
+/// node alone — the union of its parents' sets — and at a root its own
+/// belief. `None` is the empty set (the node is unreachable): its slot
+/// keeps the empty set it holds.
+///
+/// An empty parent is unreachable (Algorithm 1 never closes it) and passes
+/// nothing on, which is why Step 1 must not copy from it.
+#[inline(always)]
+fn settle<S: PossStore + ?Sized>(
+    store: &mut S,
+    parents: &Parents,
+    belief: &ExplicitBelief,
+    buf: &mut Vec<Value>,
+) -> Option<PossSet> {
+    if parents.is_root() {
+        // A believing root; beliefless roots stay empty (unreachable).
+        return belief.positive().map(|v| store.make(&[v]));
+    }
+    if let Some(z) = parents.preferred() {
+        if !store.poss(z).is_empty() {
+            return Some(Arc::clone(store.poss(z)));
         }
     }
+    // Reuse an existing allocation whenever one side is redundant.
+    let mut live = parents.iter().filter(|&z| !store.poss(z).is_empty());
+    let a = live.next()?;
+    let Some(b) = live.next() else {
+        return Some(Arc::clone(store.poss(a)));
+    };
+    let (sa, sb) = (store.poss(a), store.poss(b));
+    if Arc::ptr_eq(sa, sb) {
+        return Some(Arc::clone(sa));
+    }
+    merge_sorted(sa, sb, buf);
+    if buf.as_slice() == sa.as_ref() {
+        return Some(Arc::clone(sa));
+    }
+    if buf.as_slice() == sb.as_ref() {
+        return Some(Arc::clone(sb));
+    }
+    Some(store.make(buf))
 }
 
 /// Merges two sorted deduplicated slices into `out` (cleared first).
@@ -660,81 +750,99 @@ fn merge_sorted(a: &[Value], b: &[Value], out: &mut Vec<Value>) {
     out.extend_from_slice(&b[j..]);
 }
 
-/// Algorithm 1's Step-1/Step-2 alternation restricted to one cyclic unit,
-/// with every external node final — the same regional semantics as the
-/// incremental resolver's dirty-region solve.
-fn solve_cyclic(ctx: &Ctx<'_>, worker: &mut Worker, u: u32) {
-    let Worker {
-        in_unit,
+/// Algorithm 1's Step-1/Step-2 alternation restricted to `members`, with
+/// every node outside them final. This is the one regional replay of the
+/// codebase: the parallel solver's cyclic units (outside nodes are sealed
+/// ancestor units) and the incremental engine's dirty regions (outside
+/// nodes are clean, at their cached sets) both run it.
+///
+/// It keeps the one-pass solver's invariant: a node is closed and
+/// reachable iff its set is non-empty. Members are reset to the empty set
+/// first and written only when they close, so one emptiness test decides
+/// Step 1 inside the region and out. Reachability is never computed: an
+/// unreachable member closes empty when its parents have all closed, or
+/// with its flood. A cyclic unit is all-reachable or all-unreachable, but
+/// a dirty region is not, so a child whose preferred parent closed empty
+/// waits for the flood of its own SCC, where its other parents count.
+///
+/// A member whose parents have all closed is a source SCC on its own and
+/// is flooded at once (the batched Step 2 of
+/// [`crate::resolution::resolve_with`] would flood it in its next round),
+/// so chains of unreachable members cost no condensation rounds. On return
+/// every member is closed and the scratch flags are clean.
+pub(crate) fn replay_region<A, S>(
+    net: &ReplayNet<'_, A>,
+    store: &mut S,
+    scratch: &mut ReplayScratch,
+    members: &[NodeId],
+) where
+    A: Adjacency + ?Sized,
+    S: PossStore + ?Sized,
+{
+    let ReplayScratch {
+        in_region,
         closed,
-        scratch,
+        scc,
         worklist,
         is_source,
         members_buf,
         union_buf,
-        cache,
-    } = worker;
-    let members = ctx.plan.unit_members(u);
+        empty,
+    } = scratch;
     for &x in members {
-        in_unit[x as usize] = true;
+        in_region[x as usize] = true;
         debug_assert!(!closed[x as usize], "closed flags must start clean");
+        store.set(x, Arc::clone(empty));
     }
     let mut open_left = members.len();
-
-    // Seed Step 1: members whose preferred parent is external and closed
-    // (all members start open, so internal preferred parents cannot seed).
     worklist.clear();
-    for &x in members {
-        if let Some(z) = ctx.parents[x as usize].preferred() {
-            // SAFETY: `z` is outside the unit, hence an ancestor — sealed,
-            // or frozen empty.
-            if !in_unit[z as usize] && !unsafe { ctx.poss.read(z) }.is_empty() {
-                worklist.push(x);
-            }
-        }
-    }
+    worklist.extend_from_slice(members);
 
-    while open_left > 0 {
-        // (S1) Preferred-edge propagation inside the unit.
+    loop {
+        // (S1) Preferred-edge copies, and the floods of members whose
+        // parents have all closed (belief roots included).
         while let Some(x) = worklist.pop() {
             let xs = x as usize;
             if closed[xs] {
                 continue;
             }
-            let z = ctx.parents[xs]
+            let parents = &net.parents[xs];
+            let copies = parents
                 .preferred()
-                .expect("worklist nodes have one");
-            // SAFETY: `z` is a sealed ancestor or a member of this unit,
-            // and `x` is a member; the worker holding the unit's shard is
-            // the only one touching its members.
-            let set = unsafe { Arc::clone(ctx.poss.read(z)) };
-            unsafe { ctx.poss.write(x, set) };
+                .is_some_and(|z| !store.poss(z).is_empty());
+            if !copies
+                && parents
+                    .iter()
+                    .any(|z| in_region[z as usize] && !closed[z as usize])
+            {
+                continue;
+            }
+            if let Some(set) = settle(store, parents, &net.beliefs[xs], union_buf) {
+                store.set(x, set);
+            }
             closed[xs] = true;
             open_left -= 1;
-            for w in ctx.g.neighbors(x) {
-                if in_unit[w as usize]
-                    && !closed[w as usize]
-                    && ctx.parents[w as usize].preferred() == Some(x)
-                {
-                    worklist.push(w);
-                }
-            }
+            worklist.extend(
+                net.g
+                    .neighbors(x)
+                    .filter(|&w| in_region[w as usize] && !closed[w as usize]),
+            );
         }
         if open_left == 0 {
             break;
         }
 
         // (S2) Condense the open members and flood the source sub-SCCs.
-        scratch.run(ctx.g, members.iter().copied(), |v| {
-            in_unit[v as usize] && !closed[v as usize]
+        scc.run(net.g, members.iter().copied(), |v| {
+            in_region[v as usize] && !closed[v as usize]
         });
-        let comp_count = scratch.count();
+        let comp_count = scc.count();
         is_source.clear();
         is_source.resize(comp_count, true);
-        for &x in scratch.visited() {
-            let cx = scratch.comp_of(x).expect("visited");
-            for z in ctx.parents[x as usize].iter() {
-                if in_unit[z as usize] && !closed[z as usize] && scratch.comp_of(z) != Some(cx) {
+        for &x in scc.visited() {
+            let cx = scc.comp_of(x).expect("visited");
+            for z in net.parents[x as usize].iter() {
+                if in_region[z as usize] && !closed[z as usize] && scc.comp_of(z) != Some(cx) {
                     is_source[cx as usize] = false;
                 }
             }
@@ -747,46 +855,43 @@ fn solve_cyclic(ctx: &Ctx<'_>, worker: &mut Worker, u: u32) {
             }
             flooded += 1;
             members_buf.clear();
-            members_buf.extend_from_slice(scratch.members(sub));
+            members_buf.extend_from_slice(scc.members(sub));
             // possS = union of all closed parents' sets, snapshotted
-            // before any member closes. Open members hold empty sets and
-            // unreachable externals stay empty forever, so the plain union
-            // over every parent is exactly the union over closed ones.
+            // before any member closes. Open members and unreachable nodes
+            // hold empty sets, so the plain union over every parent is
+            // exactly the union over the closed ones.
             let mut union: BTreeSet<Value> = BTreeSet::new();
             for &x in members_buf.iter() {
-                for z in ctx.parents[x as usize].iter() {
-                    // SAFETY: as above — a sealed ancestor or an own
-                    // member.
-                    union.extend(unsafe { ctx.poss.read(z) }.iter().copied());
+                for z in net.parents[x as usize].iter() {
+                    union.extend(store.poss(z).iter().copied());
                 }
             }
             union_buf.clear();
             union_buf.extend(union);
-            let set = intern(cache, union_buf);
+            let set = (!union_buf.is_empty()).then(|| store.make(union_buf));
             for &x in members_buf.iter() {
-                // SAFETY: `x` is a member of the unit this worker holds.
-                unsafe { ctx.poss.write(x, Arc::clone(&set)) };
+                if let Some(set) = &set {
+                    store.set(x, Arc::clone(set));
+                }
                 closed[x as usize] = true;
                 open_left -= 1;
             }
             for &x in members_buf.iter() {
-                for w in ctx.g.neighbors(x) {
-                    if in_unit[w as usize]
-                        && !closed[w as usize]
-                        && ctx.parents[w as usize].preferred() == Some(x)
-                    {
-                        worklist.push(w);
-                    }
-                }
+                worklist.extend(
+                    net.g
+                        .neighbors(x)
+                        .filter(|&w| in_region[w as usize] && !closed[w as usize]),
+                );
             }
         }
-        // A finite open subgraph always has a source SCC.
-        assert!(flooded > 0, "no source sub-SCC in open cyclic unit");
+        // A finite open subgraph always has a source SCC; failing this
+        // would loop forever, so assert unconditionally.
+        assert!(flooded > 0, "no source SCC in an open region");
     }
 
-    // Restore the all-clean flag invariant for the next unit.
+    // Restore the all-clean flag invariant for the next region.
     for &x in members {
-        in_unit[x as usize] = false;
+        in_region[x as usize] = false;
         closed[x as usize] = false;
     }
 }

@@ -118,11 +118,10 @@ impl Resolution {
         Arc::clone(&self.poss[node as usize])
     }
 
-    /// Consumes the resolution into its per-node possible sets,
-    /// reachability mask and lineage pointers (used by the incremental
-    /// resolver to seed its cache without cloning).
-    pub fn into_parts(self) -> (Vec<Arc<[Value]>>, Vec<bool>, Option<Lineage>) {
-        (self.poss, self.reachable, self.lineage)
+    /// Consumes the resolution into its per-node possible sets (used by
+    /// the incremental resolver to seed its cache without cloning).
+    pub fn into_poss(self) -> Vec<Arc<[Value]>> {
+        self.poss
     }
 
     /// Assembles a resolution from externally computed parts — the exit of

@@ -1,19 +1,14 @@
 //! An incremental editing session over a trust network.
 //!
-//! The paper's headline property is *order-invariance*: the resolved
-//! snapshot depends only on the current explicit beliefs, so any edit —
-//! insert, update, revocation, new mapping — can be handled by re-running
-//! resolution (Section 2.5: "if an explicit belief is updated, we simply
-//! re-run the algorithm and obtain another consistent snapshot").
-//!
-//! [`Session`] improves on "simply re-run": edits issued through the typed
-//! API ([`Session::believe`], [`Session::trust`], [`Session::revoke`],
-//! [`Session::reject`], [`Session::apply_edit`]) are queued as deltas and
-//! resolved incrementally — the dirty region downstream of the touched
-//! user is re-solved and the cached snapshot patched in place. Arbitrary
-//! closure edits ([`Session::apply`]) fall back to full recomputation.
-//! [`Session::stats`] reports which path each edit took and how large the
-//! dirty regions were.
+//! The resolved snapshot depends only on the current explicit beliefs, so
+//! any edit can be handled by re-running resolution (Section 2.5: "we
+//! simply re-run the algorithm"). [`Session`] does better: typed edits
+//! ([`Session::believe`], [`Session::trust`], [`Session::revoke`],
+//! [`Session::reject`], [`Session::apply_edit`]) are queued as deltas, the
+//! dirty region downstream of each is re-solved and the cached snapshot
+//! patched in place. Closure edits ([`Session::apply`]) fall back to full
+//! recomputation. [`Session::stats`] reports which path each edit took and
+//! how large the dirty regions were.
 //!
 //! ### The two pipelines
 //!
@@ -50,7 +45,6 @@ use crate::epoch::{EpochNames, EpochSlot, EpochState, EpochView};
 use crate::error::{Error, Result};
 use crate::exact::{ExactCounters, ExactEngine, ExactUserResolution};
 use crate::incremental::{DeltaStats, Edit, IncrementalResolver};
-use crate::lineage::Lineage;
 use crate::network::TrustNetwork;
 use crate::plan::{Query, QueryResult, QueryRow, QueryTarget, Route};
 use crate::resolution::UserResolution;
@@ -151,7 +145,6 @@ pub struct Session {
     pending: Vec<SignedEdit>,
     stats: DeltaStats,
     batching: bool,
-    traced: bool,
     /// Optional write-ahead sink; see [`crate::durability`]. Not cloned.
     durability: Option<Box<dyn Durability>>,
     /// Publication point for epoch snapshots ([`Session::epoch`]);
@@ -182,7 +175,6 @@ impl Clone for Session {
             pending: self.pending.clone(),
             stats: self.stats,
             batching: self.batching,
-            traced: self.traced,
             durability: None,
             epochs: Arc::new(EpochSlot::new()),
             published: None,
@@ -202,7 +194,6 @@ impl Session {
             pending: Vec::new(),
             stats: DeltaStats::default(),
             batching: false,
-            traced: false,
             durability: None,
             epochs: Arc::new(EpochSlot::new()),
             published: None,
@@ -350,30 +341,6 @@ impl Session {
             edits: edits.len(),
             dirty_nodes: self.stats.last_dirty_nodes,
             full_rebuild: false,
-        })
-    }
-
-    /// Enables lineage tracing (Section 2.5, *Retrieving lineage*): the
-    /// next snapshot builds a traced engine whose pointers are patched
-    /// region-locally on every edit. Costs one full rebuild now and keeps
-    /// provenance queries O(chain) afterwards. Only the basic (positive)
-    /// pipeline records lineage; in skeptic mode [`Session::lineage`]
-    /// returns `None`.
-    pub fn enable_lineage(&mut self) {
-        if !self.traced {
-            self.traced = true;
-            self.invalidate();
-        }
-    }
-
-    /// The maintained lineage pointers (`None` until
-    /// [`Session::enable_lineage`] was called, and in skeptic mode).
-    /// Syncs the engine first.
-    pub fn lineage(&mut self) -> Result<Option<&Lineage>> {
-        self.refresh()?;
-        Ok(match self.engine.as_ref() {
-            Some(LiveEngine::Basic(e)) => e.lineage(),
-            _ => None,
         })
     }
 
@@ -1001,11 +968,7 @@ impl Session {
                     self.snapshot = None;
                     self.engine = Some(LiveEngine::Skeptic(engine));
                 } else {
-                    let engine = if self.traced {
-                        IncrementalResolver::new_traced(&self.net)?
-                    } else {
-                        IncrementalResolver::new(&self.net)?
-                    };
+                    let engine = IncrementalResolver::new(&self.net)?;
                     self.snapshot = Some(engine.user_resolution());
                     self.sk_snapshot = None;
                     self.engine = Some(LiveEngine::Basic(engine));
@@ -1456,21 +1419,15 @@ mod tests {
     }
 
     #[test]
-    fn session_lineage_stays_queryable_across_edits() {
+    fn session_stays_equal_to_full_across_edits() {
         let (mut s, [alice, bob, charlie], jar, cow) = session();
         s.believe(charlie, jar).unwrap();
-        s.enable_lineage();
-        assert!(s.lineage().unwrap().is_some());
+        s.snapshot().unwrap();
         s.believe(bob, cow).unwrap();
         assert_eq!(s.snapshot().unwrap().cert(alice), Some(cow));
-        let btn_alice = {
-            let btn = s.btn().unwrap();
-            btn.node_of(alice)
-        };
-        let lin = s.lineage().unwrap().expect("traced");
-        let chain = lin.trace(btn_alice, cow).expect("alice's cow has lineage");
-        assert!(chain.len() >= 2, "chain reaches past alice");
-        assert_eq!(s.stats().full_rebuilds, 1, "tracing from the start");
+        let full = crate::resolution::resolve_network(s.network()).unwrap();
+        assert_eq!(*s.snapshot().unwrap(), full);
+        assert_eq!(s.stats().full_rebuilds, 1, "the edit was a delta");
     }
 
     #[test]

@@ -170,8 +170,7 @@ fn cmd_query(
         session.enable_exact().map_err(|e| e.to_string())?;
     }
     if query.explain {
-        println!("{}", session.explain(&query));
-        return Ok(());
+        return print_table(|out| writeln!(out, "{}", session.explain(&query)));
     }
     let result = session.query(&query).map_err(|e| e.to_string())?;
     print_table(|out| {
@@ -199,39 +198,46 @@ fn write_rows(out: &mut dyn Write, net: &TrustNetwork, rows: &[QueryRow]) -> io:
 
 fn cmd_log(dir: &str) -> std::result::Result<(), String> {
     let scan = scan_store_wal(dir).map_err(|e| e.to_string())?;
-    for unit in &scan.units {
-        for record in &unit.ops {
-            println!(
-                "{:>8}  {:<8} {}",
-                record.lsn,
-                record.payload.tag(),
-                describe(&record.payload)
-            );
+    print_table(|out| {
+        for unit in &scan.units {
+            for record in &unit.ops {
+                writeln!(
+                    out,
+                    "{:>8}  {:<8} {}",
+                    record.lsn,
+                    record.payload.tag(),
+                    describe(&record.payload)
+                )?;
+            }
+            writeln!(
+                out,
+                "{:>8}  commit   {} record(s), ends at byte {}",
+                unit.lsn,
+                unit.ops.len(),
+                unit.end_offset
+            )?;
         }
-        println!(
-            "{:>8}  commit   {} record(s), ends at byte {}",
-            unit.lsn,
-            unit.ops.len(),
-            unit.end_offset
-        );
-    }
-    println!(
-        "last committed lsn {}, {} byte(s) of log",
-        scan.last_lsn, scan.end_offset
-    );
-    if scan.uncommitted > 0 {
-        println!(
-            "warning: {} unsealed record(s) past the last commit",
-            scan.uncommitted
-        );
-    }
-    if let Some(reason) = scan.stop {
-        println!(
-            "warning: scan stopped early ({reason}); {} byte(s) unreadable",
-            scan.tail_bytes()
-        );
-    }
-    Ok(())
+        writeln!(
+            out,
+            "last committed lsn {}, {} byte(s) of log",
+            scan.last_lsn, scan.end_offset
+        )?;
+        if scan.uncommitted > 0 {
+            writeln!(
+                out,
+                "warning: {} unsealed record(s) past the last commit",
+                scan.uncommitted
+            )?;
+        }
+        if let Some(reason) = scan.stop {
+            writeln!(
+                out,
+                "warning: scan stopped early ({reason}); {} byte(s) unreadable",
+                scan.tail_bytes()
+            )?;
+        }
+        Ok(())
+    })
 }
 
 fn describe(payload: &Payload) -> String {
@@ -255,8 +261,9 @@ fn cmd_segments(dir: &str) -> std::result::Result<(), String> {
     let files = segment::list_files(path).map_err(|e| format!("{dir}: {e}"))?;
     let store_term = segment::read_term(path).map_err(|e| format!("{dir}: {e}"))?;
     if files.is_empty() {
-        println!("no log segments in {dir} (store term {store_term})");
-        return Ok(());
+        return print_table(|out| {
+            writeln!(out, "no log segments in {dir} (store term {store_term})")
+        });
     }
     let watermark = snapshot::load_latest(path).0.map_or(0, |s| s.lsn);
     let manifest = match segment::read_manifest(path) {
@@ -264,69 +271,84 @@ fn cmd_segments(dir: &str) -> std::result::Result<(), String> {
         segment::ManifestState::Corrupt(why) => format!("corrupt ({why}); footers win"),
         segment::ManifestState::Sealed(list) => format!("{} sealed segment(s)", list.len()),
     };
-    println!(
-        "{:<24} {:>12} {:>12} {:>10} {:>6}  state",
-        "segment", "first", "last", "bytes", "term"
-    );
-    let (mut total, mut retirable, mut seams) = (0u64, 0u64, 0u64);
-    let mut prev_term: Option<u64> = None;
+    let mut segments = Vec::with_capacity(files.len());
     for (first, file) in &files {
         let name = segment::file_name(*first);
         let (len, meta) = segment::read_meta(file).map_err(|e| format!("{name}: {e}"))?;
-        total += len;
-        match meta {
-            Some(m) => {
-                let state = if m.last_lsn <= watermark {
-                    retirable += len;
-                    "sealed, retirable"
-                } else {
-                    "sealed"
-                };
-                let seam = match prev_term {
-                    Some(p) if p != m.term => {
-                        seams += 1;
-                        " ← term seam"
-                    }
-                    _ => "",
-                };
-                prev_term = Some(m.term);
-                println!(
-                    "{:<24} {:>12} {:>12} {:>10} {:>6}  {state} (crc {:08x}){seam}",
-                    name, m.first_lsn, m.last_lsn, len, m.term, m.data_crc
-                );
-            }
-            None => {
-                // The live segment has no footer yet; its eventual seal
-                // carries the store's current term.
-                let seam = match prev_term {
-                    Some(p) if p != store_term => {
-                        seams += 1;
-                        " ← term seam"
-                    }
-                    _ => "",
-                };
-                println!(
-                    "{:<24} {:>12} {:>12} {:>10} {:>6}  live{seam}",
-                    name, first, "-", len, store_term
-                );
+        segments.push((name, *first, len, meta));
+    }
+    print_table(|out| {
+        writeln!(
+            out,
+            "{:<24} {:>12} {:>12} {:>10} {:>6}  state",
+            "segment", "first", "last", "bytes", "term"
+        )?;
+        let (mut total, mut retirable, mut seams) = (0u64, 0u64, 0u64);
+        let mut prev_term: Option<u64> = None;
+        for (name, first, len, meta) in &segments {
+            total += len;
+            match meta {
+                Some(m) => {
+                    let state = if m.last_lsn <= watermark {
+                        retirable += len;
+                        "sealed, retirable"
+                    } else {
+                        "sealed"
+                    };
+                    let seam = match prev_term {
+                        Some(p) if p != m.term => {
+                            seams += 1;
+                            " ← term seam"
+                        }
+                        _ => "",
+                    };
+                    prev_term = Some(m.term);
+                    writeln!(
+                        out,
+                        "{:<24} {:>12} {:>12} {:>10} {:>6}  {state} (crc {:08x}){seam}",
+                        name, m.first_lsn, m.last_lsn, len, m.term, m.data_crc
+                    )?;
+                }
+                None => {
+                    // The live segment has no footer yet; its eventual seal
+                    // carries the store's current term.
+                    let seam = match prev_term {
+                        Some(p) if p != store_term => {
+                            seams += 1;
+                            " ← term seam"
+                        }
+                        _ => "",
+                    };
+                    writeln!(
+                        out,
+                        "{:<24} {:>12} {:>12} {:>10} {:>6}  live{seam}",
+                        name, first, "-", len, store_term
+                    )?;
+                }
             }
         }
-    }
-    println!("manifest:           {manifest}");
-    println!("store term:         {store_term}");
-    if seams > 0 {
-        println!("term seams:         {seams} (leadership changed mid-chain)");
-    }
-    println!(
-        "snapshot watermark: {}",
-        if watermark > 0 {
-            format!("lsn {watermark}")
-        } else {
-            "none".into()
+        writeln!(out, "manifest:           {manifest}")?;
+        writeln!(out, "store term:         {store_term}")?;
+        if seams > 0 {
+            writeln!(
+                out,
+                "term seams:         {seams} (leadership changed mid-chain)"
+            )?;
         }
-    );
-    println!("on disk:            {total} byte(s), {retirable} retirable at the next snapshot");
-    Ok(())
+        writeln!(
+            out,
+            "snapshot watermark: {}",
+            if watermark > 0 {
+                format!("lsn {watermark}")
+            } else {
+                "none".into()
+            }
+        )?;
+        writeln!(
+            out,
+            "on disk:            {total} byte(s), {retirable} retirable at the next snapshot"
+        )
+    })
 }
 
 /// Promotes the follower store in `dir` to lead the next term: seals
@@ -340,20 +362,20 @@ fn cmd_promote(dir: &str) -> std::result::Result<(), String> {
     let follower = Follower::open(dir).map_err(|e| e.to_string())?;
     let (old_term, watermark) = (follower.term(), follower.watermark());
     let promoted = follower.promote().map_err(|e| e.to_string())?;
-    println!(
-        "promoted {dir}: term {old_term} → {}",
-        promoted.store.term()
-    );
-    println!("watermark lsn:      {watermark}");
-    println!(
-        "replayed on reopen: {} unit(s) (tip snapshot keeps promotion O(1))",
-        promoted.stats.replayed_units
-    );
-    println!(
-        "the store now accepts writes under term {}; re-point followers here",
-        promoted.store.term()
-    );
-    Ok(())
+    let term = promoted.store.term();
+    print_table(|out| {
+        writeln!(out, "promoted {dir}: term {old_term} → {term}")?;
+        writeln!(out, "watermark lsn:      {watermark}")?;
+        writeln!(
+            out,
+            "replayed on reopen: {} unit(s) (tip snapshot keeps promotion O(1))",
+            promoted.stats.replayed_units
+        )?;
+        writeln!(
+            out,
+            "the store now accepts writes under term {term}; re-point followers here"
+        )
+    })
 }
 
 fn cmd_snapshot(dir: &str, import: Option<&str>) -> std::result::Result<(), String> {
@@ -368,40 +390,53 @@ fn cmd_snapshot(dir: &str, import: Option<&str>) -> std::result::Result<(), Stri
                 Ok(())
             })
             .map_err(|e| e.to_string())?;
-        println!("imported {path} as the store's network (one rewrite unit)");
+        print_table(|out| {
+            writeln!(
+                out,
+                "imported {path} as the store's network (one rewrite unit)"
+            )
+        })?;
     }
     let lsn = recovered
         .store
         .snapshot_now(&recovered.session)
         .map_err(|e| e.to_string())?;
-    println!(
-        "snapshot at lsn {lsn} written to {dir} ({} users, {} mappings)",
-        recovered.session.network().user_count(),
-        recovered.session.network().mapping_count()
-    );
-    Ok(())
+    let network = recovered.session.network();
+    print_table(|out| {
+        writeln!(
+            out,
+            "snapshot at lsn {lsn} written to {dir} ({} users, {} mappings)",
+            network.user_count(),
+            network.mapping_count()
+        )
+    })
 }
 
 fn cmd_recover(dir: &str) -> std::result::Result<(), String> {
     let mut recovered = Store::open(dir).map_err(|e| e.to_string())?;
     let stats = &recovered.stats;
-    println!("recovered to lsn:   {}", stats.last_lsn);
-    println!(
-        "snapshot used:      {}",
-        if stats.snapshot_lsn > 0 {
-            format!("lsn {}", stats.snapshot_lsn)
-        } else {
-            "none (genesis replay)".into()
+    print_table(|out| {
+        writeln!(out, "recovered to lsn:   {}", stats.last_lsn)?;
+        writeln!(
+            out,
+            "snapshot used:      {}",
+            if stats.snapshot_lsn > 0 {
+                format!("lsn {}", stats.snapshot_lsn)
+            } else {
+                "none (genesis replay)".into()
+            }
+        )?;
+        writeln!(
+            out,
+            "tail replayed:      {} unit(s), {} edit(s)",
+            stats.replayed_units, stats.replayed_edits
+        )?;
+        writeln!(out, "torn tail dropped:  {} byte(s)", stats.dropped_bytes)?;
+        for warning in &stats.warnings {
+            writeln!(out, "warning:            {warning}")?;
         }
-    );
-    println!(
-        "tail replayed:      {} unit(s), {} edit(s)",
-        stats.replayed_units, stats.replayed_edits
-    );
-    println!("torn tail dropped:  {} byte(s)", stats.dropped_bytes);
-    for warning in &stats.warnings {
-        println!("warning:            {warning}");
-    }
+        Ok(())
+    })?;
     let users: Vec<trustmap::User> = recovered.session.network().users().collect();
     let (mut certain, mut bottom, mut open) = (0usize, 0usize, 0usize);
     for &u in &users {
@@ -417,11 +452,13 @@ fn cmd_recover(dir: &str) -> std::result::Result<(), String> {
             open += 1;
         }
     }
-    println!(
-        "state:              {} user(s): {certain} certain, {open} open, {bottom} inconsistent",
-        users.len()
-    );
-    Ok(())
+    print_table(|out| {
+        writeln!(
+            out,
+            "state:              {} user(s): {certain} certain, {open} open, {bottom} inconsistent",
+            users.len()
+        )
+    })
 }
 
 fn cmd_serve(dir: &str, rest: &[String]) -> std::result::Result<(), String> {
@@ -455,25 +492,31 @@ fn cmd_serve(dir: &str, rest: &[String]) -> std::result::Result<(), String> {
     }
 
     let recovered = Store::open(dir).map_err(|e| e.to_string())?;
-    println!(
-        "recovered {dir}: {} user(s), lsn {}",
-        recovered.session.network().user_count(),
-        recovered.stats.last_lsn
-    );
+    print_table(|out| {
+        writeln!(
+            out,
+            "recovered {dir}: {} user(s), lsn {}",
+            recovered.session.network().user_count(),
+            recovered.stats.last_lsn
+        )
+    })?;
     let store = recovered.store.clone();
     let frontend = std::sync::Arc::new(Frontend::new(recovered.session, Some(store), &config));
     let server = Server::start(frontend, addr, &config).map_err(|e| format!("{addr}: {e}"))?;
-    println!(
-        "serving on {} ({} thread(s), {}-edit commit window{}); ^C to stop",
-        server.addr(),
-        config.threads,
-        config.window.max_edits,
-        if config.exact {
-            ", exact cert enabled"
-        } else {
-            ""
-        }
-    );
+    print_table(|out| {
+        writeln!(
+            out,
+            "serving on {} ({} thread(s), {}-edit commit window{}); ^C to stop",
+            server.addr(),
+            config.threads,
+            config.window.max_edits,
+            if config.exact {
+                ", exact cert enabled"
+            } else {
+                ""
+            }
+        )
+    })?;
     server.join();
     Ok(())
 }
@@ -500,25 +543,33 @@ fn cmd_follow(dir: &str, rest: &[String]) -> std::result::Result<(), String> {
     let mut follower = Follower::open(dir).map_err(|e| e.to_string())?;
     if exact {
         follower.enable_exact().map_err(|e| e.to_string())?;
-        println!("exact cert enabled (replica answers `CERT <user> EXACT`)");
+        print_table(|out| {
+            writeln!(
+                out,
+                "exact cert enabled (replica answers `CERT <user> EXACT`)"
+            )
+        })?;
     }
-    println!(
-        "follower {dir}: {} user(s), resuming at watermark lsn {}",
-        follower.network().user_count(),
-        follower.watermark()
-    );
+    print_table(|out| {
+        writeln!(
+            out,
+            "follower {dir}: {} user(s), resuming at watermark lsn {}",
+            follower.network().user_count(),
+            follower.watermark()
+        )
+    })?;
     let config = ServeConfig::default();
     let _server = match positional.get(1) {
         Some(addr) => {
             let frontend = std::sync::Arc::new(Frontend::replica(follower.epoch_slot(), &config));
             let server =
                 Server::start(frontend, addr, &config).map_err(|e| format!("{addr}: {e}"))?;
-            println!("replica reads on {} (read-only)", server.addr());
+            print_table(|out| writeln!(out, "replica reads on {} (read-only)", server.addr()))?;
             Some(server)
         }
         None => None,
     };
-    println!("pulling from {leader}; ^C to stop");
+    print_table(|out| writeln!(out, "pulling from {leader}; ^C to stop"))?;
     let stop = std::sync::atomic::AtomicBool::new(false);
     let mut transport = TcpTransport::new(leader.as_str());
     follower.run(&mut transport, &FollowConfig::default(), &stop);
@@ -605,31 +656,40 @@ fn cmd_paradigm(net: &TrustNetwork, which: Option<&str>) -> std::result::Result<
     };
     let btn = binarize(net);
     let sol = evaluate_acyclic(&btn, paradigm).map_err(|e| e.to_string())?;
-    println!("unique stable solution under {paradigm}:");
-    for u in net.users() {
-        let set = &sol[btn.node_of(u) as usize];
-        println!("{:<16} {}", net.user_name(u), set.display(net.domain()));
-    }
-    Ok(())
+    print_table(|out| {
+        writeln!(out, "unique stable solution under {paradigm}:")?;
+        for u in net.users() {
+            let set = &sol[btn.node_of(u) as usize];
+            writeln!(
+                out,
+                "{:<16} {}",
+                net.user_name(u),
+                set.display(net.domain())
+            )?;
+        }
+        Ok(())
+    })
 }
 
 fn cmd_agree(net: &TrustNetwork) -> std::result::Result<(), String> {
     let btn = binarize(net);
     let pairs = analyze_pairs(&btn).map_err(|e| e.to_string())?;
     let agreeing = pairs.agreeing_user_pairs(&btn);
-    if agreeing.is_empty() {
-        println!("no user pair agrees in every stable solution");
-        return Ok(());
-    }
-    println!("pairs agreeing in every stable solution:");
-    for (x, y) in agreeing {
-        println!(
-            "  {} ↔ {}",
-            net.user_name(trustmap::User(x)),
-            net.user_name(trustmap::User(y))
-        );
-    }
-    Ok(())
+    print_table(|out| {
+        if agreeing.is_empty() {
+            return writeln!(out, "no user pair agrees in every stable solution");
+        }
+        writeln!(out, "pairs agreeing in every stable solution:")?;
+        for &(x, y) in &agreeing {
+            writeln!(
+                out,
+                "  {} ↔ {}",
+                net.user_name(trustmap::User(x)),
+                net.user_name(trustmap::User(y))
+            )?;
+        }
+        Ok(())
+    })
 }
 
 fn cmd_lineage(net: &TrustNetwork, user: &str, value: &str) -> std::result::Result<(), String> {
@@ -653,8 +713,7 @@ fn cmd_lineage(net: &TrustNetwork, user: &str, value: &str) -> std::result::Resu
     match lineage.trace(btn.node_of(u), v) {
         Some(chain) => {
             let names: Vec<String> = chain.iter().map(|&n| btn.name(n).to_string()).collect();
-            println!("{}", names.join(" ← "));
-            Ok(())
+            print_table(|out| writeln!(out, "{}", names.join(" ← ")))
         }
         None => Err(format!("`{value}` has no lineage at `{user}`")),
     }
@@ -662,8 +721,7 @@ fn cmd_lineage(net: &TrustNetwork, user: &str, value: &str) -> std::result::Resu
 
 fn cmd_lp(net: &TrustNetwork) -> std::result::Result<(), String> {
     let lp = network_to_lp(net);
-    print!("{}", lp.program);
-    Ok(())
+    print_table(|out| write!(out, "{}", lp.program))
 }
 
 fn cmd_stats(net: &TrustNetwork) -> std::result::Result<(), String> {
@@ -679,14 +737,15 @@ fn cmd_stats(net: &TrustNetwork) -> std::result::Result<(), String> {
             _ => conflicted += 1,
         }
     }
-    println!("users:              {}", net.user_count());
-    println!("mappings:           {}", net.mapping_count());
-    println!("values:             {}", net.domain().len());
-    println!("binarized nodes:    {}", btn.node_count());
-    println!("binarized edges:    {}", btn.edge_count());
-    println!("step-2 rounds:      {}", r.rounds());
-    println!("certain users:      {certain}");
-    println!("conflicted users:   {conflicted}");
-    println!("undefined users:    {empty}");
-    Ok(())
+    print_table(|out| {
+        writeln!(out, "users:              {}", net.user_count())?;
+        writeln!(out, "mappings:           {}", net.mapping_count())?;
+        writeln!(out, "values:             {}", net.domain().len())?;
+        writeln!(out, "binarized nodes:    {}", btn.node_count())?;
+        writeln!(out, "binarized edges:    {}", btn.edge_count())?;
+        writeln!(out, "step-2 rounds:      {}", r.rounds())?;
+        writeln!(out, "certain users:      {certain}")?;
+        writeln!(out, "conflicted users:   {conflicted}")?;
+        writeln!(out, "undefined users:    {empty}")
+    })
 }

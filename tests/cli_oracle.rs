@@ -171,6 +171,62 @@ fn table_printers_end_quietly_when_the_reader_goes_away() {
     let _ = std::fs::remove_file(path);
 }
 
+/// `trustmap <verb> | head -1` for the verbs that are not tables: the
+/// store verbs on a store imported from `examples/indus.tn`, and the file
+/// verbs on the example itself. Each runs twice — with the reader gone
+/// before the first write, and with the reader leaving after one line —
+/// and must exit 0 without a panic either way.
+#[test]
+fn every_verb_ends_quietly_when_the_reader_goes_away() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    let indus = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/indus.tn");
+    let dir =
+        std::env::temp_dir().join(format!("trustmap-cli-oracle-{}-store", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = dir.to_str().expect("utf-8 temp path");
+    trustmap(&["snapshot", store, indus]).expect("import the example");
+    let commands: [&[&str]; 6] = [
+        &["recover", store],
+        &["log", store],
+        &["segments", store],
+        &["lp", indus],
+        &["stats", indus],
+        &["agree", indus],
+    ];
+    for args in commands {
+        for read_first_line in [false, true] {
+            let (reader, writer) = std::io::pipe().expect("pipe");
+            let mut child = Command::new(env!("CARGO_BIN_EXE_trustmap"))
+                .args(args)
+                .stdout(writer)
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("spawn trustmap");
+            if read_first_line {
+                let mut line = String::new();
+                BufReader::with_capacity(64, reader)
+                    .read_line(&mut line)
+                    .expect("one line");
+                assert!(!line.is_empty(), "{args:?} printed nothing");
+            } else {
+                drop(reader);
+            }
+            let mut stderr = String::new();
+            child
+                .stderr
+                .take()
+                .expect("piped stderr")
+                .read_to_string(&mut stderr)
+                .expect("utf-8 stderr");
+            let status = child.wait().expect("trustmap exits");
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+            assert_eq!(status.code(), Some(0), "{args:?}: {stderr}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn skeptic_rejects_ties_with_the_reference_error() {
     let mut net = TrustNetwork::new();

@@ -18,8 +18,8 @@ use trustmap::resolution::UserResolution;
 use trustmap::workloads::apply_edit;
 use trustmap::Route;
 use trustmap::{
-    resolve_network, Edit, IncrementalResolver, NegSet, Query, QueryTarget, Session, TrustNetwork,
-    User, Value,
+    binarize, resolve_network, resolve_with, Edit, IncrementalResolver, NegSet, Options, Query,
+    QueryTarget, Session, TrustNetwork, User, Value,
 };
 
 /// A raw network description proptest can generate.
@@ -146,8 +146,7 @@ fn construction_edits(net: &TrustNetwork) -> Vec<Edit> {
 }
 
 /// Every user's possible set in `engine`, read through its own layout,
-/// equals `reference`'s; every possible value of a traced engine has a
-/// lineage chain ending at a root that asserts it.
+/// equals `reference`'s.
 fn check_engine(
     engine: &IncrementalResolver,
     net: &TrustNetwork,
@@ -164,20 +163,32 @@ fn check_engine(
             u
         );
     }
-    if let Some(lineage) = engine.lineage() {
-        for x in btn.nodes().filter(|&x| !btn.parents(x).is_root()) {
-            for &v in engine.poss(x) {
-                let chain = lineage.trace(x, v);
-                let root = chain.as_ref().and_then(|c| c.last().copied());
-                prop_assert_eq!(
-                    root.and_then(|r| btn.belief(r).positive()),
-                    Some(v),
-                    "{}: ({}, {:?}) has no sound lineage",
-                    what,
-                    x,
-                    v
-                );
-            }
+    Ok(())
+}
+
+/// Section 2.5's lineage property on Algorithm 1 as printed, recording
+/// pointers: every possible value of every non-root node has a lineage
+/// chain ending at a root that asserts it.
+fn check_lineage(net: &TrustNetwork, what: &str) -> Result<(), TestCaseError> {
+    let btn = binarize(net);
+    let opts = Options {
+        lineage: true,
+        ..Options::default()
+    };
+    let res = resolve_with(&btn, opts).expect("resolves");
+    let lineage = res.lineage().expect("recorded");
+    for x in btn.nodes().filter(|&x| !btn.parents(x).is_root()) {
+        for &v in res.poss(x) {
+            let chain = lineage.trace(x, v);
+            let root = chain.as_ref().and_then(|c| c.last().copied());
+            prop_assert_eq!(
+                root.and_then(|r| btn.belief(r).positive()),
+                Some(v),
+                "{}: ({}, {:?}) has no sound lineage",
+                what,
+                x,
+                v
+            );
         }
     }
     Ok(())
@@ -186,12 +197,12 @@ fn check_engine(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The bulk-seeded engine (plain and traced), an engine grown from
-    /// the bare users by patching the construction edits one at a time,
-    /// and a full resolution agree on every user. The same random edit
-    /// stream then keeps all three engines equal to a full resolution
-    /// after every step — cascade recycling on the binarize layout
-    /// included.
+    /// The bulk-seeded engine, an engine grown from the bare users by
+    /// patching the construction edits one at a time, and a full
+    /// resolution agree on every user. The same random edit stream then
+    /// keeps both engines equal to a full resolution after every step —
+    /// cascade recycling on the binarize layout included — and the
+    /// recorded lineage of every post-edit network stays sound.
     #[test]
     fn bulk_seed_equals_patching_from_empty(
         raw in raw_net(6, 10),
@@ -199,7 +210,6 @@ proptest! {
     ) {
         let (mut net, values) = build(&raw);
         let mut seeded = IncrementalResolver::new(&net).expect("positive network");
-        let mut traced = IncrementalResolver::new_traced(&net).expect("positive network");
         let mut grown_net = bare(&net);
         let mut grown = IncrementalResolver::new(&grown_net).expect("empty network");
         for edit in construction_edits(&net) {
@@ -208,19 +218,19 @@ proptest! {
         }
         let reference = resolve_network(&net).expect("resolves");
         check_engine(&seeded, &net, &reference, "seeded")?;
-        check_engine(&traced, &net, &reference, "traced seed")?;
         check_engine(&grown, &net, &reference, "grown")?;
+        check_lineage(&net, "seed")?;
         for (step, &raw_edit) in edits.iter().enumerate() {
             let edit = concretize(raw_edit, raw.users, &values);
             apply_edit(&mut net, edit);
-            for engine in [&mut seeded, &mut traced, &mut grown] {
+            for engine in [&mut seeded, &mut grown] {
                 engine.apply_edits(&net, &[edit]);
             }
             let reference = resolve_network(&net).expect("resolves");
             let at = |what: &str| format!("step {step} ({edit:?}), {what}");
             check_engine(&seeded, &net, &reference, &at("seeded"))?;
-            check_engine(&traced, &net, &reference, &at("traced seed"))?;
             check_engine(&grown, &net, &reference, &at("grown"))?;
+            check_lineage(&net, &at("lineage"))?;
         }
     }
 
@@ -450,5 +460,65 @@ fn explain_does_no_solver_work() {
         assert_eq!(after.full_rebuilds, before.full_rebuilds);
         assert_eq!(after.dirty_nodes, before.dirty_nodes);
         assert_eq!(after.incremental_edits, before.incremental_edits);
+    }
+}
+
+/// A dirty region is not all-reachable or all-unreachable: here a node's
+/// preferred parent goes unreachable while the node stays reachable
+/// through its other parent, once acyclic and once inside a 2-cycle. The
+/// engine must fall back to the other parent (never copy the empty
+/// preferred set), return to the preferred parent when it believes
+/// again, and ignore a new top-priority parent that believes nothing —
+/// equal to a full resolution after every edit.
+#[test]
+fn a_lost_preferred_parent_falls_back_to_the_other_parent() {
+    for cyclic in [false, true] {
+        let mut net = TrustNetwork::new();
+        let [x, p, y, q, d] = ["x", "p", "y", "q", "d"].map(|n| net.user(n));
+        let [v, w, u] = ["v", "w", "u"].map(|n| net.value(n));
+        net.trust(x, p, 20).unwrap();
+        net.believe(p, v).unwrap();
+        net.believe(y, w).unwrap();
+        net.trust(d, x, 1).unwrap();
+        if cyclic {
+            // x ↔ z, and y reaches x only through z.
+            let z = net.user("z");
+            net.trust(x, z, 10).unwrap();
+            net.trust(z, x, 20).unwrap();
+            net.trust(z, y, 10).unwrap();
+        } else {
+            net.trust(x, y, 10).unwrap();
+        }
+        let mut engine = IncrementalResolver::new(&net).expect("positive network");
+        let script = [
+            (Edit::Revoke(p), w),
+            (Edit::Believe(p, u), u),
+            (
+                Edit::Trust {
+                    child: x,
+                    parent: q,
+                    priority: 30,
+                },
+                u,
+            ),
+        ];
+        for (edit, expected) in script {
+            apply_edit(&mut net, edit);
+            engine.apply_edits(&net, &[edit]);
+            let what = format!("cyclic={cyclic}, after {edit:?}");
+            let reference = resolve_network(&net).expect("resolves");
+            for user in net.users() {
+                let node = engine.btn().node_of(user);
+                assert_eq!(
+                    engine.poss(node),
+                    reference.poss(user),
+                    "{what}: user {}",
+                    net.user_name(user)
+                );
+            }
+            for user in [x, d] {
+                assert_eq!(reference.poss(user), &[expected], "{what}");
+            }
+        }
     }
 }

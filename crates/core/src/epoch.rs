@@ -80,11 +80,6 @@ impl EpochNames {
         self.users.len()
     }
 
-    /// Number of values known to this epoch.
-    pub fn value_count(&self) -> usize {
-        self.values.len()
-    }
-
     /// Looks a user up by name.
     pub fn find_user(&self, name: &str) -> Option<User> {
         self.users.get(name).map(User)

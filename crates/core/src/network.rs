@@ -224,11 +224,6 @@ impl TrustNetwork {
         &self.domain
     }
 
-    /// Mutable access to the value domain (used by workload generators).
-    pub fn domain_mut(&mut self) -> &mut Domain {
-        &mut self.domain
-    }
-
     /// Whether any user holds negative explicit beliefs.
     pub fn has_negative_beliefs(&self) -> bool {
         self.beliefs.iter().any(|b| b.has_negatives())

@@ -107,11 +107,6 @@ impl Resolution {
         self.rounds
     }
 
-    /// Possible beliefs of every node (indexable by `NodeId`).
-    pub fn all_poss(&self) -> &[Arc<[Value]>] {
-        &self.poss
-    }
-
     /// A shared handle to `node`'s possible set (O(1): bumps the refcount
     /// instead of copying the values).
     pub fn share_poss(&self, node: NodeId) -> Arc<[Value]> {

@@ -34,20 +34,15 @@
 //!
 //! ### Plan/solve form
 //!
-//! [`resolve_skeptic`] is the sequential reference. Like Algorithm 1, a
-//! node's `repPoss` depends only on its ancestors (plus the `prefNeg` of
-//! its own SCC mates, which are ancestors too), so Algorithm 2 admits the
-//! same condensation sharding as [`crate::parallel`]:
-//! [`SkepticPlannedResolver`] plans the BTN structure once with
-//! `trustmap_graph::shard::ShardPlan` and solves the shards through the
-//! shared scheduler — acyclic singleton units take closed-form fast paths
-//! (root seeding, Type-2 preferred copy, ≤ 2-way blocked flood), cyclic
-//! units replay the Step-1/Step-2 alternation regionally. Results are
-//! equal to [`resolve_skeptic`] at every thread count
-//! (`tests/skeptic_oracle.rs`), and one trim-first condensation pass
-//! replaces the per-round Tarjan of the sequential main loop. The same
-//! regional replay drives [`crate::skeptic_incremental`]'s dirty-region
-//! re-solves.
+//! [`resolve_skeptic`] is the sequential reference. A node's `repPoss`
+//! depends only on its ancestors, so [`SkepticPlannedResolver`] solves
+//! the condensation units of [`crate::parallel`]'s shard plan in order:
+//! a singleton unit in closed form, a cyclic unit by the regional
+//! Step-1/Step-2 replay that also re-solves
+//! [`crate::skeptic_incremental`]'s dirty regions. Neither computes
+//! reachability: a final node counts as closed iff its representation is
+//! non-empty. Results equal [`resolve_skeptic`] at every thread count
+//! (`tests/skeptic_oracle.rs`).
 
 use crate::binary::{Btn, Parents};
 use crate::compact::plan_whole;
@@ -90,7 +85,8 @@ impl RepPoss {
         !self.pos.is_empty() || self.bottom
     }
 
-    /// Whether nothing at all was recorded (unreachable node).
+    /// Whether nothing at all was recorded: an unreachable node, or one
+    /// closed on nothing (a `Negs(∅)` root and its pure descendants).
     pub fn is_empty(&self) -> bool {
         self.pos.is_empty() && self.neg.is_empty() && !self.bottom
     }
@@ -168,8 +164,8 @@ pub struct PossBeliefs {
 /// Output of Algorithm 2.
 #[derive(Debug, Clone)]
 pub struct SkepticResolution {
-    rep: Vec<RepPoss>,
-    pref_neg: Vec<NegSet>,
+    pub(crate) rep: Vec<RepPoss>,
+    pub(crate) pref_neg: Vec<NegSet>,
 }
 
 impl SkepticResolution {
@@ -241,10 +237,9 @@ impl SkepticUserResolution {
 
 /// (P) Preprocessing shared by the sequential and the planned resolvers:
 /// the `prefNeg` preferred-chain fixpoint (explicit negatives only — see
-/// the fidelity notes; sets only grow, so preferred cycles converge) and
-/// static reachability from belief-carrying roots, both over any forward
-/// adjacency of the BTN.
-pub(crate) fn skeptic_preprocess<A>(g: &A, btn: &Btn) -> (Vec<NegSet>, Vec<bool>)
+/// the fidelity notes; sets only grow, so preferred cycles converge) over
+/// any forward adjacency of the BTN.
+pub(crate) fn skeptic_preprocess<A>(g: &A, btn: &Btn) -> Vec<NegSet>
 where
     A: Adjacency + ?Sized,
 {
@@ -271,21 +266,7 @@ where
             }
         }
     }
-
-    let mut reachable = vec![false; n];
-    let mut stack: Vec<NodeId> = btn.roots().collect();
-    for &r in &stack {
-        reachable[r as usize] = true;
-    }
-    while let Some(z) = stack.pop() {
-        for w in g.neighbors(z) {
-            if !reachable[w as usize] {
-                reachable[w as usize] = true;
-                stack.push(w);
-            }
-        }
-    }
-    (pref_neg, reachable)
+    pref_neg
 }
 
 /// Runs Algorithm 2 on a tie-free BTN (constraints allowed).
@@ -301,7 +282,8 @@ pub fn resolve_skeptic(btn: &Btn) -> Result<SkepticResolution> {
     let n = btn.node_count();
     let graph = btn.graph();
 
-    let (pref_neg, reachable) = skeptic_preprocess(&graph, btn);
+    let pref_neg = skeptic_preprocess(&graph, btn);
+    let reachable = reachable_from_many(&graph, btn.roots(), |_| true);
     let mut pref_children: Vec<Vec<NodeId>> = vec![Vec::new(); n];
     for x in btn.nodes() {
         if let Some(z) = btn.preferred_parent(x) {
@@ -428,8 +410,8 @@ pub fn resolve_skeptic(btn: &Btn) -> Result<SkepticResolution> {
 // ---------------------------------------------------------------------------
 
 /// Immutable network view the skeptic solvers share: forward adjacency,
-/// parent structure, explicit beliefs, the preprocessing `prefNeg`, and
-/// static reachability from belief roots — all indexed by BTN node id.
+/// parent structure, explicit beliefs and the preprocessing `prefNeg`,
+/// all indexed by BTN node id.
 pub(crate) struct SkepticNet<'a, A: ?Sized> {
     /// Forward adjacency (edges parent → child).
     pub g: &'a A,
@@ -439,10 +421,6 @@ pub(crate) struct SkepticNet<'a, A: ?Sized> {
     pub beliefs: &'a [ExplicitBelief],
     /// Explicit negatives forced through preferred chains (preprocessing).
     pub pref_neg: &'a [NegSet],
-    /// Reachability from belief-carrying roots. A *final* node counts as
-    /// closed exactly when it is reachable (unreachable nodes never close
-    /// and keep an empty representation forever).
-    pub reachable: &'a [bool],
 }
 
 /// Read/write access to the per-node `repPoss` slab — a plain mutable
@@ -563,16 +541,72 @@ fn next_epoch(epoch: &mut u32, mark: &mut [u32], in_comp: &mut [u32]) -> u32 {
     *epoch
 }
 
-/// Algorithm 2's Step-1/Step-2 alternation restricted to `members`, with
-/// every external node final: a final node is closed iff it is reachable,
-/// and its representation never changes once written. This is the shared
-/// regional semantics of the parallel cyclic units (externals are sealed
-/// ancestor units) and of the incremental dirty regions (externals are
-/// frozen clean nodes at their cached representations).
+/// Algorithm 2's representation for a node whose parents will not change
+/// any more: a root's own belief, Step 1's copy of a Type-2 preferred
+/// parent, else the Step-2 flood of the node alone — every parent's
+/// representation, with a positive that the node's own `prefNeg` blocks
+/// turned into ⊥ (S′ excludes the node).
 ///
-/// Representations of all members are reset first, then re-derived; on
-/// return every reachable member is closed and the scratch flags are
-/// restored clean.
+/// An empty parent passes nothing on and is never Type 2, so it needs no
+/// test of its own: it is unreachable (never closed) or closed on nothing
+/// (a `Negs(∅)` root and its pure descendants), and Algorithm 2 treats
+/// both alike. Forced inline, as [`crate::parallel`]'s `settle` is: the
+/// one-pass solver calls it once per singleton unit.
+#[inline(always)]
+fn settle<R: RepStore>(
+    store: &R,
+    parents: &Parents,
+    belief: &ExplicitBelief,
+    pref_neg: &NegSet,
+) -> RepPoss {
+    let mut rep = RepPoss::empty();
+    if parents.is_root() {
+        // A beliefless root stays empty (unreachable).
+        match belief {
+            ExplicitBelief::Pos(v) => {
+                rep.pos.insert(*v);
+            }
+            ExplicitBelief::Negs(neg) => rep.neg = neg.clone(),
+            ExplicitBelief::None => {}
+        }
+        return rep;
+    }
+    if let Some(z) = parents.preferred() {
+        let zrep = store.rep(z);
+        if zrep.is_type2() {
+            return zrep.clone();
+        }
+    }
+    for z in parents.iter() {
+        let zrep = store.rep(z);
+        for &v in &zrep.pos {
+            if pref_neg.contains(v) {
+                rep.bottom = true;
+            } else {
+                rep.pos.insert(v);
+            }
+        }
+        rep.neg = rep.neg.union(&zrep.neg);
+        rep.bottom |= zrep.bottom;
+    }
+    rep
+}
+
+/// Algorithm 2's Step-1/Step-2 alternation restricted to `members`, with
+/// every node outside them final. This is the shared regional semantics
+/// of the parallel cyclic units (outside nodes are sealed ancestor units)
+/// and of the incremental dirty regions (outside nodes are clean, at
+/// their cached representations).
+///
+/// It keeps the one-pass invariant of [`crate::parallel::replay_region`]:
+/// members are reset to empty and written only when they close, so a
+/// final node is closed iff its representation is non-empty, and Step 1
+/// needs only the Type-2 test. Reachability is never computed. A member
+/// whose parents have all closed is flooded at once through [`settle`]
+/// (belief roots included); a dirty region mixes reachable and
+/// unreachable members, so a member whose preferred parent closed empty
+/// waits for its own flood, where its other parent counts. On return
+/// every member is closed and the scratch flags are clean.
 pub(crate) fn solve_skeptic_region<A, R>(
     net: &SkepticNet<'_, A>,
     store: &mut R,
@@ -596,88 +630,42 @@ pub(crate) fn solve_skeptic_region<A, R>(
         entries_buf,
         adds,
     } = scratch;
-
-    // (I) Region init: reset representations, count the nodes that will
-    // close, and close member roots with their explicit beliefs.
-    let mut open_left = 0usize;
     for &x in members {
-        let xs = x as usize;
-        in_region[xs] = true;
-        debug_assert!(!closed[xs], "closed flags must start clean");
+        in_region[x as usize] = true;
+        debug_assert!(!closed[x as usize], "closed flags must start clean");
         *store.rep_mut(x) = RepPoss::empty();
-        if net.reachable[xs] {
-            open_left += 1;
-        }
     }
-    for &x in members {
-        let xs = x as usize;
-        if !net.reachable[xs] || !net.parents[xs].is_root() {
-            continue;
-        }
-        let rep = store.rep_mut(x);
-        match &net.beliefs[x as usize] {
-            ExplicitBelief::Pos(v) => {
-                rep.pos.insert(*v);
-            }
-            ExplicitBelief::Negs(neg) => {
-                rep.neg = neg.clone();
-            }
-            ExplicitBelief::None => unreachable!("reachable roots carry beliefs"),
-        }
-        closed[xs] = true;
-        open_left -= 1;
-    }
-
-    // Seed Step 1: open members whose preferred parent is already closed
-    // (an external final, or a member root closed above).
+    let mut open_left = members.len();
     worklist.clear();
-    for &x in members {
-        let xs = x as usize;
-        if !net.reachable[xs] || closed[xs] {
-            continue;
-        }
-        if let Some(z) = net.parents[xs].preferred() {
-            let zs = z as usize;
-            let z_closed = if in_region[zs] {
-                closed[zs]
-            } else {
-                net.reachable[zs]
-            };
-            if z_closed {
-                worklist.push(x);
-            }
-        }
-    }
+    worklist.extend_from_slice(members);
 
-    // (M) Main loop.
-    while open_left > 0 {
-        // (S1) Preferred copies — only from Type-2 parents (Appendix B.7);
-        // a Type-1 parent leaves the node open for Step 2.
+    loop {
+        // (S1) Preferred copies — only from Type-2 parents (Appendix B.7) —
+        // and the floods of members whose parents have all closed. A
+        // Type-1 or empty preferred parent leaves the node open.
         while let Some(x) = worklist.pop() {
             let xs = x as usize;
-            if closed[xs] || !net.reachable[xs] {
+            if closed[xs] {
                 continue;
             }
-            let z = net.parents[xs].preferred().expect("worklist invariant");
-            let zs = z as usize;
-            let z_closed = if in_region[zs] {
-                closed[zs]
-            } else {
-                net.reachable[zs]
-            };
-            if !z_closed || !store.rep(z).is_type2() {
+            let parents = &net.parents[xs];
+            let copies = parents.preferred().is_some_and(|z| store.rep(z).is_type2());
+            if !copies
+                && parents
+                    .iter()
+                    .any(|z| in_region[z as usize] && !closed[z as usize])
+            {
                 continue;
             }
-            let copied = store.rep(z).clone();
-            *store.rep_mut(x) = copied;
+            let rep = settle(store, parents, &net.beliefs[xs], &net.pref_neg[xs]);
+            *store.rep_mut(x) = rep;
             closed[xs] = true;
             open_left -= 1;
-            for w in net.g.neighbors(x) {
-                let ws = w as usize;
-                if in_region[ws] && !closed[ws] && net.parents[ws].preferred() == Some(x) {
-                    worklist.push(w);
-                }
-            }
+            worklist.extend(
+                net.g
+                    .neighbors(x)
+                    .filter(|&w| in_region[w as usize] && !closed[w as usize]),
+            );
         }
         if open_left == 0 {
             break;
@@ -685,7 +673,7 @@ pub(crate) fn solve_skeptic_region<A, R>(
 
         // (S2) Condense the open members and flood the source sub-SCCs.
         scc.run(net.g, members.iter().copied(), |v| {
-            in_region[v as usize] && net.reachable[v as usize] && !closed[v as usize]
+            in_region[v as usize] && !closed[v as usize]
         });
         let comp_count = scc.count();
         is_source.clear();
@@ -693,9 +681,7 @@ pub(crate) fn solve_skeptic_region<A, R>(
         for &x in scc.visited() {
             let cx = scc.comp_of(x).expect("visited");
             for z in net.parents[x as usize].iter() {
-                let zs = z as usize;
-                let z_open = in_region[zs] && net.reachable[zs] && !closed[zs];
-                if z_open && scc.comp_of(z) != Some(cx) {
+                if in_region[z as usize] && !closed[z as usize] && scc.comp_of(z) != Some(cx) {
                     is_source[cx as usize] = false;
                 }
             }
@@ -714,19 +700,15 @@ pub(crate) fn solve_skeptic_region<A, R>(
                 in_comp[x as usize] = comp_stamp;
             }
 
-            // Closed nodes with edges into S (internal earlier closures
-            // cannot occur — S would not have been a source — so these are
-            // external finals and members closed in previous rounds).
+            // Closed nodes with edges into S: its non-empty parents. S is
+            // a source, so they are outside nodes and members closed in
+            // earlier rounds; open members are still empty, and an empty
+            // closed node would add nothing.
             entries_buf.clear();
             for &x in members_buf.iter() {
                 for z in net.parents[x as usize].iter() {
-                    let zs = z as usize;
-                    let z_closed = if in_region[zs] {
-                        closed[zs]
-                    } else {
-                        net.reachable[zs]
-                    };
-                    if z_closed {
+                    if !store.rep(z).is_empty() {
+                        debug_assert!(!in_region[z as usize] || closed[z as usize]);
                         entries_buf.push(z);
                     }
                 }
@@ -743,7 +725,7 @@ pub(crate) fn solve_skeptic_region<A, R>(
                 for &v in &zrep.pos {
                     // S′ = S minus nodes whose preferred side forces v−.
                     // If nothing in S blocks v, the flood is total and the
-                    // reachability BFS is skipped.
+                    // search through S′ is skipped.
                     let any_blocked = members_buf
                         .iter()
                         .any(|&x| net.pref_neg[x as usize].contains(v));
@@ -800,12 +782,11 @@ pub(crate) fn solve_skeptic_region<A, R>(
                 open_left -= 1;
             }
             for &x in members_buf.iter() {
-                for w in net.g.neighbors(x) {
-                    let ws = w as usize;
-                    if in_region[ws] && !closed[ws] && net.parents[ws].preferred() == Some(x) {
-                        worklist.push(w);
-                    }
-                }
+                worklist.extend(
+                    net.g
+                        .neighbors(x)
+                        .filter(|&w| in_region[w as usize] && !closed[w as usize]),
+                );
             }
         }
         // A finite open region always has a source SCC.
@@ -873,42 +854,25 @@ impl SkepticPlannedResolver {
     /// was built from; only its explicit (root) beliefs may differ. The
     /// result equals [`resolve_skeptic`] on every node.
     pub fn resolve(&self, btn: &Btn, threads: usize) -> Result<SkepticResolution> {
-        let (rep, pref_neg, _) = self.solve(btn, threads);
-        Ok(SkepticResolution { rep, pref_neg })
-    }
-
-    /// [`SkepticPlannedResolver::resolve`] as parts: `repPoss`, `prefNeg`
-    /// and the reachability mask of its preprocessing — the cache the
-    /// incremental engine seeds from.
-    pub(crate) fn solve(
-        &self,
-        btn: &Btn,
-        threads: usize,
-    ) -> (Vec<RepPoss>, Vec<NegSet>, Vec<bool>) {
         assert_eq!(
             btn.node_count(),
             self.nodes,
             "plan was built for a different BTN structure"
         );
-        let n = self.nodes;
-
-        // (P) prefNeg fixpoint + reachability (the closedness oracle for
-        // final nodes), shared with the sequential resolver.
-        let (pref_neg, reachable) = skeptic_preprocess(&self.view, btn);
-
-        let mut rep: Vec<RepPoss> = vec![RepPoss::empty(); n];
+        let pref_neg = skeptic_preprocess(&self.view, btn);
+        let mut rep: Vec<RepPoss> = vec![RepPoss::empty(); self.nodes];
         let ctx = SkepticShardCtx {
-            g: &self.view,
-            parents: &btn.parents,
-            beliefs: &btn.beliefs,
-            pref_neg: &pref_neg,
-            reachable: &reachable,
+            net: SkepticNet {
+                g: &self.view,
+                parents: &btn.parents,
+                beliefs: &btn.beliefs,
+                pref_neg: &pref_neg,
+            },
             plan: &self.plan,
             rep: SharedSlab::new(&mut rep),
-            nodes: n,
         };
         run_shards(&ctx, threads);
-        (rep, pref_neg, reachable)
+        Ok(SkepticResolution { rep, pref_neg })
     }
 }
 
@@ -928,106 +892,42 @@ pub fn resolve_skeptic_parallel(btn: &Btn, threads: usize) -> Result<SkepticReso
 /// Shared solving context of the parallel skeptic workers, all tables
 /// indexed by BTN node id.
 struct SkepticShardCtx<'a> {
-    g: &'a RegionCompactor,
-    parents: &'a [Parents],
-    beliefs: &'a [ExplicitBelief],
-    pref_neg: &'a [NegSet],
-    reachable: &'a [bool],
+    net: SkepticNet<'a, RegionCompactor>,
     plan: &'a ShardPlan,
     rep: SharedSlab<RepPoss>,
-    nodes: usize,
-}
-
-impl SkepticShardCtx<'_> {
-    /// Closed-form solve of an acyclic singleton unit: every parent is
-    /// final, so Algorithm 2's Step-1 copy or Step-2 singleton flood
-    /// collapses to one expression.
-    #[allow(unsafe_code)]
-    fn solve_singleton(&self, x: NodeId) {
-        let xs = x as usize;
-        if !self.reachable[xs] {
-            return; // stays empty (never closes)
-        }
-        let parents = &self.parents[xs];
-        let mut rep = RepPoss::empty();
-        match *parents {
-            Parents::None => match &self.beliefs[xs] {
-                ExplicitBelief::Pos(v) => {
-                    rep.pos.insert(*v);
-                }
-                ExplicitBelief::Negs(neg) => {
-                    rep.neg = neg.clone();
-                }
-                ExplicitBelief::None => unreachable!("reachable roots carry beliefs"),
-            },
-            _ => {
-                // Step 1: a closed Type-2 preferred parent always wins.
-                let copied = parents
-                    .preferred()
-                    .filter(|&z| self.reachable[z as usize])
-                    .and_then(|z| {
-                        // SAFETY: z is an ancestor — its shard is sealed.
-                        let zrep = unsafe { self.rep.read(z) };
-                        zrep.is_type2().then(|| zrep.clone())
-                    });
-                match copied {
-                    Some(c) => rep = c,
-                    None => {
-                        // Step 2 flood of the trivial SCC {x}: every closed
-                        // parent is an entry; a positive blocked by x's own
-                        // prefNeg becomes ⊥ (S′ excludes x).
-                        for z in parents.iter() {
-                            let zs = z as usize;
-                            if !self.reachable[zs] {
-                                continue;
-                            }
-                            // SAFETY: ancestor shard is sealed.
-                            let zrep = unsafe { self.rep.read(z) };
-                            for &v in &zrep.pos {
-                                if self.pref_neg[xs].contains(v) {
-                                    rep.bottom = true;
-                                } else {
-                                    rep.pos.insert(v);
-                                }
-                            }
-                            rep.neg = rep.neg.union(&zrep.neg);
-                            rep.bottom |= zrep.bottom;
-                        }
-                    }
-                }
-            }
-        }
-        // SAFETY: this worker owns x's shard.
-        unsafe { self.rep.write(x, rep) };
-    }
 }
 
 impl ShardSolver for SkepticShardCtx<'_> {
     type Worker = SkepticScratch;
 
     fn new_worker(&self) -> SkepticScratch {
-        SkepticScratch::new(self.nodes)
+        SkepticScratch::new(self.net.parents.len())
     }
 
     fn solve_shard(&self, worker: &mut SkepticScratch, s: u32) {
+        let net = &self.net;
+        let mut store = SlabStore(&self.rep);
         for u in self.plan.units(s) {
             let members = self.plan.unit_members(u);
             if let [x] = *members {
-                if !self.parents[x as usize].iter().any(|z| z == x) {
-                    self.solve_singleton(x);
+                let xs = x as usize;
+                if !net.parents[xs].iter().any(|z| z == x) {
+                    // Every parent is final: the closed form applies. The
+                    // slab starts empty, so an empty result needs no write.
+                    let rep = settle(
+                        &store,
+                        &net.parents[xs],
+                        &net.beliefs[xs],
+                        &net.pref_neg[xs],
+                    );
+                    if !rep.is_empty() {
+                        *store.rep_mut(x) = rep;
+                    }
                     continue;
                 }
             }
             // Cyclic unit (or defensive self-loop): regional replay.
-            let net = SkepticNet {
-                g: self.g,
-                parents: self.parents,
-                beliefs: self.beliefs,
-                pref_neg: self.pref_neg,
-                reachable: self.reachable,
-            };
-            let mut store = SlabStore(&self.rep);
-            solve_skeptic_region(&net, &mut store, worker, members);
+            solve_skeptic_region(net, &mut store, worker, members);
         }
     }
 

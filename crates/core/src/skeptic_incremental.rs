@@ -17,13 +17,11 @@
 //!    nodes, which itself flows forward along preferred chains — so the
 //!    forward closure of the touched nodes bounds everything that can
 //!    change, exactly as in the basic model.
-//! 3. **Boundary freeze + regional re-solve.** Region-local passes refresh
-//!    reachability and `prefNeg`, then Algorithm 2's Step-1/Step-2
-//!    alternation ([`crate::skeptic`]'s shared regional replay, also the
-//!    cyclic-unit solver of
-//!    [`SkepticPlannedResolver`])
-//!    re-runs inside the region with clean nodes frozen at their cached
-//!    representations.
+//! 3. **Boundary freeze + regional re-solve.** A region-local pass
+//!    refreshes `prefNeg`, then Algorithm 2's Step-1/Step-2 alternation
+//!    ([`crate::skeptic`]'s regional replay, also the cyclic-unit solver
+//!    of [`SkepticPlannedResolver`]) re-runs inside the region with clean
+//!    nodes frozen at their cached representations.
 //!
 //! `tests/skeptic_oracle.rs` checks equivalence with a from-scratch
 //! [`resolve_skeptic`](crate::skeptic::resolve_skeptic) over random signed
@@ -38,8 +36,8 @@ use crate::network::TrustNetwork;
 use crate::parallel::ParOptions;
 use crate::signed::{ExplicitBelief, NegSet};
 use crate::skeptic::{
-    solve_skeptic_region, RepPoss, SkepticNet, SkepticPlannedResolver, SkepticScratch,
-    SkepticUserResolution, VecStore,
+    solve_skeptic_region, RepPoss, SkepticNet, SkepticPlannedResolver, SkepticResolution,
+    SkepticScratch, SkepticUserResolution, VecStore,
 };
 use crate::user::User;
 use crate::value::Value;
@@ -92,7 +90,6 @@ impl From<Edit> for SignedEdit {
 struct SkepticSide<'a> {
     rep: &'a mut Vec<RepPoss>,
     pref_neg: &'a mut Vec<NegSet>,
-    reachable: &'a mut Vec<bool>,
     dirty: &'a mut Vec<bool>,
     region: &'a mut SkepticScratch,
 }
@@ -101,7 +98,6 @@ impl NodeSideTables for SkepticSide<'_> {
     fn grow(&mut self, n: usize) {
         self.rep.resize(n, RepPoss::default());
         self.pref_neg.resize(n, NegSet::empty());
-        self.reachable.resize(n, false);
         self.dirty.resize(n, false);
         self.region.grow(n);
     }
@@ -109,13 +105,11 @@ impl NodeSideTables for SkepticSide<'_> {
     fn reset(&mut self, x: NodeId) {
         self.rep[x as usize] = RepPoss::default();
         self.pref_neg[x as usize] = NegSet::empty();
-        self.reachable[x as usize] = false;
     }
 
     fn reserve(&mut self, additional: usize) {
         self.rep.reserve_exact(additional);
         self.pref_neg.reserve_exact(additional);
-        self.reachable.reserve_exact(additional);
         self.dirty.reserve_exact(additional);
         self.region.reserve(additional);
     }
@@ -146,8 +140,6 @@ pub struct SkepticIncremental {
     /// Cached `prefNeg` preprocessing (explicit negatives forced through
     /// preferred chains), refreshed region-locally per batch.
     pref_neg: Vec<NegSet>,
-    /// Cached reachability from belief-carrying roots.
-    reachable: Vec<bool>,
     /// Users whose nodes were in the last dirty region (for snapshot
     /// patching).
     last_dirty_users: Vec<User>,
@@ -172,14 +164,13 @@ impl SkepticIncremental {
             threads: 1,
             ..ParOptions::default()
         };
-        let (rep, pref_neg, reachable) =
-            SkepticPlannedResolver::new(&delta.btn, opts)?.solve(&delta.btn, 1);
+        let SkepticResolution { rep, pref_neg } =
+            SkepticPlannedResolver::new(&delta.btn, opts)?.resolve(&delta.btn, 1)?;
         let n = delta.btn.node_count();
         let mut engine = SkepticIncremental {
             delta,
             rep,
             pref_neg,
-            reachable,
             last_dirty_users: Vec::new(),
             dirty: vec![false; n],
             dirty_list: Vec::new(),
@@ -197,7 +188,6 @@ impl SkepticIncremental {
         let side = SkepticSide {
             rep: &mut self.rep,
             pref_neg: &mut self.pref_neg,
-            reachable: &mut self.reachable,
             dirty: &mut self.dirty,
             region: &mut self.region,
         };
@@ -395,42 +385,6 @@ impl SkepticIncremental {
         }
     }
 
-    /// Region-local refresh of the cached reachability: a dirty node is
-    /// reachable iff it is a belief-carrying root, or any parent is a
-    /// reachable clean node (whose reachability cannot have changed), or a
-    /// reachable dirty node (computed by this BFS).
-    fn update_reachability(&mut self) {
-        self.stack.clear();
-        for &x in &self.dirty_list {
-            self.reachable[x as usize] = false;
-        }
-        for &x in &self.dirty_list {
-            let xs = x as usize;
-            if self.reachable[xs] {
-                continue;
-            }
-            let is_root =
-                self.delta.btn.parents[xs].is_root() && self.delta.btn.beliefs[xs].is_some();
-            let from_boundary = self.delta.btn.parents[xs]
-                .iter()
-                .any(|z| !self.dirty[z as usize] && self.reachable[z as usize]);
-            if is_root || from_boundary {
-                self.reachable[xs] = true;
-                self.stack.push(x);
-            }
-        }
-        while let Some(v) = self.stack.pop() {
-            for i in 0..self.delta.children[v as usize].len() {
-                let c = self.delta.children[v as usize][i];
-                let cs = c as usize;
-                if self.dirty[cs] && !self.reachable[cs] {
-                    self.reachable[cs] = true;
-                    self.stack.push(c);
-                }
-            }
-        }
-    }
-
     /// Region-local refresh of the `prefNeg` preprocessing: for dirty
     /// nodes, `prefNeg(x)` = `x`'s own explicit negatives ∪ the `prefNeg`
     /// of its preferred parent (cached for clean parents, fixpoint across
@@ -475,7 +429,6 @@ impl SkepticIncremental {
     /// mask; `dirty_list` keeps the region for inspection until the next
     /// batch.
     fn solve_region(&mut self) {
-        self.update_reachability();
         self.update_pref_neg();
 
         let net = SkepticNet {
@@ -483,7 +436,6 @@ impl SkepticIncremental {
             parents: &self.delta.btn.parents,
             beliefs: &self.delta.btn.beliefs,
             pref_neg: &self.pref_neg,
-            reachable: &self.reachable,
         };
         let mut store = VecStore(&mut self.rep);
         solve_skeptic_region(&net, &mut store, &mut self.region, &self.dirty_list);

@@ -603,7 +603,54 @@ fn cycle_rich_signed_networks() -> Vec<(&'static str, TrustNetwork)> {
     net.believe(live, v).expect("valid");
     nets.push(("beliefless and constraint-only cycles", net));
 
+    nets.push((
+        "an empty constraint upstream of 2-cycles",
+        empty_constraint_over_cycles().0,
+    ));
+
     nets
+}
+
+/// A `Negs(∅)` root `n` — a constraint that rejects nothing — as the
+/// preferred parent of the 2-cycle `a ↔ b`, which `s` (believing `v`)
+/// also feeds, and as the only feed of the 2-cycle `c ↔ d`, which `t`
+/// trusts. `n` and its pure descendants `c`, `d`, `t` are reachable yet
+/// close empty: the one place where "reachable" and "non-empty" part.
+fn empty_constraint_over_cycles() -> (TrustNetwork, [User; 7], [Value; 2]) {
+    let mut net = TrustNetwork::new();
+    let (v, w) = (net.value("v"), net.value("w"));
+    // `s` comes first, so silencing every second believer strands `a ↔ b`.
+    let [s, n, a, b, c, d, t] = users(&mut net, ["s", "n", "a", "b", "c", "d", "t"]);
+    net.believe(s, v).expect("valid");
+    net.reject(n, NegSet::empty()).expect("valid");
+    net.trust(a, n, 20).expect("valid");
+    net.trust(a, b, 10).expect("valid");
+    net.trust(b, a, 20).expect("valid");
+    net.trust(b, s, 10).expect("valid");
+    net.trust(c, n, 20).expect("valid");
+    net.trust(c, d, 10).expect("valid");
+    net.trust(d, c, 20).expect("valid");
+    net.trust(t, d, 1).expect("valid");
+    (net, [s, n, a, b, c, d, t], [v, w])
+}
+
+/// The one-pass [`SkepticPlannedResolver`], under every option set,
+/// equals Algorithm 2 as printed on every node of `net`.
+fn assert_planned_equals_printed(net: &TrustNetwork, what: &str) {
+    let btn = trustmap_core::binarize(net);
+    let seq = resolve_skeptic(&btn).expect("tie-free by construction");
+    for opts in all_options() {
+        let planned = SkepticPlannedResolver::new(&btn, opts).expect("tie-free");
+        let par = planned.resolve(&btn, opts.threads).expect("resolves");
+        for x in btn.nodes() {
+            assert_eq!(
+                seq.rep_poss(x),
+                par.rep_poss(x),
+                "{what}: node {x} under {opts:?}"
+            );
+            assert_eq!(seq.pref_neg(x), par.pref_neg(x), "{what}: prefNeg {x}");
+        }
+    }
 }
 
 /// One-pass Algorithm 2 ≡ Algorithm 2 as printed where the cyclic-unit
@@ -611,21 +658,142 @@ fn cycle_rich_signed_networks() -> Vec<(&'static str, TrustNetwork)> {
 #[test]
 fn cycle_rich_signed_networks_equal_the_printed_algorithm() {
     for (name, net) in cycle_rich_signed_networks() {
-        let btn = trustmap_core::binarize(&net);
-        let seq = resolve_skeptic(&btn).expect("tie-free by construction");
-        for opts in all_options() {
-            let planned = SkepticPlannedResolver::new(&btn, opts).expect("tie-free");
-            let par = planned.resolve(&btn, opts.threads).expect("resolves");
-            for x in btn.nodes() {
-                assert_eq!(
-                    seq.rep_poss(x),
-                    par.rep_poss(x),
-                    "{name}: node {x} under {opts:?}"
-                );
-                assert_eq!(seq.pref_neg(x), par.pref_neg(x), "{name}: prefNeg {x}");
-            }
-        }
+        assert_planned_equals_printed(&net, name);
     }
+}
+
+/// Applies each edit of `script` to `net` and, alone, to `engine`; after
+/// each, the engine and the one-pass solver equal Algorithm 2 as printed,
+/// and `check` sees the reference.
+fn run_signed_script(
+    net: &mut TrustNetwork,
+    engine: &mut SkepticIncremental,
+    script: &[SignedEdit],
+    tag: &str,
+    mut check: impl FnMut(usize, &trustmap::skeptic::SkepticResolution, &trustmap::Btn, &str),
+) {
+    for (step, edit) in script.iter().enumerate() {
+        apply_to_net(net, edit);
+        engine
+            .apply_edits(net, std::slice::from_ref(edit))
+            .expect("tie-free");
+        let what = format!("{tag}, after {edit:?}");
+        check_engine(engine, net, &what).unwrap_or_else(|e| panic!("{e}"));
+        assert_planned_equals_printed(net, &what);
+        let btn = trustmap_core::binarize(net);
+        let reference = resolve_skeptic(&btn).expect("tie-free");
+        check(step, &reference, &btn, &what);
+    }
+}
+
+/// The signed mirror of `incremental_oracle`'s test of the same name. A
+/// dirty region mixes reachable and unreachable members: `x`'s preferred
+/// parent `p` goes unreachable while `x` stays reachable through its
+/// other parent, once acyclic and once inside a 2-cycle. Both solvers
+/// must fall back to the other parent (never Step-1-copy an empty
+/// preferred parent), return to `p` when it believes again, make `x` wait
+/// for Step 2 when `p` turns into a constraint-only root (Type 1 and
+/// non-empty: its `w−` blocks the other parent's `w` into ⊥), and ignore
+/// a new top-priority parent that believes nothing.
+#[test]
+fn a_lost_preferred_parent_falls_back_to_the_other_parent() {
+    for cyclic in [false, true] {
+        let mut net = TrustNetwork::new();
+        let [x, p, y, q, d] = users(&mut net, ["x", "p", "y", "q", "d"]);
+        let [v, w, u] = ["v", "w", "u"].map(|n| net.value(n));
+        net.trust(x, p, 20).expect("valid");
+        net.believe(p, v).expect("valid");
+        net.believe(y, w).expect("valid");
+        net.trust(d, x, 1).expect("valid");
+        if cyclic {
+            // x ↔ z, and y reaches x only through z.
+            let z = net.user("z");
+            net.trust(x, z, 10).expect("valid");
+            net.trust(z, x, 20).expect("valid");
+            net.trust(z, y, 10).expect("valid");
+        } else {
+            net.trust(x, y, 10).expect("valid");
+        }
+        let mut engine = SkepticIncremental::new(&net).expect("tie-free");
+        let script = [
+            SignedEdit::Revoke(p),
+            SignedEdit::Believe(p, u),
+            SignedEdit::Reject(p, NegSet::of([w])),
+            SignedEdit::Believe(p, u),
+            SignedEdit::Trust {
+                child: x,
+                parent: q,
+                priority: 30,
+            },
+        ];
+        let expected = [Some(w), Some(u), None, Some(u), Some(u)];
+        let tag = format!("cyclic={cyclic}");
+        run_signed_script(
+            &mut net,
+            &mut engine,
+            &script,
+            &tag,
+            |step, r, btn, what| {
+                for user in [x, d] {
+                    let rep = r.rep_poss(btn.node_of(user));
+                    assert_eq!(rep.cert_positive(), expected[step], "{what}");
+                    if expected[step].is_none() {
+                        assert!(rep.bottom && rep.neg.contains(w), "{what}: {rep:?}");
+                    }
+                }
+            },
+        );
+    }
+}
+
+/// A `Negs(∅)` root closes on nothing: its pure descendants close empty
+/// although they are reachable, and a child whose preferred parent it is
+/// waits for Step 2. Then the root rejects `v`, rejects nothing again, is
+/// revoked, rejects nothing once more and finally believes `w`; after
+/// each edit the engine and the one-pass solver equal Algorithm 2 as
+/// printed.
+#[test]
+fn an_empty_constraint_root_passes_nothing_on() {
+    let (mut net, [_, n, a, b, c, d, t], [v, w]) = empty_constraint_over_cycles();
+    let mut engine = SkepticIncremental::new(&net).expect("tie-free");
+    check_engine(&engine, &net, "build").unwrap_or_else(|e| panic!("{e}"));
+    let script = [
+        SignedEdit::Reject(n, NegSet::of([v])),
+        SignedEdit::Reject(n, NegSet::empty()),
+        SignedEdit::Revoke(n),
+        SignedEdit::Reject(n, NegSet::empty()),
+        SignedEdit::Believe(n, w),
+    ];
+    // The certain positive of a ↔ b, and of c ↔ d with t, per step.
+    let expected = [
+        (None, None),
+        (Some(v), None),
+        (Some(v), None),
+        (Some(v), None),
+    ];
+    run_signed_script(
+        &mut net,
+        &mut engine,
+        &script,
+        "Negs(∅)",
+        |step, r, btn, what| {
+            let rep = |u| r.rep_poss(btn.node_of(u));
+            if let Some(&(fed, pure)) = expected.get(step) {
+                for u in [a, b] {
+                    assert_eq!(rep(u).cert_positive(), fed, "{what}");
+                }
+                for u in [c, d, t] {
+                    assert_eq!(rep(u).cert_positive(), pure, "{what}");
+                    // Only the `v−` step leaves anything on the pure side.
+                    assert_eq!(rep(u).is_empty(), step != 0, "{what}: {:?}", rep(u));
+                }
+            } else {
+                for u in [a, b, c, d, t] {
+                    assert_eq!(rep(u).cert_positive(), Some(w), "{what}");
+                }
+            }
+        },
+    );
 }
 
 /// One skeptic plan, many belief assignments: ten reseeds rotate every

@@ -335,9 +335,15 @@ impl EpochSlot {
         let epoch = view.epoch();
         let lsn = view.lsn();
         debug_assert!(epoch > self.epoch(), "epochs advance monotonically");
-        *self.current.write().expect("epoch slot lock") = view;
+        // The counters move inside the write lock, so no reader can load
+        // this view while they still name the previous one: a reader that
+        // sees the epoch move loads a view at least that new, and each
+        // refresh of an `EpochReader` advances its cached epoch.
+        let mut current = self.current.write().expect("epoch slot lock");
+        *current = view;
         self.lsn.store(lsn, Ordering::Release);
         self.epoch.store(epoch, Ordering::Release);
+        drop(current);
         // Wake LSN-token waiters; the wait mutex orders the check-then-wait
         // against this notification.
         let _held = self.wait.lock().expect("epoch wait lock");

@@ -31,7 +31,9 @@ use crate::cow::CowCopies;
 use crate::deltabtn::{DeltaBtn, NodeSideTables};
 use crate::error::{Error, Result};
 use crate::network::TrustNetwork;
-use crate::parallel::{replay_region, resolve_parallel, ReplayNet, ReplayScratch};
+use crate::parallel::{
+    replay_region, resolve_parallel, BasicDomain, BasicScratch, ReplayNet, ReplayScratch,
+};
 use crate::resolution::{UserResolution, UserRow};
 use crate::signed::ExplicitBelief;
 use crate::user::User;
@@ -112,7 +114,7 @@ pub struct BeliefChange {
 struct BasicSide<'a> {
     poss: &'a mut Vec<Arc<[Value]>>,
     dirty: &'a mut Vec<bool>,
-    replay: &'a mut ReplayScratch,
+    replay: &'a mut ReplayScratch<BasicScratch>,
     empty: &'a Arc<[Value]>,
 }
 
@@ -150,7 +152,7 @@ pub struct IncrementalResolver {
     // ---- reusable scratch ----
     dirty: Vec<bool>,
     dirty_list: Vec<NodeId>,
-    replay: ReplayScratch,
+    replay: ReplayScratch<BasicScratch>,
     stack: Vec<NodeId>,
     empty: Arc<[Value]>,
 }
@@ -385,6 +387,9 @@ impl IncrementalResolver {
             g: &self.delta.children[..],
             parents: &self.delta.btn.parents,
             beliefs: &self.delta.btn.beliefs,
+            dom: BasicDomain {
+                empty: Arc::clone(&self.empty),
+            },
         };
         replay_region(&net, &mut self.poss[..], &mut self.replay, &self.dirty_list);
         for &x in &self.dirty_list {

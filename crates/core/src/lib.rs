@@ -21,12 +21,14 @@
 //! * [`resolution`] — Algorithm 1 as printed (round-looping Step 1 /
 //!   Step 2): the differential oracles' reference and the lineage
 //!   resolver;
-//! * [`parallel`] — the production whole-network solver: one
-//!   condensation pass, level-scheduled shards, bit-identical to
-//!   [`resolution`] at every thread count (sessions and the CLI run it
-//!   on one thread); plans ride the region-compact layer
-//!   (`trustmap_graph::region` + the internal `compact` module), whole
-//!   networks being the degenerate identity view;
+//! * [`parallel`] — the one-pass solver core of both semantics, generic
+//!   over a belief domain: one condensation pass, level-scheduled
+//!   shards, the regional replay the incremental engines share, and
+//!   Algorithm 1's domain, bit-identical to [`resolution`] at every
+//!   thread count (sessions and the CLI run it on one thread); plans ride
+//!   the region-compact layer (`trustmap_graph::region` + the internal
+//!   `compact` module), whole networks being the degenerate identity
+//!   view;
 //! * [`plan`] — the query AST and the two routes a read takes;
 //! * [`stable`] — the stable-solution semantics (Definition 2.4) with an
 //!   exhaustive ground-truth enumerator;
@@ -60,13 +62,13 @@
 //! * [`signed`] / [`paradigm`] — constraints as negative beliefs and the
 //!   Agnostic / Eclectic / Skeptic paradigms (Section 3);
 //! * [`skeptic`] — Algorithm 2: PTIME resolution under Skeptic, as the
-//!   sequential reference ([`skeptic::resolve_skeptic`]) *and* in the
-//!   production plan/solve form ([`skeptic::SkepticPlannedResolver`])
-//!   riding the same condensation-sharded scheduler as [`parallel`];
+//!   sequential reference ([`skeptic::resolve_skeptic`]) *and* as the
+//!   belief domain [`parallel`]'s core runs
+//!   ([`skeptic::SkepticPlannedResolver`]);
 //! * [`skeptic_incremental`] — the signed counterpart of [`incremental`]:
 //!   dirty-region re-solving of Algorithm 2, with constraint edits as
-//!   first-class deltas (both engines share the live-BTN maintenance of
-//!   the internal `deltabtn` module);
+//!   first-class deltas (both engines share the regional replay and the
+//!   live-BTN maintenance of the internal `deltabtn` module);
 //! * [`acyclic`] — single-pass evaluation on DAGs for all paradigms
 //!   (Proposition 3.6);
 //! * [`stable_signed`] — ground-truth enumeration of constraint stable

@@ -1,22 +1,23 @@
-//! Condensation-sharded parallel resolution.
+//! The one-pass solver: condensation-sharded resolution, written once for
+//! both semantics.
 //!
 //! The sequential Algorithm 1 ([`crate::resolution::resolve`]) interleaves
 //! preferred-edge propagation with repeated SCC condensations of the whole
 //! open subgraph. This module restructures the same computation around one
-//! insight: a node's final possible set depends only on its **ancestors**,
-//! so the SCC condensation of the BTN is a DAG whose components can be
-//! solved independently — and in parallel — as soon as their predecessors
-//! are sealed.
+//! insight: a node's final result depends only on its **ancestors**, so the
+//! SCC condensation of the BTN is a DAG whose components can be solved
+//! independently — and in parallel — as soon as their predecessors are
+//! sealed.
 //!
 //! The pipeline:
 //!
 //! 1. [`ShardPlan::build`] computes the schedule with a trim-first peel:
 //!    the acyclic bulk levels in one Kahn pass, only the cyclic residue
 //!    runs Tarjan (see `trustmap_graph::shard`). No reachability BFS is
-//!    needed either — in this algorithm a finalized node is reachable iff
-//!    its possible set is non-empty, so emptiness doubles as the
-//!    closed-boundary test (unreachable parents contribute nothing to
-//!    Step-2 unions, exactly as in the sequential resolver).
+//!    needed either — a finalized node is reachable iff its representation
+//!    is non-empty, so emptiness doubles as the closed-boundary test
+//!    (unreachable parents contribute nothing to Step-2 floods, exactly as
+//!    in the sequential resolvers).
 //! 2. `std::thread::scope` workers pull ready shards from a shared queue;
 //!    sealing a shard decrements downstream dependency counters (exact
 //!    shard edges, or per-level frontier counters on very deep plans),
@@ -24,20 +25,23 @@
 //!    without global barriers in exact mode: a fast worker starts on the
 //!    next level while slow shards of the previous one still run.
 //!
-//! ### Per-unit solving
+//! ### One core, two belief domains
 //!
-//! When a unit is processed every external parent is final: ancestors are
-//! sealed (dependency edges only point downward) and unreachable parents
-//! hold empty sets forever. Acyclic singleton units take a closed-form
-//! fast path — root belief, preferred-parent copy, or sorted ≤2-way union
-//! with content interning. Cyclic units run `replay_region`, Algorithm
-//! 1's Step-1/Step-2 alternation restricted to their members — the one
-//! regional replay, which the incremental engine runs on its dirty
-//! regions too.
+//! On a network without constraints the Skeptic semantics coincides with
+//! the basic one (Section 3): Algorithm 1 is Algorithm 2 with no
+//! negatives. So the closed form `settle`, the regional replay
+//! `replay_region` (Step 1/Step 2 restricted to a cyclic unit, or to an
+//! incremental engine's dirty region), the store, the scratch and the
+//! shard backend are written once over a `BeliefDomain`, which carries
+//! what differs: what a root holds, when Step 1 may copy a closed
+//! preferred parent, and how a node or a source SCC floods. `BasicDomain`
+//! (Algorithm 1) lives here, `SkepticDomain` (Algorithm 2) in
+//! [`crate::skeptic`]. When a unit is solved every outside parent is
+//! final: ancestors are sealed and unreachable parents stay empty.
 //!
 //! ### Determinism invariants
 //!
-//! The result is **bit-for-bit identical** to the sequential resolver at
+//! The result is **bit-for-bit identical** to the sequential resolvers at
 //! every thread count:
 //!
 //! * shard membership and work granularity come from the deterministic
@@ -45,19 +49,20 @@
 //! * each node is written by exactly one shard, and every cross-shard read
 //!   crosses a seal whose happens-before edge is the dependency counter
 //!   (`AcqRel` chain) plus the ready-queue mutex;
-//! * floods union values through sorted sets, so merge order inside a
+//! * floods join values through sorted sets, so merge order inside a
 //!   step cannot influence content;
 //! * units inside a shard are solved in plan order, the same every run.
 //!
-//! `tests/parallel_oracle.rs` checks equality against [`resolve`] over
-//! random networks at 1–8 threads.
+//! `tests/parallel_oracle.rs` and `tests/skeptic_oracle.rs` check equality
+//! against [`resolve`] and [`resolve_skeptic`] over random networks at 1–8
+//! threads.
 //!
 //! [`resolve`]: crate::resolution::resolve
+//! [`resolve_skeptic`]: crate::skeptic::resolve_skeptic
 
 // The crate denies `unsafe_code`; this module (the raw-pointer result slab
-// of the intra-solve scheduler) and two items of `crate::skeptic` are the
-// only places that opt back in. Every block below rests on the
-// [`SharedSlab`] contract and says which half.
+// of the intra-solve scheduler) is the only place that opts back in. Every
+// block below rests on the [`SharedSlab`] contract and says which half.
 #![allow(unsafe_code)]
 
 use crate::binary::{Btn, Parents};
@@ -126,13 +131,15 @@ pub fn resolve_parallel_with(btn: &Btn, opts: ParOptions) -> Result<Resolution> 
 /// over the same network — exactly Section 4's bulk setting, where the
 /// network is fixed and each object re-seeds the root beliefs. Plan once
 /// with [`PlannedResolver::new`], then call [`PlannedResolver::resolve`]
-/// per assignment; the per-call cost drops to the solve itself.
+/// per assignment; the per-call cost drops to the solve itself. The same
+/// plan runs Algorithm 2 ([`crate::skeptic::SkepticPlannedResolver`] wraps
+/// one).
 ///
 /// The whole-network plan is the degenerate identity case of the
 /// region-compact layer (`trustmap_graph::region`), so it shares the one
 /// planning entry point with the exact engine's dirty-region solves.
 pub struct PlannedResolver {
-    view: RegionCompactor,
+    pub(crate) view: RegionCompactor,
     plan: ShardPlan,
     nodes: usize,
 }
@@ -162,33 +169,48 @@ impl PlannedResolver {
     /// `btn` must have the same node count and trust structure the plan
     /// was built from; only its explicit (root) beliefs may differ.
     pub fn resolve(&self, btn: &Btn, threads: usize) -> Result<Resolution> {
-        assert_eq!(
-            btn.node_count(),
-            self.nodes,
-            "plan was built for a different BTN structure"
-        );
         if let Some(x) = btn.nodes().find(|&x| btn.belief(x).has_negatives()) {
             let user = btn.origin(x).unwrap_or(crate::user::User(x));
             return Err(Error::NegativeBeliefsUnsupported(user));
         }
-        let empty: Arc<[Value]> = Arc::from([] as [Value; 0]);
-        let mut poss = vec![empty; self.nodes];
-        let ctx = Ctx {
-            net: ReplayNet {
-                g: &self.view,
-                parents: &btn.parents,
-                beliefs: &btn.beliefs,
-            },
-            plan: &self.plan,
-            poss: SharedSlab::new(&mut poss),
+        let dom = BasicDomain {
+            empty: Arc::from([] as [Value; 0]),
         };
-        run_shards(&ctx, threads);
+        let poss = self.solve(btn, dom, threads);
         let reachable = poss.iter().map(|s| !s.is_empty()).collect();
         Ok(Resolution::from_parts(
             poss,
             reachable,
             self.plan.level_count(),
         ))
+    }
+
+    /// Runs the one-pass solver of `dom` over this plan with `threads`
+    /// workers: every node's representation, by BTN node id.
+    pub(crate) fn solve<D: BeliefDomain>(&self, btn: &Btn, dom: D, threads: usize) -> Vec<D::Rep> {
+        assert_eq!(
+            btn.node_count(),
+            self.nodes,
+            "plan was built for a different BTN structure"
+        );
+        let mut reps = vec![dom.empty(); self.nodes];
+        let ctx = ShardCtx {
+            net: ReplayNet {
+                g: &self.view,
+                parents: &btn.parents,
+                beliefs: &btn.beliefs,
+                dom,
+            },
+            plan: &self.plan,
+            slab: SharedSlab::new(&mut reps),
+        };
+        run_shards(
+            &self.plan,
+            threads,
+            || ReplayScratch::new(self.nodes),
+            |worker, s| ctx.solve_shard(worker, s),
+        );
+        reps
     }
 }
 
@@ -209,20 +231,99 @@ pub fn resolve_network_parallel(
 }
 
 // ---------------------------------------------------------------------------
-// Shared possible-set storage.
+// The belief domain: what differs between Algorithm 1 and Algorithm 2.
 // ---------------------------------------------------------------------------
 
-type PossSet = Arc<[Value]>;
+/// The operations where the two semantics differ. Everything else — the
+/// closed form, the replay, the store, the scratch and the shard backend —
+/// is written once over this trait. "Closed" is "non-empty" in both: a
+/// node is written only when it closes, and an unreachable node never is.
+pub(crate) trait BeliefDomain: Sized + Sync {
+    /// A node's representation: a possible set, or a `repPoss`.
+    type Rep: Clone + Send + Sync;
+    /// Worker-local scratch of this domain's floods.
+    type Scratch: Clone + std::fmt::Debug + Default;
 
-/// Raw shared view of a per-node result slab (`Arc<[Value]>` possible sets
-/// here, [`crate::skeptic::RepPoss`] representations in the skeptic
-/// pipeline).
+    /// The empty representation: an unreachable node, or an open one.
+    fn empty(&self) -> Self::Rep;
+
+    /// Whether `rep` records nothing at all.
+    fn is_empty(rep: &Self::Rep) -> bool;
+
+    /// Step 1's gate: whether a node may copy its closed preferred parent
+    /// holding `rep` (non-empty for Algorithm 1; Type 2 for Algorithm 2).
+    fn copies(rep: &Self::Rep) -> bool;
+
+    /// What a root holding `belief` holds (`None`: nothing).
+    fn root(s: &mut Self::Scratch, belief: &ExplicitBelief) -> Option<Self::Rep>;
+
+    /// The flood of `x` alone: every parent is final and Step 1 may not
+    /// copy the preferred one (`None`: nothing arrives).
+    fn join<A, S>(
+        net: &ReplayNet<'_, A, Self>,
+        store: &S,
+        s: &mut Self::Scratch,
+        x: NodeId,
+    ) -> Option<Self::Rep>
+    where
+        A: ?Sized,
+        S: Store<Self::Rep> + ?Sized;
+
+    /// Step 2's flood of the source SCC `members` — all open, all empty,
+    /// every parent outside them final — writing each member.
+    fn flood<A, S>(
+        net: &ReplayNet<'_, A, Self>,
+        store: &mut S,
+        s: &mut Self::Scratch,
+        members: &[NodeId],
+    ) where
+        A: Adjacency + ?Sized,
+        S: Store<Self::Rep> + ?Sized;
+}
+
+/// Immutable network view of the solver, indexed by BTN node id.
+pub(crate) struct ReplayNet<'a, A: ?Sized, D> {
+    /// Forward adjacency (edges parent → child).
+    pub g: &'a A,
+    /// Per-node (≤ 2) parents.
+    pub parents: &'a [Parents],
+    /// Per-node explicit beliefs (non-`None` only at roots).
+    pub beliefs: &'a [ExplicitBelief],
+    /// The belief domain, with any per-node input of its own.
+    pub dom: D,
+}
+
+/// Where the solver reads and writes representations: an exclusively
+/// borrowed slice for the incremental engines, the [`SharedSlab`] for the
+/// parallel workers.
+pub(crate) trait Store<R> {
+    /// The representation of `x`.
+    fn get(&self, x: NodeId) -> &R;
+    /// Stores the representation of `x` (the caller must own `x`'s unit).
+    fn set(&mut self, x: NodeId, rep: R);
+}
+
+impl<R> Store<R> for [R] {
+    #[inline]
+    fn get(&self, x: NodeId) -> &R {
+        &self[x as usize]
+    }
+    #[inline]
+    fn set(&mut self, x: NodeId, rep: R) {
+        self[x as usize] = rep;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Shared result storage.
+// ---------------------------------------------------------------------------
+
+/// Raw shared view of a per-node result slab.
 ///
 /// # Safety contract (upheld by the scheduler)
 ///
 /// * every node belongs to at most one shard, and only the worker holding
-///   that shard calls [`SharedSlab::write`] / [`SharedSlab::get_mut`] for
-///   it;
+///   that shard calls [`SharedSlab::write`] for it;
 /// * [`SharedSlab::read`] targets only nodes of *sealed* shards, the
 ///   worker's own shard, or never-written slots (frozen boundary /
 ///   unreachable nodes), with the happens-before edge provided by the
@@ -260,14 +361,6 @@ impl<T> SharedSlab<T> {
         *self.ptr.add(x as usize) = value;
     }
 
-    /// Mutable access to the slot of `x` (caller must own `x`'s shard).
-    #[inline]
-    #[allow(clippy::mut_from_ref)] // the slab is a cell; see safety contract
-    pub(crate) unsafe fn get_mut(&self, x: NodeId) -> &mut T {
-        debug_assert!((x as usize) < self.len);
-        &mut *self.ptr.add(x as usize)
-    }
-
     /// Prefetches the slot of `x` (a hint; no synchronization implied).
     #[inline]
     pub(crate) unsafe fn prefetch(&self, x: NodeId) {
@@ -276,72 +369,30 @@ impl<T> SharedSlab<T> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Worker-local scratch.
-// ---------------------------------------------------------------------------
+/// [`Store`] over the parallel workers' shared slab.
+///
+/// Safety: the scheduler guarantees each node is written by exactly one
+/// worker, and reads target sealed shards or the worker's own unit (see
+/// [`SharedSlab`]).
+struct SlabStore<'a, R>(&'a SharedSlab<R>);
 
-/// Interning cap: beyond this many distinct sets the cache stops growing
-/// (lookups still hit; misses allocate fresh).
-const SET_CACHE_CAP: usize = 4096;
-
-/// Content-interning cache: most possible sets repeat (domains are small
-/// relative to networks), so solves reuse one allocation per distinct set
-/// instead of allocating per node.
-type SetCache = HashMap<Vec<Value>, PossSet>;
-
-/// Per-worker scratch — allocated once per worker, reused across every
-/// unit the worker solves (no shared mutable state).
-struct Worker {
-    replay: ReplayScratch,
-    cache: SetCache,
-}
-
-/// Interns `vals` (sorted, deduplicated) in the worker cache.
-fn intern(cache: &mut SetCache, vals: &[Value]) -> PossSet {
-    if let Some(set) = cache.get(vals) {
-        return Arc::clone(set);
+impl<R> Store<R> for SlabStore<'_, R> {
+    #[inline]
+    fn get(&self, x: NodeId) -> &R {
+        // SAFETY: scheduler contract (sealed ancestors / own unit).
+        unsafe { self.0.read(x) }
     }
-    let set: PossSet = Arc::from(vals);
-    if cache.len() < SET_CACHE_CAP {
-        cache.insert(vals.to_vec(), Arc::clone(&set));
+    #[inline]
+    fn set(&mut self, x: NodeId, rep: R) {
+        // SAFETY: the worker owns every node of the unit it solves, and no
+        // unit writes a node twice.
+        unsafe { self.0.write(x, rep) }
     }
-    set
 }
 
 // ---------------------------------------------------------------------------
 // The shard scheduler.
 // ---------------------------------------------------------------------------
-
-/// Shared solving context (immutable during the parallel phase): the
-/// whole-network identity view, the BTN's parents and beliefs, the plan,
-/// and the result slab, all in global node ids.
-struct Ctx<'a> {
-    net: ReplayNet<'a, RegionCompactor>,
-    plan: &'a ShardPlan,
-    poss: SharedSlab<PossSet>,
-}
-
-/// A shard-solving backend the generic scheduler can drive.
-///
-/// Implementors own the shared result storage (through a [`SharedSlab`])
-/// and the per-unit solving semantics; the scheduler owns claiming,
-/// sealing, and the dependency-counter happens-before chain. Algorithm 1
-/// ([`Ctx`]) and Algorithm 2 ([`crate::skeptic`]'s planned resolver) are
-/// the two backends.
-pub(crate) trait ShardSolver: Sync {
-    /// Worker-local scratch, allocated once per worker thread.
-    type Worker;
-
-    /// Allocates a fresh worker scratch.
-    fn new_worker(&self) -> Self::Worker;
-
-    /// Solves every unit of shard `s`. May read the results of nodes in
-    /// sealed shards and must write each of its own nodes exactly once.
-    fn solve_shard(&self, worker: &mut Self::Worker, s: u32);
-
-    /// The plan being executed (drives the scheduler).
-    fn plan(&self) -> &ShardPlan;
-}
 
 struct Queue {
     ready: Mutex<Vec<u32>>,
@@ -357,8 +408,8 @@ struct Queue {
     aborted: AtomicBool,
 }
 
-/// Wakes every sibling when its worker unwinds, so a panicking
-/// [`ShardSolver`] surfaces as a panic of [`run_shards`] (the scope
+/// Wakes every sibling when its worker unwinds, so a panicking shard
+/// solve surfaces as a panic of [`run_shards`] (the scope
 /// re-raises it once all workers have left) instead of a hang on the
 /// ready-queue condvar.
 struct AbortOnPanic<'a>(&'a Queue);
@@ -375,18 +426,24 @@ impl Drop for AbortOnPanic<'_> {
     }
 }
 
-/// Drives every shard of `solver.plan()` to completion over `threads`
-/// workers — the generic scheduler behind both the Algorithm-1 and the
-/// Algorithm-2 (skeptic) planned resolvers.
+/// Drives every shard of `plan` to completion over `threads` workers,
+/// each with its own scratch from `new_worker`. The scheduler owns
+/// claiming, sealing, and the dependency-counter happens-before chain;
+/// `solve_shard` solves every unit of one shard, may read the results of
+/// nodes in sealed shards and must write each of its own nodes once.
 ///
 /// With `threads <= 1` the shards run inline on the caller's thread in id
 /// order (ids ascend with level, so that order is dependency-safe).
 ///
 /// # Panics
-/// Re-raises a panic of any [`ShardSolver::solve_shard`] call after every
-/// worker has stopped.
-pub(crate) fn run_shards<S: ShardSolver>(solver: &S, threads: usize) {
-    let plan = solver.plan();
+/// Re-raises a panic of any `solve_shard` call after every worker has
+/// stopped.
+pub(crate) fn run_shards<W>(
+    plan: &ShardPlan,
+    threads: usize,
+    new_worker: impl Fn() -> W + Sync,
+    solve_shard: impl Fn(&mut W, u32) + Sync,
+) {
     let nshards = plan.shard_count();
     if nshards == 0 {
         return;
@@ -394,9 +451,9 @@ pub(crate) fn run_shards<S: ShardSolver>(solver: &S, threads: usize) {
     let threads = threads.clamp(1, nshards);
 
     if threads == 1 {
-        let mut worker = solver.new_worker();
+        let mut worker = new_worker();
         for s in 0..nshards as u32 {
-            solver.solve_shard(&mut worker, s);
+            solve_shard(&mut worker, s);
         }
         return;
     }
@@ -421,7 +478,7 @@ pub(crate) fn run_shards<S: ShardSolver>(solver: &S, threads: usize) {
 
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| worker_loop(solver, &queue));
+            scope.spawn(|| worker_loop(plan, &queue, &new_worker, &solve_shard));
         }
     });
     debug_assert_eq!(queue.done.load(Ordering::Relaxed), nshards);
@@ -429,9 +486,13 @@ pub(crate) fn run_shards<S: ShardSolver>(solver: &S, threads: usize) {
 
 /// One worker: claim ready shards until every shard is sealed (or a
 /// sibling unwound).
-fn worker_loop<S: ShardSolver>(solver: &S, queue: &Queue) {
-    let plan = solver.plan();
-    let mut worker = solver.new_worker();
+fn worker_loop<W>(
+    plan: &ShardPlan,
+    queue: &Queue,
+    new_worker: &impl Fn() -> W,
+    solve_shard: &impl Fn(&mut W, u32),
+) {
+    let mut worker = new_worker();
     let _wake_siblings = AbortOnPanic(queue);
     'claims: loop {
         let s = {
@@ -450,7 +511,7 @@ fn worker_loop<S: ShardSolver>(solver: &S, queue: &Queue) {
             }
         };
 
-        solver.solve_shard(&mut worker, s);
+        solve_shard(&mut worker, s);
 
         // Seal. The `AcqRel` read-modify-write chain on each counter
         // publishes this shard's writes to whichever worker observes the
@@ -486,160 +547,113 @@ fn worker_loop<S: ShardSolver>(solver: &S, queue: &Queue) {
     }
 }
 
-impl ShardSolver for Ctx<'_> {
-    type Worker = Worker;
-
-    fn new_worker(&self) -> Worker {
-        Worker {
-            replay: ReplayScratch::new(self.poss.len),
-            cache: SetCache::new(),
-        }
-    }
-
-    fn solve_shard(&self, worker: &mut Worker, s: u32) {
-        solve_shard(self, worker, s);
-    }
-
-    fn plan(&self) -> &ShardPlan {
-        self.plan
-    }
+/// The shard backend of both semantics (immutable during the parallel
+/// phase): the whole-network identity view, the BTN's parents and
+/// beliefs, the domain, the plan, and the result slab, all in global node
+/// ids.
+struct ShardCtx<'a, D: BeliefDomain> {
+    net: ReplayNet<'a, RegionCompactor, D>,
+    plan: &'a ShardPlan,
+    slab: SharedSlab<D::Rep>,
 }
 
-/// Solves every unit of shard `s` in plan order.
-fn solve_shard(ctx: &Ctx<'_>, worker: &mut Worker, s: u32) {
-    let Worker { replay, cache } = worker;
-    let mut store = SlabPoss {
-        slab: &ctx.poss,
-        cache,
-    };
-    let parents = ctx.net.parents;
-    if ctx.plan.singleton_layout() {
-        // All-singleton plan (a self-loop can never peel, so none exist
-        // here): stream the shard's node list as a two-stage software
-        // pipeline — parents are prefetched LOOKAHEAD nodes ahead, and at
-        // half that distance (when the parents line has arrived) the
-        // parents' poss slots are prefetched in turn, so both random
-        // accesses of a node are resident when it is solved.
-        const LOOKAHEAD: usize = 8;
-        use trustmap_graph::shard::prefetch;
-        let nodes = ctx.plan.shard_nodes(s);
-        for i in 0..nodes.len() {
-            if i + LOOKAHEAD < nodes.len() {
-                prefetch(&parents[nodes[i + LOOKAHEAD] as usize]);
-            }
-            if i + LOOKAHEAD / 2 < nodes.len() {
-                for z in parents[nodes[i + LOOKAHEAD / 2] as usize].iter() {
-                    // SAFETY: a cache hint on an in-bounds slot; nothing is
-                    // read.
-                    unsafe { ctx.poss.prefetch(z) };
+impl<D: BeliefDomain> ShardCtx<'_, D> {
+    /// Solves every unit of shard `s` in plan order.
+    fn solve_shard(&self, worker: &mut ReplayScratch<D::Scratch>, s: u32) {
+        let mut store = SlabStore(&self.slab);
+        let parents = self.net.parents;
+        if self.plan.singleton_layout() {
+            // All-singleton plan (a self-loop can never peel, so none exist
+            // here): stream the shard's node list as a two-stage software
+            // pipeline — parents are prefetched LOOKAHEAD nodes ahead, and
+            // at half that distance (when the parents line has arrived) the
+            // parents' slots are prefetched in turn, so both random
+            // accesses of a node are resident when it is solved.
+            const LOOKAHEAD: usize = 8;
+            use trustmap_graph::shard::prefetch;
+            let nodes = self.plan.shard_nodes(s);
+            for i in 0..nodes.len() {
+                if i + LOOKAHEAD < nodes.len() {
+                    prefetch(&parents[nodes[i + LOOKAHEAD] as usize]);
+                }
+                if i + LOOKAHEAD / 2 < nodes.len() {
+                    for z in parents[nodes[i + LOOKAHEAD / 2] as usize].iter() {
+                        // SAFETY: a cache hint on an in-bounds slot; nothing
+                        // is read.
+                        unsafe { self.slab.prefetch(z) };
+                    }
+                }
+                if let Some(rep) = settle(&self.net, &store, &mut worker.flood, nodes[i]) {
+                    store.set(nodes[i], rep);
                 }
             }
-            solve_singleton(&ctx.net, &mut store, &mut replay.union_buf, nodes[i]);
+            return;
         }
-        return;
-    }
-    for u in ctx.plan.units(s) {
-        let members = ctx.plan.unit_members(u);
-        if let [x] = *members {
-            if !parents[x as usize].iter().any(|z| z == x) {
-                solve_singleton(&ctx.net, &mut store, &mut replay.union_buf, x);
-                continue;
+        for u in self.plan.units(s) {
+            let members = self.plan.unit_members(u);
+            // An acyclic singleton unit: every parent is final, so the
+            // closed form applies at once (the slab starts empty, so an
+            // empty result needs no write).
+            if let [x] = *members {
+                if !parents[x as usize].iter().any(|z| z == x) {
+                    if let Some(rep) = settle(&self.net, &store, &mut worker.flood, x) {
+                        store.set(x, rep);
+                    }
+                    continue;
+                }
             }
+            replay_region(&self.net, &mut store, worker, members);
         }
-        replay_region(&ctx.net, &mut store, replay, members);
     }
 }
 
-/// Closed-form solve of an acyclic singleton unit: every parent is final,
-/// so [`settle`] applies at once.
+// ---------------------------------------------------------------------------
+// The closed form and the regional replay.
+// ---------------------------------------------------------------------------
+
+/// The representation of a node whose parents will not change any more:
+/// a root's own belief, Step 1's copy of a preferred parent the domain
+/// lets it copy, else the flood of the node alone. `None` is the empty
+/// representation (the node is unreachable, or nothing arrives): its slot
+/// keeps the empty value it holds.
 ///
-/// Forced inline, with `settle`: as out-of-line calls they cost the
-/// one-pass solver about a fifth of its time on power-law networks.
+/// An empty parent is unreachable or closed on nothing, passes nothing
+/// on, and no domain lets Step 1 copy it. Forced inline, with Algorithm
+/// 1's domain operations: out of line they cost the one-pass solver about
+/// a fifth of its time on power-law networks.
 #[inline(always)]
-fn solve_singleton(
-    net: &ReplayNet<'_, RegionCompactor>,
-    store: &mut SlabPoss<'_>,
-    buf: &mut Vec<Value>,
+fn settle<A, D, S>(
+    net: &ReplayNet<'_, A, D>,
+    store: &S,
+    s: &mut D::Scratch,
     x: NodeId,
-) {
+) -> Option<D::Rep>
+where
+    A: ?Sized,
+    D: BeliefDomain,
+    S: Store<D::Rep> + ?Sized,
+{
     let xs = x as usize;
-    if let Some(set) = settle(store, &net.parents[xs], &net.beliefs[xs], buf) {
-        store.set(x, set);
+    let parents = &net.parents[xs];
+    if parents.is_root() {
+        // A beliefless root stays empty (unreachable).
+        return D::root(s, &net.beliefs[xs]);
     }
+    if let Some(z) = parents.preferred() {
+        let zrep = store.get(z);
+        if D::copies(zrep) {
+            return Some(zrep.clone());
+        }
+    }
+    D::join(net, store, s, x)
 }
 
-// ---------------------------------------------------------------------------
-// Algorithm 1's regional replay.
-// ---------------------------------------------------------------------------
-
-/// Where the regional replay reads and writes possible sets: an exclusively
-/// borrowed slice for the incremental engine, the [`SharedSlab`] for the
-/// parallel workers (as [`crate::skeptic::RepStore`] is for Algorithm 2).
-pub(crate) trait PossStore {
-    /// The possible set of `x`.
-    fn poss(&self, x: NodeId) -> &PossSet;
-    /// Stores the possible set of `x` (the caller must own `x`'s region).
-    fn set(&mut self, x: NodeId, set: PossSet);
-    /// A set holding `vals` (sorted, deduplicated).
-    fn make(&mut self, vals: &[Value]) -> PossSet {
-        Arc::from(vals)
-    }
-}
-
-impl PossStore for [PossSet] {
-    #[inline]
-    fn poss(&self, x: NodeId) -> &PossSet {
-        &self[x as usize]
-    }
-    #[inline]
-    fn set(&mut self, x: NodeId, set: PossSet) {
-        self[x as usize] = set;
-    }
-}
-
-/// [`PossStore`] over the parallel workers' shared slab, interning the
-/// sets it makes in the worker's cache.
-///
-/// Safety: the scheduler guarantees each node is written by exactly one
-/// worker, and reads target sealed shards or the worker's own unit (see
-/// [`SharedSlab`]).
-struct SlabPoss<'a> {
-    slab: &'a SharedSlab<PossSet>,
-    cache: &'a mut SetCache,
-}
-
-impl PossStore for SlabPoss<'_> {
-    #[inline]
-    fn poss(&self, x: NodeId) -> &PossSet {
-        // SAFETY: scheduler contract (sealed ancestors / own unit).
-        unsafe { self.slab.read(x) }
-    }
-    #[inline]
-    fn set(&mut self, x: NodeId, set: PossSet) {
-        // SAFETY: the worker owns every node of the unit it solves, and no
-        // unit writes a node twice.
-        unsafe { self.slab.write(x, set) }
-    }
-    fn make(&mut self, vals: &[Value]) -> PossSet {
-        intern(self.cache, vals)
-    }
-}
-
-/// Immutable network view of the replay, indexed by BTN node id.
-pub(crate) struct ReplayNet<'a, A: ?Sized> {
-    /// Forward adjacency (edges parent → child).
-    pub g: &'a A,
-    /// Per-node (≤ 2) parents.
-    pub parents: &'a [Parents],
-    /// Per-node explicit beliefs (non-`None` only at roots).
-    pub beliefs: &'a [ExplicitBelief],
-}
-
-/// Reusable node-indexed scratch of [`replay_region`] — allocated once per
-/// worker (or once per incremental engine) and reused across every region
-/// it solves.
+/// Reusable node-indexed scratch of [`replay_region`] and the shard
+/// workers — allocated once per worker (or once per incremental engine)
+/// and reused across every region it solves. `F` is the domain's own
+/// flood scratch.
 #[derive(Debug, Clone)]
-pub(crate) struct ReplayScratch {
+pub(crate) struct ReplayScratch<F> {
     /// Membership flags of the region currently being solved.
     in_region: Vec<bool>,
     /// Closed flags, valid only inside the current region.
@@ -648,11 +662,10 @@ pub(crate) struct ReplayScratch {
     worklist: Vec<NodeId>,
     is_source: Vec<bool>,
     members_buf: Vec<NodeId>,
-    union_buf: Vec<Value>,
-    empty: PossSet,
+    flood: F,
 }
 
-impl ReplayScratch {
+impl<F: Default> ReplayScratch<F> {
     /// Scratch for a graph of `n` nodes.
     pub(crate) fn new(n: usize) -> Self {
         ReplayScratch {
@@ -662,8 +675,7 @@ impl ReplayScratch {
             worklist: Vec::new(),
             is_source: Vec::new(),
             members_buf: Vec::new(),
-            union_buf: Vec::new(),
-            empty: Arc::from([] as [Value; 0]),
+            flood: F::default(),
         }
     }
 
@@ -681,103 +693,35 @@ impl ReplayScratch {
     }
 }
 
-/// Algorithm 1's set for a node whose parents will not change any more:
-/// Step 1's copy of a non-empty preferred parent, else the flood of the
-/// node alone — the union of its parents' sets — and at a root its own
-/// belief. `None` is the empty set (the node is unreachable): its slot
-/// keeps the empty set it holds.
+/// The Step-1/Step-2 alternation restricted to `members`, with every node
+/// outside them final. This is the one regional replay of the codebase:
+/// the one-pass solver's cyclic units (outside nodes are sealed ancestor
+/// units) and both incremental engines' dirty regions (outside nodes are
+/// clean, at their cached representations) run it, for either domain.
 ///
-/// An empty parent is unreachable (Algorithm 1 never closes it) and passes
-/// nothing on, which is why Step 1 must not copy from it.
-#[inline(always)]
-fn settle<S: PossStore + ?Sized>(
-    store: &mut S,
-    parents: &Parents,
-    belief: &ExplicitBelief,
-    buf: &mut Vec<Value>,
-) -> Option<PossSet> {
-    if parents.is_root() {
-        // A believing root; beliefless roots stay empty (unreachable).
-        return belief.positive().map(|v| store.make(&[v]));
-    }
-    if let Some(z) = parents.preferred() {
-        if !store.poss(z).is_empty() {
-            return Some(Arc::clone(store.poss(z)));
-        }
-    }
-    // Reuse an existing allocation whenever one side is redundant.
-    let mut live = parents.iter().filter(|&z| !store.poss(z).is_empty());
-    let a = live.next()?;
-    let Some(b) = live.next() else {
-        return Some(Arc::clone(store.poss(a)));
-    };
-    let (sa, sb) = (store.poss(a), store.poss(b));
-    if Arc::ptr_eq(sa, sb) {
-        return Some(Arc::clone(sa));
-    }
-    merge_sorted(sa, sb, buf);
-    if buf.as_slice() == sa.as_ref() {
-        return Some(Arc::clone(sa));
-    }
-    if buf.as_slice() == sb.as_ref() {
-        return Some(Arc::clone(sb));
-    }
-    Some(store.make(buf))
-}
-
-/// Merges two sorted deduplicated slices into `out` (cleared first).
-fn merge_sorted(a: &[Value], b: &[Value], out: &mut Vec<Value>) {
-    out.clear();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-}
-
-/// Algorithm 1's Step-1/Step-2 alternation restricted to `members`, with
-/// every node outside them final. This is the one regional replay of the
-/// codebase: the parallel solver's cyclic units (outside nodes are sealed
-/// ancestor units) and the incremental engine's dirty regions (outside
-/// nodes are clean, at their cached sets) both run it.
-///
-/// It keeps the one-pass solver's invariant: a node is closed and
-/// reachable iff its set is non-empty. Members are reset to the empty set
-/// first and written only when they close, so one emptiness test decides
-/// Step 1 inside the region and out. Reachability is never computed: an
+/// It keeps the one-pass invariant: a node is closed and reachable iff
+/// its representation is non-empty. Members are reset to empty first and
+/// written only when they close, so the domain's Step-1 test decides
+/// inside the region and out. Reachability is never computed: an
 /// unreachable member closes empty when its parents have all closed, or
 /// with its flood. A cyclic unit is all-reachable or all-unreachable, but
-/// a dirty region is not, so a child whose preferred parent closed empty
-/// waits for the flood of its own SCC, where its other parents count.
+/// a dirty region is not, so a child whose preferred parent Step 1 may not
+/// copy waits for the flood of its own SCC, where its other parents count.
 ///
 /// A member whose parents have all closed is a source SCC on its own and
-/// is flooded at once (the batched Step 2 of
-/// [`crate::resolution::resolve_with`] would flood it in its next round),
+/// is flooded at once through [`settle`] (belief roots included; the
+/// printed algorithms' batched Step 2 would flood it in its next round),
 /// so chains of unreachable members cost no condensation rounds. On return
 /// every member is closed and the scratch flags are clean.
-pub(crate) fn replay_region<A, S>(
-    net: &ReplayNet<'_, A>,
+pub(crate) fn replay_region<A, D, S>(
+    net: &ReplayNet<'_, A, D>,
     store: &mut S,
-    scratch: &mut ReplayScratch,
+    scratch: &mut ReplayScratch<D::Scratch>,
     members: &[NodeId],
 ) where
     A: Adjacency + ?Sized,
-    S: PossStore + ?Sized,
+    D: BeliefDomain,
+    S: Store<D::Rep> + ?Sized,
 {
     let ReplayScratch {
         in_region,
@@ -786,13 +730,12 @@ pub(crate) fn replay_region<A, S>(
         worklist,
         is_source,
         members_buf,
-        union_buf,
-        empty,
+        flood,
     } = scratch;
     for &x in members {
         in_region[x as usize] = true;
         debug_assert!(!closed[x as usize], "closed flags must start clean");
-        store.set(x, Arc::clone(empty));
+        store.set(x, net.dom.empty());
     }
     let mut open_left = members.len();
     worklist.clear();
@@ -807,9 +750,7 @@ pub(crate) fn replay_region<A, S>(
                 continue;
             }
             let parents = &net.parents[xs];
-            let copies = parents
-                .preferred()
-                .is_some_and(|z| !store.poss(z).is_empty());
+            let copies = parents.preferred().is_some_and(|z| D::copies(store.get(z)));
             if !copies
                 && parents
                     .iter()
@@ -817,8 +758,8 @@ pub(crate) fn replay_region<A, S>(
             {
                 continue;
             }
-            if let Some(set) = settle(store, parents, &net.beliefs[xs], union_buf) {
-                store.set(x, set);
+            if let Some(rep) = settle(net, store, flood, x) {
+                store.set(x, rep);
             }
             closed[xs] = true;
             open_left -= 1;
@@ -856,23 +797,16 @@ pub(crate) fn replay_region<A, S>(
             flooded += 1;
             members_buf.clear();
             members_buf.extend_from_slice(scc.members(sub));
-            // possS = union of all closed parents' sets, snapshotted
-            // before any member closes. Open members and unreachable nodes
-            // hold empty sets, so the plain union over every parent is
-            // exactly the union over the closed ones.
-            let mut union: BTreeSet<Value> = BTreeSet::new();
+            // Open members hold the empty representation, so a non-empty
+            // parent is closed: the flood joins exactly the closed parents.
+            debug_assert!(members_buf.iter().all(|&x| {
+                D::is_empty(store.get(x))
+                    && net.parents[x as usize].iter().all(|z| {
+                        !in_region[z as usize] || closed[z as usize] || D::is_empty(store.get(z))
+                    })
+            }));
+            D::flood(net, store, flood, members_buf);
             for &x in members_buf.iter() {
-                for z in net.parents[x as usize].iter() {
-                    union.extend(store.poss(z).iter().copied());
-                }
-            }
-            union_buf.clear();
-            union_buf.extend(union);
-            let set = (!union_buf.is_empty()).then(|| store.make(union_buf));
-            for &x in members_buf.iter() {
-                if let Some(set) = &set {
-                    store.set(x, Arc::clone(set));
-                }
                 closed[x as usize] = true;
                 open_left -= 1;
             }
@@ -894,6 +828,162 @@ pub(crate) fn replay_region<A, S>(
         in_region[x as usize] = false;
         closed[x as usize] = false;
     }
+}
+
+// ---------------------------------------------------------------------------
+// Algorithm 1's domain: possible sets.
+// ---------------------------------------------------------------------------
+
+type PossSet = Arc<[Value]>;
+
+/// Algorithm 1's belief domain: a node holds its possible set, sorted and
+/// shared by `Arc`. Step 1 copies any non-empty preferred parent, and a
+/// flood is the sorted union of the closed parents' sets.
+pub(crate) struct BasicDomain {
+    /// The one empty set every open or unreachable node shares.
+    pub(crate) empty: PossSet,
+}
+
+/// Interning cap: beyond this many distinct sets the cache stops growing
+/// (lookups still hit; misses allocate fresh).
+const SET_CACHE_CAP: usize = 4096;
+
+/// Content-interning cache: most possible sets repeat (domains are small
+/// relative to networks), so solves reuse one allocation per distinct set
+/// instead of allocating per node.
+type SetCache = HashMap<Vec<Value>, PossSet>;
+
+/// [`BasicDomain`]'s flood scratch: the merge buffer and the interning
+/// cache. No node-indexed arrays.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BasicScratch {
+    buf: Vec<Value>,
+    cache: SetCache,
+}
+
+/// Interns `vals` (sorted, deduplicated) in the worker cache.
+fn intern(cache: &mut SetCache, vals: &[Value]) -> PossSet {
+    if let Some(set) = cache.get(vals) {
+        return Arc::clone(set);
+    }
+    let set: PossSet = Arc::from(vals);
+    if cache.len() < SET_CACHE_CAP {
+        cache.insert(vals.to_vec(), Arc::clone(&set));
+    }
+    set
+}
+
+impl BeliefDomain for BasicDomain {
+    type Rep = PossSet;
+    type Scratch = BasicScratch;
+
+    #[inline]
+    fn empty(&self) -> PossSet {
+        Arc::clone(&self.empty)
+    }
+
+    #[inline(always)]
+    fn is_empty(rep: &PossSet) -> bool {
+        rep.is_empty()
+    }
+
+    #[inline(always)]
+    fn copies(rep: &PossSet) -> bool {
+        !rep.is_empty()
+    }
+
+    #[inline(always)]
+    fn root(s: &mut BasicScratch, belief: &ExplicitBelief) -> Option<PossSet> {
+        belief.positive().map(|v| intern(&mut s.cache, &[v]))
+    }
+
+    /// The union of the parents' sets, reusing an existing allocation
+    /// whenever one side is redundant.
+    #[inline(always)]
+    fn join<A, S>(
+        net: &ReplayNet<'_, A, Self>,
+        store: &S,
+        s: &mut BasicScratch,
+        x: NodeId,
+    ) -> Option<PossSet>
+    where
+        A: ?Sized,
+        S: Store<PossSet> + ?Sized,
+    {
+        let mut live = net.parents[x as usize]
+            .iter()
+            .filter(|&z| !store.get(z).is_empty());
+        let a = live.next()?;
+        let Some(b) = live.next() else {
+            return Some(Arc::clone(store.get(a)));
+        };
+        let (sa, sb) = (store.get(a), store.get(b));
+        if Arc::ptr_eq(sa, sb) {
+            return Some(Arc::clone(sa));
+        }
+        merge_sorted(sa, sb, &mut s.buf);
+        if s.buf.as_slice() == sa.as_ref() {
+            return Some(Arc::clone(sa));
+        }
+        if s.buf.as_slice() == sb.as_ref() {
+            return Some(Arc::clone(sb));
+        }
+        Some(intern(&mut s.cache, &s.buf))
+    }
+
+    /// possS = the union of all closed parents' sets. Open members and
+    /// unreachable nodes hold empty sets, so the plain union over every
+    /// parent is exactly the union over the closed ones.
+    fn flood<A, S>(
+        net: &ReplayNet<'_, A, Self>,
+        store: &mut S,
+        s: &mut BasicScratch,
+        members: &[NodeId],
+    ) where
+        A: Adjacency + ?Sized,
+        S: Store<PossSet> + ?Sized,
+    {
+        let mut union: BTreeSet<Value> = BTreeSet::new();
+        for &x in members {
+            for z in net.parents[x as usize].iter() {
+                union.extend(store.get(z).iter().copied());
+            }
+        }
+        if union.is_empty() {
+            return;
+        }
+        s.buf.clear();
+        s.buf.extend(union);
+        let set = intern(&mut s.cache, &s.buf);
+        for &x in members {
+            store.set(x, Arc::clone(&set));
+        }
+    }
+}
+
+/// Merges two sorted deduplicated slices into `out` (cleared first).
+fn merge_sorted(a: &[Value], b: &[Value], out: &mut Vec<Value>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                out.push(b[j]);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
 }
 
 #[cfg(test)]
@@ -1111,20 +1201,9 @@ mod tests {
 
     #[test]
     fn a_panicking_shard_panics_run_shards_instead_of_hanging() {
-        /// Eight independent one-node shards; shard 0 panics. Its
-        /// siblings drain the other seven and would then wait forever for
-        /// `done` to reach 8.
-        struct Bomb(ShardPlan);
-        impl ShardSolver for Bomb {
-            type Worker = ();
-            fn new_worker(&self) {}
-            fn solve_shard(&self, _: &mut (), s: u32) {
-                assert_ne!(s, 0, "shard 0 blows up");
-            }
-            fn plan(&self) -> &ShardPlan {
-                &self.0
-            }
-        }
+        // Eight independent one-node shards; shard 0 panics. Its
+        // siblings drain the other seven and would then wait forever for
+        // `done` to reach 8.
         let g = trustmap_graph::Csr::from_digraph(&trustmap_graph::DiGraph::new(8));
         let plan = ShardPlan::build(
             &g,
@@ -1138,7 +1217,9 @@ mod tests {
         assert_eq!(plan.shard_count(), 8);
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let outcome = std::panic::catch_unwind(|| run_shards(&Bomb(plan), 4));
+            let outcome = std::panic::catch_unwind(|| {
+                run_shards(&plan, 4, || (), |_, s| assert_ne!(s, 0, "shard 0 blows up"))
+            });
             let _ = tx.send(outcome.is_err());
         });
         let panicked = rx

@@ -34,29 +34,25 @@
 //!
 //! ### Plan/solve form
 //!
-//! [`resolve_skeptic`] is the sequential reference. A node's `repPoss`
-//! depends only on its ancestors, so [`SkepticPlannedResolver`] solves
-//! the condensation units of [`crate::parallel`]'s shard plan in order:
-//! a singleton unit in closed form, a cyclic unit by the regional
-//! Step-1/Step-2 replay that also re-solves
-//! [`crate::skeptic_incremental`]'s dirty regions. Neither computes
-//! reachability: a final node counts as closed iff its representation is
-//! non-empty. Results equal [`resolve_skeptic`] at every thread count
+//! [`resolve_skeptic`] is the sequential reference. The production
+//! solvers — [`SkepticPlannedResolver`] and
+//! [`crate::skeptic_incremental`] — run [`crate::parallel`]'s one-pass
+//! core in `SkepticDomain`, which supplies only what Algorithm 2 does
+//! differently: roots carry their constraints, Step 1 copies only a
+//! Type-2 parent, and a flood blocks positives into ⊥ through `prefNeg`.
+//! Results equal [`resolve_skeptic`] at every thread count
 //! (`tests/skeptic_oracle.rs`).
 
 use crate::binary::{Btn, Parents};
-use crate::compact::plan_whole;
 use crate::cow::CowTable;
 use crate::error::{Error, Result};
-use crate::parallel::{run_shards, ParOptions, ShardSolver, SharedSlab};
+use crate::parallel::{BeliefDomain, ParOptions, PlannedResolver, ReplayNet, Store};
 use crate::signed::{BeliefSet, ExplicitBelief, NegSet};
 use crate::user::User;
 use crate::value::Value;
 use std::collections::BTreeSet;
-use trustmap_graph::shard::PlanScratch;
 use trustmap_graph::{
     reach::reachable_from_many, tarjan_scc_filtered, Adjacency, Condensation, NodeId,
-    RegionCompactor, SccScratch, ShardPlan,
 };
 
 /// The representation of the possible beliefs of one node.
@@ -404,129 +400,34 @@ pub fn resolve_skeptic(btn: &Btn) -> Result<SkepticResolution> {
 }
 
 // ---------------------------------------------------------------------------
-// Shared regional machinery: the Step-1/Step-2 replay both the sharded and
-// the incremental skeptic engines run on a node region whose external
-// ancestors are final.
+// Algorithm 2's belief domain for the one-pass solver.
 // ---------------------------------------------------------------------------
 
-/// Immutable network view the skeptic solvers share: forward adjacency,
-/// parent structure, explicit beliefs and the preprocessing `prefNeg`,
-/// all indexed by BTN node id.
-pub(crate) struct SkepticNet<'a, A: ?Sized> {
-    /// Forward adjacency (edges parent → child).
-    pub g: &'a A,
-    /// Per-node (≤ 2) parents.
-    pub parents: &'a [Parents],
-    /// Per-node explicit beliefs (non-`None` only at roots).
-    pub beliefs: &'a [ExplicitBelief],
+/// Algorithm 2's belief domain of [`crate::parallel`]'s one-pass core: a
+/// node holds its `repPoss`, Step 1 copies only a Type-2 preferred parent
+/// (Appendix B.7), and a flood turns a positive that a member's own
+/// `prefNeg` blocks into ⊥ — the per-(entry, value) S′ walk. The
+/// preprocessing `prefNeg` is this domain's own per-node input.
+pub(crate) struct SkepticDomain<'a> {
     /// Explicit negatives forced through preferred chains (preprocessing).
     pub pref_neg: &'a [NegSet],
 }
 
-/// Read/write access to the per-node `repPoss` slab — a plain mutable
-/// slice for the incremental engine, the [`SharedSlab`] for the parallel
-/// workers.
-pub(crate) trait RepStore {
-    /// The representation of `x`.
-    fn rep(&self, x: NodeId) -> &RepPoss;
-    /// Mutable representation of `x` (the caller must own `x`'s region).
-    fn rep_mut(&mut self, x: NodeId) -> &mut RepPoss;
-}
-
-/// [`RepStore`] over an exclusively borrowed slice.
-pub(crate) struct VecStore<'a>(pub &'a mut [RepPoss]);
-
-impl RepStore for VecStore<'_> {
-    #[inline]
-    fn rep(&self, x: NodeId) -> &RepPoss {
-        &self.0[x as usize]
-    }
-    #[inline]
-    fn rep_mut(&mut self, x: NodeId) -> &mut RepPoss {
-        &mut self.0[x as usize]
-    }
-}
-
-/// [`RepStore`] over the parallel workers' shared slab.
-///
-/// Safety: the scheduler guarantees each node is written by exactly one
-/// worker, and reads target sealed shards or the worker's own region (see
-/// [`SharedSlab`]).
-struct SlabStore<'a>(&'a SharedSlab<RepPoss>);
-
-#[allow(unsafe_code)]
-impl RepStore for SlabStore<'_> {
-    #[inline]
-    fn rep(&self, x: NodeId) -> &RepPoss {
-        // SAFETY: scheduler contract (sealed ancestors / own region).
-        unsafe { self.0.read(x) }
-    }
-    #[inline]
-    fn rep_mut(&mut self, x: NodeId) -> &mut RepPoss {
-        // SAFETY: the worker owns every node of the region it solves.
-        unsafe { self.0.get_mut(x) }
-    }
-}
-
-/// Reusable node-indexed scratch for regional skeptic solves — allocated
-/// once per worker (or once per incremental engine) and reused across
-/// every region it solves.
-#[derive(Debug, Clone)]
+/// [`SkepticDomain`]'s flood scratch — the S′ walk's node-indexed stamp
+/// arrays and its buffers — kept per worker (or per incremental engine).
+/// The stamp arrays grow at the first flood that needs them, so a solve
+/// without cyclic units never allocates them.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct SkepticScratch {
-    /// Membership flags of the region currently being solved.
-    in_region: Vec<bool>,
-    /// Closed flags, valid only inside the current region.
-    closed: Vec<bool>,
     /// Epoch-stamped visited marks of the per-(entry, value) S′ floods.
     mark: Vec<u32>,
     /// Epoch-stamped membership of the component currently flooding.
     in_comp: Vec<u32>,
     /// Current epoch for `mark` / `in_comp` (0 = never stamped).
     epoch: u32,
-    scc: SccScratch,
-    worklist: Vec<NodeId>,
     queue: Vec<NodeId>,
-    is_source: Vec<bool>,
-    members_buf: Vec<NodeId>,
     entries_buf: Vec<NodeId>,
     adds: Vec<RepPoss>,
-}
-
-impl SkepticScratch {
-    /// Scratch for a graph of `n` nodes.
-    pub(crate) fn new(n: usize) -> Self {
-        SkepticScratch {
-            in_region: vec![false; n],
-            closed: vec![false; n],
-            mark: vec![0; n],
-            in_comp: vec![0; n],
-            epoch: 0,
-            scc: SccScratch::new(),
-            worklist: Vec::new(),
-            queue: Vec::new(),
-            is_source: Vec::new(),
-            members_buf: Vec::new(),
-            entries_buf: Vec::new(),
-            adds: Vec::new(),
-        }
-    }
-
-    /// Grows the node-indexed arrays to cover `n` nodes.
-    pub(crate) fn grow(&mut self, n: usize) {
-        self.in_region.resize(n, false);
-        self.closed.resize(n, false);
-        self.mark.resize(n, 0);
-        self.in_comp.resize(n, 0);
-    }
-
-    /// Reserves room for `additional` more nodes in the node-indexed
-    /// arrays.
-    pub(crate) fn reserve(&mut self, additional: usize) {
-        self.in_region.reserve_exact(additional);
-        self.closed.reserve_exact(additional);
-        self.mark.reserve_exact(additional);
-        self.in_comp.reserve_exact(additional);
-    }
 }
 
 /// Bumps the epoch counter, clearing the stamp arrays on (astronomically
@@ -541,27 +442,30 @@ fn next_epoch(epoch: &mut u32, mark: &mut [u32], in_comp: &mut [u32]) -> u32 {
     *epoch
 }
 
-/// Algorithm 2's representation for a node whose parents will not change
-/// any more: a root's own belief, Step 1's copy of a Type-2 preferred
-/// parent, else the Step-2 flood of the node alone — every parent's
-/// representation, with a positive that the node's own `prefNeg` blocks
-/// turned into ⊥ (S′ excludes the node).
-///
-/// An empty parent passes nothing on and is never Type 2, so it needs no
-/// test of its own: it is unreachable (never closed) or closed on nothing
-/// (a `Negs(∅)` root and its pure descendants), and Algorithm 2 treats
-/// both alike. Forced inline, as [`crate::parallel`]'s `settle` is: the
-/// one-pass solver calls it once per singleton unit.
-#[inline(always)]
-fn settle<R: RepStore>(
-    store: &R,
-    parents: &Parents,
-    belief: &ExplicitBelief,
-    pref_neg: &NegSet,
-) -> RepPoss {
-    let mut rep = RepPoss::empty();
-    if parents.is_root() {
-        // A beliefless root stays empty (unreachable).
+impl BeliefDomain for SkepticDomain<'_> {
+    type Rep = RepPoss;
+    type Scratch = SkepticScratch;
+
+    fn empty(&self) -> RepPoss {
+        RepPoss::empty()
+    }
+
+    fn is_empty(rep: &RepPoss) -> bool {
+        rep.is_empty()
+    }
+
+    /// A Type-1 (negative-only) parent cannot stop positives arriving later
+    /// over the non-preferred edge, so the node must wait for Step 2.
+    #[inline(always)]
+    fn copies(rep: &RepPoss) -> bool {
+        rep.is_type2()
+    }
+
+    /// Positive roots carry their value, negative roots their constraint
+    /// (see the fidelity notes).
+    #[inline(always)]
+    fn root(_s: &mut SkepticScratch, belief: &ExplicitBelief) -> Option<RepPoss> {
+        let mut rep = RepPoss::empty();
         match belief {
             ExplicitBelief::Pos(v) => {
                 rep.pos.insert(*v);
@@ -569,243 +473,136 @@ fn settle<R: RepStore>(
             ExplicitBelief::Negs(neg) => rep.neg = neg.clone(),
             ExplicitBelief::None => {}
         }
-        return rep;
+        (!rep.is_empty()).then_some(rep)
     }
-    if let Some(z) = parents.preferred() {
-        let zrep = store.rep(z);
-        if zrep.is_type2() {
-            return zrep.clone();
-        }
-    }
-    for z in parents.iter() {
-        let zrep = store.rep(z);
-        for &v in &zrep.pos {
-            if pref_neg.contains(v) {
-                rep.bottom = true;
-            } else {
-                rep.pos.insert(v);
-            }
-        }
-        rep.neg = rep.neg.union(&zrep.neg);
-        rep.bottom |= zrep.bottom;
-    }
-    rep
-}
 
-/// Algorithm 2's Step-1/Step-2 alternation restricted to `members`, with
-/// every node outside them final. This is the shared regional semantics
-/// of the parallel cyclic units (outside nodes are sealed ancestor units)
-/// and of the incremental dirty regions (outside nodes are clean, at
-/// their cached representations).
-///
-/// It keeps the one-pass invariant of [`crate::parallel::replay_region`]:
-/// members are reset to empty and written only when they close, so a
-/// final node is closed iff its representation is non-empty, and Step 1
-/// needs only the Type-2 test. Reachability is never computed. A member
-/// whose parents have all closed is flooded at once through [`settle`]
-/// (belief roots included); a dirty region mixes reachable and
-/// unreachable members, so a member whose preferred parent closed empty
-/// waits for its own flood, where its other parent counts. On return
-/// every member is closed and the scratch flags are clean.
-pub(crate) fn solve_skeptic_region<A, R>(
-    net: &SkepticNet<'_, A>,
-    store: &mut R,
-    scratch: &mut SkepticScratch,
-    members: &[NodeId],
-) where
-    A: Adjacency + ?Sized,
-    R: RepStore,
-{
-    let SkepticScratch {
-        in_region,
-        closed,
-        mark,
-        in_comp,
-        epoch,
-        scc,
-        worklist,
-        queue,
-        is_source,
-        members_buf,
-        entries_buf,
-        adds,
-    } = scratch;
-    for &x in members {
-        in_region[x as usize] = true;
-        debug_assert!(!closed[x as usize], "closed flags must start clean");
-        *store.rep_mut(x) = RepPoss::empty();
-    }
-    let mut open_left = members.len();
-    worklist.clear();
-    worklist.extend_from_slice(members);
-
-    loop {
-        // (S1) Preferred copies — only from Type-2 parents (Appendix B.7) —
-        // and the floods of members whose parents have all closed. A
-        // Type-1 or empty preferred parent leaves the node open.
-        while let Some(x) = worklist.pop() {
-            let xs = x as usize;
-            if closed[xs] {
-                continue;
+    /// Every parent's representation, with a positive that the node's own
+    /// `prefNeg` blocks turned into ⊥ (S′ excludes the node).
+    #[inline(always)]
+    fn join<A, S>(
+        net: &ReplayNet<'_, A, Self>,
+        store: &S,
+        _s: &mut SkepticScratch,
+        x: NodeId,
+    ) -> Option<RepPoss>
+    where
+        A: ?Sized,
+        S: Store<RepPoss> + ?Sized,
+    {
+        let pref_neg = &net.dom.pref_neg[x as usize];
+        let mut rep = RepPoss::empty();
+        for z in net.parents[x as usize].iter() {
+            let zrep = store.get(z);
+            for &v in &zrep.pos {
+                if pref_neg.contains(v) {
+                    rep.bottom = true;
+                } else {
+                    rep.pos.insert(v);
+                }
             }
-            let parents = &net.parents[xs];
-            let copies = parents.preferred().is_some_and(|z| store.rep(z).is_type2());
-            if !copies
-                && parents
+            rep.neg = rep.neg.union(&zrep.neg);
+            rep.bottom |= zrep.bottom;
+        }
+        (!rep.is_empty()).then_some(rep)
+    }
+
+    /// Each entry (a closed parent with an edge into S) passes its
+    /// negatives and ⊥ to every member, and each of its positives `v` to
+    /// the members it reaches through S′ = S minus the nodes whose
+    /// `prefNeg` forces `v−`; the others get ⊥.
+    fn flood<A, S>(
+        net: &ReplayNet<'_, A, Self>,
+        store: &mut S,
+        s: &mut SkepticScratch,
+        members: &[NodeId],
+    ) where
+        A: Adjacency + ?Sized,
+        S: Store<RepPoss> + ?Sized,
+    {
+        let SkepticScratch {
+            mark,
+            in_comp,
+            epoch,
+            queue,
+            entries_buf,
+            adds,
+        } = s;
+        let pref_neg = net.dom.pref_neg;
+        if mark.len() < pref_neg.len() {
+            mark.resize(pref_neg.len(), 0);
+            in_comp.resize(pref_neg.len(), 0);
+        }
+        let comp_stamp = next_epoch(epoch, mark, in_comp);
+        for &x in members {
+            in_comp[x as usize] = comp_stamp;
+        }
+
+        // The entries are the members' non-empty parents: open members are
+        // still empty, and an empty closed node would add nothing.
+        entries_buf.clear();
+        for &x in members {
+            entries_buf.extend(
+                net.parents[x as usize]
                     .iter()
-                    .any(|z| in_region[z as usize] && !closed[z as usize])
-            {
-                continue;
-            }
-            let rep = settle(store, parents, &net.beliefs[xs], &net.pref_neg[xs]);
-            *store.rep_mut(x) = rep;
-            closed[xs] = true;
-            open_left -= 1;
-            worklist.extend(
-                net.g
-                    .neighbors(x)
-                    .filter(|&w| in_region[w as usize] && !closed[w as usize]),
+                    .filter(|&z| !store.get(z).is_empty()),
             );
         }
-        if open_left == 0 {
-            break;
-        }
+        entries_buf.sort_unstable();
+        entries_buf.dedup();
 
-        // (S2) Condense the open members and flood the source sub-SCCs.
-        scc.run(net.g, members.iter().copied(), |v| {
-            in_region[v as usize] && !closed[v as usize]
-        });
-        let comp_count = scc.count();
-        is_source.clear();
-        is_source.resize(comp_count, true);
-        for &x in scc.visited() {
-            let cx = scc.comp_of(x).expect("visited");
-            for z in net.parents[x as usize].iter() {
-                if in_region[z as usize] && !closed[z as usize] && scc.comp_of(z) != Some(cx) {
-                    is_source[cx as usize] = false;
-                }
-            }
-        }
-
-        let mut flooded = 0usize;
-        for c in 0..comp_count as u32 {
-            if !is_source[c as usize] {
-                continue;
-            }
-            flooded += 1;
-            members_buf.clear();
-            members_buf.extend_from_slice(scc.members(c));
-            let comp_stamp = next_epoch(epoch, mark, in_comp);
-            for &x in members_buf.iter() {
-                in_comp[x as usize] = comp_stamp;
-            }
-
-            // Closed nodes with edges into S: its non-empty parents. S is
-            // a source, so they are outside nodes and members closed in
-            // earlier rounds; open members are still empty, and an empty
-            // closed node would add nothing.
-            entries_buf.clear();
-            for &x in members_buf.iter() {
-                for z in net.parents[x as usize].iter() {
-                    if !store.rep(z).is_empty() {
-                        debug_assert!(!in_region[z as usize] || closed[z as usize]);
-                        entries_buf.push(z);
+        // Collect every entry's additions before writing any member.
+        adds.clear();
+        adds.resize(members.len(), RepPoss::default());
+        for &zj in entries_buf.iter() {
+            let zrep = store.get(zj);
+            for &v in zrep.pos.iter() {
+                // If nothing in S blocks v, the flood is total and the
+                // search through S′ is skipped.
+                let any_blocked = members.iter().any(|&x| pref_neg[x as usize].contains(v));
+                if !any_blocked {
+                    for a in adds.iter_mut() {
+                        a.pos.insert(v);
                     }
+                    continue;
                 }
-            }
-            entries_buf.sort_unstable();
-            entries_buf.dedup();
-
-            // Collect updates first (representations of members must not
-            // change while other entries are still being processed).
-            adds.clear();
-            adds.resize(members_buf.len(), RepPoss::default());
-            for &zj in entries_buf.iter() {
-                let zrep = store.rep(zj).clone();
-                for &v in &zrep.pos {
-                    // S′ = S minus nodes whose preferred side forces v−.
-                    // If nothing in S blocks v, the flood is total and the
-                    // search through S′ is skipped.
-                    let any_blocked = members_buf
-                        .iter()
-                        .any(|&x| net.pref_neg[x as usize].contains(v));
-                    if !any_blocked {
-                        for a in adds.iter_mut() {
-                            a.pos.insert(v);
-                        }
-                        continue;
-                    }
-                    let bfs = next_epoch(epoch, mark, in_comp);
-                    queue.clear();
-                    for w in net.g.neighbors(zj) {
+                let bfs = next_epoch(epoch, mark, in_comp);
+                queue.clear();
+                queue.push(zj);
+                while let Some(u) = queue.pop() {
+                    for w in net.g.neighbors(u) {
                         let ws = w as usize;
-                        if in_comp[ws] == comp_stamp
-                            && !net.pref_neg[ws].contains(v)
-                            && mark[ws] != bfs
+                        if in_comp[ws] == comp_stamp && !pref_neg[ws].contains(v) && mark[ws] != bfs
                         {
                             mark[ws] = bfs;
                             queue.push(w);
                         }
                     }
-                    while let Some(u) = queue.pop() {
-                        for w in net.g.neighbors(u) {
-                            let ws = w as usize;
-                            if in_comp[ws] == comp_stamp
-                                && !net.pref_neg[ws].contains(v)
-                                && mark[ws] != bfs
-                            {
-                                mark[ws] = bfs;
-                                queue.push(w);
-                            }
-                        }
-                    }
-                    for (i, &x) in members_buf.iter().enumerate() {
-                        if mark[x as usize] == bfs {
-                            adds[i].pos.insert(v);
-                        } else {
-                            adds[i].bottom = true;
-                        }
+                }
+                for (i, &x) in members.iter().enumerate() {
+                    if mark[x as usize] == bfs {
+                        adds[i].pos.insert(v);
+                    } else {
+                        adds[i].bottom = true;
                     }
                 }
-                for a in adds.iter_mut() {
-                    a.neg = a.neg.union(&zrep.neg);
-                    a.bottom |= zrep.bottom;
-                }
             }
-
-            for (i, &x) in members_buf.iter().enumerate() {
-                let r = store.rep_mut(x);
-                r.pos.extend(adds[i].pos.iter().copied());
-                r.neg = r.neg.union(&adds[i].neg);
-                r.bottom |= adds[i].bottom;
-                closed[x as usize] = true;
-                open_left -= 1;
-            }
-            for &x in members_buf.iter() {
-                worklist.extend(
-                    net.g
-                        .neighbors(x)
-                        .filter(|&w| in_region[w as usize] && !closed[w as usize]),
-                );
+            for a in adds.iter_mut() {
+                a.neg = a.neg.union(&zrep.neg);
+                a.bottom |= zrep.bottom;
             }
         }
-        // A finite open region always has a source SCC.
-        assert!(flooded > 0, "no source sub-SCC in open skeptic region");
-    }
-
-    // Restore the all-clean flag invariant for the next region.
-    for &x in members {
-        in_region[x as usize] = false;
-        closed[x as usize] = false;
+        for (i, &x) in members.iter().enumerate() {
+            store.set(x, std::mem::take(&mut adds[i]));
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
-// The condensation-sharded parallel skeptic resolver.
+// The planned resolver.
 // ---------------------------------------------------------------------------
 
-/// A reusable shard schedule for Algorithm 2 over one BTN *structure* —
-/// the skeptic counterpart of [`crate::parallel::PlannedResolver`].
+/// A reusable shard schedule for Algorithm 2 over one BTN *structure*: a
+/// [`PlannedResolver`] run in Algorithm 2's belief domain.
 ///
 /// The plan depends only on the trust edges, never on the explicit
 /// beliefs, so one plan serves any number of (sign-compatible) belief
@@ -813,16 +610,11 @@ pub(crate) fn solve_skeptic_region<A, R>(
 /// this for few-objects signed bulk workloads. Plan once with
 /// [`SkepticPlannedResolver::new`], then call
 /// [`SkepticPlannedResolver::resolve`] per assignment.
-pub struct SkepticPlannedResolver {
-    view: RegionCompactor,
-    plan: ShardPlan,
-    nodes: usize,
-}
+pub struct SkepticPlannedResolver(PlannedResolver);
 
 impl SkepticPlannedResolver {
-    /// Plans the condensation shards of `btn`'s structure through the
-    /// degenerate whole-graph region view. Fails like [`resolve_skeptic`]
-    /// on tied priorities.
+    /// Plans the condensation shards of `btn`'s structure. Fails like
+    /// [`resolve_skeptic`] on tied priorities.
     pub fn new(btn: &Btn, opts: ParOptions) -> Result<SkepticPlannedResolver> {
         if let Some(x) = btn
             .nodes()
@@ -831,21 +623,7 @@ impl SkepticPlannedResolver {
             let user = btn.origin(x).unwrap_or(User(x));
             return Err(Error::TiesUnsupported(user));
         }
-        let n = btn.node_count();
-        let mut view = RegionCompactor::new();
-        let plan = plan_whole(
-            &mut view,
-            &btn.parents,
-            &mut SccScratch::new(),
-            &mut PlanScratch::default(),
-            opts.shard_target,
-            opts.exact_deps,
-        );
-        Ok(SkepticPlannedResolver {
-            view,
-            plan,
-            nodes: n,
-        })
+        Ok(SkepticPlannedResolver(PlannedResolver::new(btn, opts)))
     }
 
     /// Runs Algorithm 2 over this plan with `threads` workers.
@@ -854,24 +632,11 @@ impl SkepticPlannedResolver {
     /// was built from; only its explicit (root) beliefs may differ. The
     /// result equals [`resolve_skeptic`] on every node.
     pub fn resolve(&self, btn: &Btn, threads: usize) -> Result<SkepticResolution> {
-        assert_eq!(
-            btn.node_count(),
-            self.nodes,
-            "plan was built for a different BTN structure"
-        );
-        let pref_neg = skeptic_preprocess(&self.view, btn);
-        let mut rep: Vec<RepPoss> = vec![RepPoss::empty(); self.nodes];
-        let ctx = SkepticShardCtx {
-            net: SkepticNet {
-                g: &self.view,
-                parents: &btn.parents,
-                beliefs: &btn.beliefs,
-                pref_neg: &pref_neg,
-            },
-            plan: &self.plan,
-            rep: SharedSlab::new(&mut rep),
+        let pref_neg = skeptic_preprocess(&self.0.view, btn);
+        let dom = SkepticDomain {
+            pref_neg: &pref_neg,
         };
-        run_shards(&ctx, threads);
+        let rep = self.0.solve(btn, dom, threads);
         Ok(SkepticResolution { rep, pref_neg })
     }
 }
@@ -887,53 +652,6 @@ pub fn resolve_skeptic_parallel(btn: &Btn, threads: usize) -> Result<SkepticReso
         },
     )?;
     planned.resolve(btn, threads)
-}
-
-/// Shared solving context of the parallel skeptic workers, all tables
-/// indexed by BTN node id.
-struct SkepticShardCtx<'a> {
-    net: SkepticNet<'a, RegionCompactor>,
-    plan: &'a ShardPlan,
-    rep: SharedSlab<RepPoss>,
-}
-
-impl ShardSolver for SkepticShardCtx<'_> {
-    type Worker = SkepticScratch;
-
-    fn new_worker(&self) -> SkepticScratch {
-        SkepticScratch::new(self.net.parents.len())
-    }
-
-    fn solve_shard(&self, worker: &mut SkepticScratch, s: u32) {
-        let net = &self.net;
-        let mut store = SlabStore(&self.rep);
-        for u in self.plan.units(s) {
-            let members = self.plan.unit_members(u);
-            if let [x] = *members {
-                let xs = x as usize;
-                if !net.parents[xs].iter().any(|z| z == x) {
-                    // Every parent is final: the closed form applies. The
-                    // slab starts empty, so an empty result needs no write.
-                    let rep = settle(
-                        &store,
-                        &net.parents[xs],
-                        &net.beliefs[xs],
-                        &net.pref_neg[xs],
-                    );
-                    if !rep.is_empty() {
-                        *store.rep_mut(x) = rep;
-                    }
-                    continue;
-                }
-            }
-            // Cyclic unit (or defensive self-loop): regional replay.
-            solve_skeptic_region(net, &mut store, worker, members);
-        }
-    }
-
-    fn plan(&self) -> &ShardPlan {
-        self.plan
-    }
 }
 
 #[cfg(test)]

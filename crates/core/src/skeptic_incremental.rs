@@ -18,10 +18,11 @@
 //!    forward closure of the touched nodes bounds everything that can
 //!    change, exactly as in the basic model.
 //! 3. **Boundary freeze + regional re-solve.** A region-local pass
-//!    refreshes `prefNeg`, then Algorithm 2's Step-1/Step-2 alternation
-//!    ([`crate::skeptic`]'s regional replay, also the cyclic-unit solver
-//!    of [`SkepticPlannedResolver`]) re-runs inside the region with clean
-//!    nodes frozen at their cached representations.
+//!    refreshes `prefNeg`, then the one regional replay of
+//!    [`crate::parallel`] (also the cyclic-unit solver of
+//!    [`SkepticPlannedResolver`]) re-runs Algorithm 2's Step-1/Step-2
+//!    alternation inside the region, in the skeptic belief domain, with
+//!    clean nodes frozen at their cached representations.
 //!
 //! `tests/skeptic_oracle.rs` checks equivalence with a from-scratch
 //! [`resolve_skeptic`](crate::skeptic::resolve_skeptic) over random signed
@@ -33,11 +34,11 @@ use crate::deltabtn::{DeltaBtn, NodeSideTables};
 use crate::error::{Error, Result};
 use crate::incremental::{BeliefChange, Edit};
 use crate::network::TrustNetwork;
-use crate::parallel::ParOptions;
+use crate::parallel::{replay_region, ParOptions, ReplayNet, ReplayScratch};
 use crate::signed::{ExplicitBelief, NegSet};
 use crate::skeptic::{
-    solve_skeptic_region, RepPoss, SkepticNet, SkepticPlannedResolver, SkepticResolution,
-    SkepticScratch, SkepticUserResolution, VecStore,
+    RepPoss, SkepticDomain, SkepticPlannedResolver, SkepticResolution, SkepticScratch,
+    SkepticUserResolution,
 };
 use crate::user::User;
 use crate::value::Value;
@@ -91,7 +92,7 @@ struct SkepticSide<'a> {
     rep: &'a mut Vec<RepPoss>,
     pref_neg: &'a mut Vec<NegSet>,
     dirty: &'a mut Vec<bool>,
-    region: &'a mut SkepticScratch,
+    region: &'a mut ReplayScratch<SkepticScratch>,
 }
 
 impl NodeSideTables for SkepticSide<'_> {
@@ -146,7 +147,7 @@ pub struct SkepticIncremental {
     // ---- reusable scratch ----
     dirty: Vec<bool>,
     dirty_list: Vec<NodeId>,
-    region: SkepticScratch,
+    region: ReplayScratch<SkepticScratch>,
     stack: Vec<NodeId>,
 }
 
@@ -174,7 +175,7 @@ impl SkepticIncremental {
             last_dirty_users: Vec::new(),
             dirty: vec![false; n],
             dirty_list: Vec::new(),
-            region: SkepticScratch::new(n),
+            region: ReplayScratch::new(n),
             stack: Vec::new(),
         };
         let (delta, mut side) = engine.split();
@@ -431,14 +432,15 @@ impl SkepticIncremental {
     fn solve_region(&mut self) {
         self.update_pref_neg();
 
-        let net = SkepticNet {
+        let net = ReplayNet {
             g: &self.delta.children[..],
             parents: &self.delta.btn.parents,
             beliefs: &self.delta.btn.beliefs,
-            pref_neg: &self.pref_neg,
+            dom: SkepticDomain {
+                pref_neg: &self.pref_neg,
+            },
         };
-        let mut store = VecStore(&mut self.rep);
-        solve_skeptic_region(&net, &mut store, &mut self.region, &self.dirty_list);
+        replay_region(&net, &mut self.rep[..], &mut self.region, &self.dirty_list);
 
         for &x in &self.dirty_list {
             self.dirty[x as usize] = false;

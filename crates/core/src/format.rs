@@ -31,7 +31,8 @@
 //! ids — the property the `trustmap-store` snapshot text flavor relies on
 //! (WAL records reference users and values by id).
 
-use crate::network::TrustNetwork;
+use crate::error::Error;
+use crate::network::{Mapping, TrustNetwork};
 use crate::signed::{ExplicitBelief, NegSet};
 use std::fmt::{self, Write as _};
 
@@ -119,9 +120,12 @@ impl<'a> Iterator for Tokens<'a> {
 /// Parses the text format into a network.
 ///
 /// One pass over the bytes: names are interned straight from slices of
-/// `text`, and nothing is allocated per line.
+/// `text`, and nothing is allocated per line. Mappings are checked on
+/// their line and declared at the end in one
+/// [`TrustNetwork::with_mappings`], so a load builds no edge index.
 pub fn parse_network(text: &str) -> Result<TrustNetwork, FormatError> {
     let mut net = TrustNetwork::new();
+    let mut mappings = Vec::new();
     for (i, raw) in text.split('\n').enumerate() {
         let line = i + 1;
         let mut parts = Tokens { rest: raw };
@@ -139,7 +143,14 @@ pub fn parse_network(text: &str) -> Result<TrustNetwork, FormatError> {
                     .map_err(|_| err(format!("bad priority `{prio}`")))?;
                 let c = net.user(child);
                 let p = net.user(parent);
-                net.trust(c, p, priority).map_err(|e| err(e.to_string()))?;
+                if c == p {
+                    return Err(err(Error::SelfTrust(c).to_string()));
+                }
+                mappings.push(Mapping {
+                    parent: p,
+                    child: c,
+                    priority,
+                });
             }
             "believe" => {
                 let what = "believe needs: user value";
@@ -179,7 +190,9 @@ pub fn parse_network(text: &str) -> Result<TrustNetwork, FormatError> {
             return Err(err(format!("unexpected trailing token `{extra}`")));
         }
     }
-    Ok(net)
+    Ok(net
+        .with_mappings(mappings)
+        .expect("every mapping was checked on its line"))
 }
 
 /// Renders a network back into the text format.
@@ -287,6 +300,20 @@ mod tests {
         assert!(err.message.contains("priority"));
         let err = parse_network("trust a a 1").unwrap_err();
         assert!(err.message.contains("cannot trust themselves"));
+        // A self-trust is refused on its own line, not at the end of the file.
+        let err = parse_network("trust a b 1\ntrust a b 2\n\ntrust b b 1\nbogus").unwrap_err();
+        assert_eq!(err.line, 4);
+        assert_eq!(err.message, "user u1 cannot trust themselves");
+    }
+
+    #[test]
+    fn redeclared_edges_keep_their_place_and_last_priority() {
+        let net = parse_network("trust a b 1\ntrust a c 2\nuser d\ntrust a b 3").unwrap();
+        assert!(!net.index_built());
+        assert_eq!(
+            render_network(&net),
+            "user a\nuser b\nuser c\nuser d\ntrust a b 3\ntrust a c 2\n"
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::user::User;
 use crate::value::{Domain, Value};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use trustmap_graph::DiGraph;
 
 /// A priority trust mapping `m = (parent, priority, child)` (Definition 2.2):
@@ -42,8 +42,12 @@ pub struct TrustNetwork {
     mappings: Vec<Mapping>,
     /// Position of each (child, parent) edge in `mappings`, so re-declaring
     /// a mapping updates its priority in place instead of accumulating
-    /// duplicates (trust re-weighting loops re-declare every round).
-    mapping_index: HashMap<(User, User), usize>,
+    /// duplicates (trust re-weighting loops re-declare every round). Built
+    /// on first use — the first [`TrustNetwork::trust`] or
+    /// [`TrustNetwork::priority_of`] — and never by a load:
+    /// [`TrustNetwork::with_mappings`] finds re-declarations without it, so
+    /// a network that is only loaded and resolved never holds it.
+    mapping_index: OnceLock<HashMap<(User, User), usize>>,
     beliefs: Vec<ExplicitBelief>,
     /// Number of users whose explicit belief is a constraint (`Negs`),
     /// maintained O(1) per belief write so the sign-state checks on the
@@ -100,12 +104,10 @@ impl TrustNetwork {
     /// re-weighting loops (e.g. truth-discovery fusion rounds) never
     /// accumulate duplicate mappings.
     pub fn trust(&mut self, child: User, parent: User, priority: i64) -> Result<()> {
-        self.check_user(child)?;
-        self.check_user(parent)?;
-        if child == parent {
-            return Err(Error::SelfTrust(child));
-        }
-        match self.mapping_index.entry((child, parent)) {
+        self.check_mapping(child, parent)?;
+        self.index();
+        let index = self.mapping_index.get_mut().expect("built above");
+        match index.entry((child, parent)) {
             std::collections::hash_map::Entry::Occupied(slot) => {
                 self.mappings[*slot.get()].priority = priority;
             }
@@ -119,6 +121,28 @@ impl TrustNetwork {
             }
         }
         Ok(())
+    }
+
+    /// Declares every mapping of `mappings` in order: the network that
+    /// [`TrustNetwork::trust`] called once per mapping builds — a
+    /// re-declared (child, parent) pair keeps its first declaration's
+    /// position and its last declaration's priority — without paying for
+    /// the edge index per mapping. The loaders' constructor. The first
+    /// mapping with an unknown user or a self-trust is the error, as the
+    /// per-mapping calls would report it.
+    pub fn with_mappings(mut self, mappings: Vec<Mapping>) -> Result<Self> {
+        for m in &mappings {
+            self.check_mapping(m.child, m.parent)?;
+        }
+        if self.mappings.is_empty() {
+            self.mappings = mappings; // a load's case: no copy
+        } else {
+            self.mappings.extend(mappings);
+        }
+        let users = self.user_count();
+        drop_redeclarations(&mut self.mappings, users);
+        self.mapping_index = OnceLock::new();
+        Ok(self)
     }
 
     /// Sets an explicit positive belief `b0(user) = value`.
@@ -181,9 +205,23 @@ impl TrustNetwork {
     /// loops use to diff desired against current priorities before each
     /// round's edit stream.
     pub fn priority_of(&self, child: User, parent: User) -> Option<i64> {
-        self.mapping_index
+        self.index()
             .get(&(child, parent))
             .map(|&i| self.mappings[i].priority)
+    }
+
+    /// The edge index, built from `mappings` on first use.
+    fn index(&self) -> &HashMap<(User, User), usize> {
+        self.mapping_index.get_or_init(|| {
+            let edges = self.mappings.iter().map(|m| (m.child, m.parent));
+            edges.zip(0..).collect()
+        })
+    }
+
+    /// Whether the edge index has been built.
+    #[cfg(test)]
+    pub(crate) fn index_built(&self) -> bool {
+        self.mapping_index.get().is_some()
     }
 
     /// All users.
@@ -269,6 +307,62 @@ impl TrustNetwork {
             Err(Error::UnknownUser(u))
         }
     }
+
+    fn check_mapping(&self, child: User, parent: User) -> Result<()> {
+        self.check_user(child)?;
+        self.check_user(parent)?;
+        if child == parent {
+            return Err(Error::SelfTrust(child));
+        }
+        Ok(())
+    }
+}
+
+/// Drops the re-declarations from `mappings` (all of whose users are
+/// below `users`), with the upsert's outcome: a (child, parent) pair
+/// keeps its first declaration's position and its last declaration's
+/// priority. One counting pass groups the positions by child, as
+/// `binarize` does; within a child, a parent seen before is a
+/// re-declaration. O(users + mappings), no hashing.
+fn drop_redeclarations(mappings: &mut Vec<Mapping>, users: usize) {
+    let len = u32::try_from(mappings.len()).expect("fewer than 2^32 mappings");
+    // Positions by child, each child's in declaration order.
+    let mut fill = vec![0u32; users + 1];
+    for m in mappings.iter() {
+        fill[m.child.index() + 1] += 1;
+    }
+    for x in 0..users {
+        fill[x + 1] += fill[x];
+    }
+    let mut by_child = vec![0u32; mappings.len()];
+    for (i, m) in (0..len).zip(mappings.iter()) {
+        let at = &mut fill[m.child.index()];
+        by_child[*at as usize] = i;
+        *at += 1;
+    }
+    // The first position of each parent in the current child's run: an
+    // entry left by an earlier child names a mapping of another child.
+    let mut first = vec![u32::MAX; users];
+    let mut dropped = Vec::new(); // one flag per mapping, from the first re-declaration
+    for &i in &by_child {
+        let Mapping {
+            parent,
+            child,
+            priority,
+        } = mappings[i as usize];
+        let seen = first[parent.index()];
+        if seen != u32::MAX && mappings[seen as usize].child == child {
+            mappings[seen as usize].priority = priority;
+            dropped.resize(mappings.len(), false);
+            dropped[i as usize] = true;
+        } else {
+            first[parent.index()] = i;
+        }
+    }
+    if !dropped.is_empty() {
+        let mut dropped = dropped.into_iter();
+        mappings.retain(|_| !dropped.next().expect("one flag per mapping"));
+    }
 }
 
 /// Builds the three-archaeologist network of the paper's running example
@@ -328,6 +422,104 @@ mod tests {
         // Opposite direction is a distinct edge, not an upsert target.
         net.trust(b, a, 7).unwrap();
         assert_eq!(net.mapping_count(), 3);
+    }
+
+    /// Re-declarations at several priorities, between other mappings.
+    fn redeclaring(users: u32) -> Vec<Mapping> {
+        let m = |child, parent, priority| Mapping {
+            parent: User(parent),
+            child: User(child),
+            priority,
+        };
+        let mut all = vec![m(0, 1, 10), m(2, 1, 4), m(0, 2, 5), m(0, 1, 3)];
+        all.extend([m(1, 0, 7), m(2, 1, -1), m(0, 1, 8), m(1, 2, 0)]);
+        all.extend((1..users).map(|c| m(c, 0, c as i64)));
+        all
+    }
+
+    #[test]
+    fn with_mappings_is_trust_per_mapping() {
+        for users in [3, 40] {
+            let mut twin = TrustNetwork::new();
+            twin.add_users(users as usize);
+            let loaded = twin.clone().with_mappings(redeclaring(users)).unwrap();
+            for m in redeclaring(users) {
+                twin.trust(m.child, m.parent, m.priority).unwrap();
+            }
+            assert_eq!(loaded.mappings(), twin.mappings());
+            assert!(!loaded.index_built());
+            // Appending to a network that has mappings is the same upserts.
+            let mut head = redeclaring(users);
+            let tail = head.split_off(5);
+            let mut twice = TrustNetwork::new();
+            twice.add_users(users as usize);
+            let twice = twice.with_mappings(head).unwrap();
+            assert_eq!(
+                twice.with_mappings(tail).unwrap().mappings(),
+                twin.mappings()
+            );
+        }
+    }
+
+    #[test]
+    fn with_mappings_reports_the_first_bad_mapping() {
+        let mut net = TrustNetwork::new();
+        let a = net.user("a");
+        let b = net.user("b");
+        let ghost = User(9);
+        let m = |child, parent| Mapping {
+            parent,
+            child,
+            priority: 1,
+        };
+        let bad = |all| net.clone().with_mappings(all).unwrap_err();
+        assert_eq!(
+            bad(vec![m(a, b), m(b, b), m(ghost, a)]),
+            Error::SelfTrust(b)
+        );
+        assert_eq!(bad(vec![m(a, ghost), m(b, b)]), Error::UnknownUser(ghost));
+        assert_eq!(bad(vec![m(ghost, a)]), Error::UnknownUser(ghost));
+    }
+
+    #[test]
+    fn a_load_leaves_the_index_to_its_first_use() {
+        let text = "trust a b 1\ntrust a c 2\ntrust b a 3\ntrust a b 4\nbelieve c v\n";
+        let mut twin = TrustNetwork::new();
+        let [a, b, c] = [twin.user("a"), twin.user("b"), twin.user("c")];
+        for (child, parent, priority) in [(a, b, 1), (a, c, 2), (b, a, 3), (a, b, 4)] {
+            twin.trust(child, parent, priority).unwrap();
+        }
+        let loaded = crate::format::parse_network(text).unwrap();
+        assert!(!loaded.index_built());
+        assert_eq!(loaded.mappings(), twin.mappings());
+        // A clone taken before the index exists builds its own.
+        let early = loaded.clone();
+        for net in [&loaded, &early] {
+            // Every ordered pair, the absent and the reversed ones included.
+            for child in net.users() {
+                for parent in net.users() {
+                    assert_eq!(
+                        net.priority_of(child, parent),
+                        twin.priority_of(child, parent)
+                    );
+                }
+            }
+            assert!(net.index_built());
+        }
+        // The first `trust` after a load updates the edge it names in
+        // place, before and after the index exists.
+        let fresh = crate::format::parse_network(text).unwrap();
+        for mut net in [fresh.clone(), fresh, loaded, twin] {
+            net.trust(a, c, 9).unwrap();
+            assert_eq!(net.mapping_count(), 3);
+            assert_eq!(net.mappings()[1].priority, 9);
+            assert_eq!(net.priority_of(a, c), Some(9));
+            net.trust(c, a, 5).unwrap();
+            assert_eq!(net.mapping_count(), 4);
+            assert_eq!(net.priority_of(c, a), Some(5));
+        }
+        // The clones' edits never reached the clone they were taken from.
+        assert_eq!(early.priority_of(a, c), Some(2));
     }
 
     #[test]

@@ -300,7 +300,7 @@ impl<'a> Reader<'a> {
     pub(crate) fn negset(&mut self) -> Option<NegSet> {
         let tag = self.u8()?;
         let count = self.u32()? as usize;
-        if count > self.bytes.len().saturating_sub(self.pos) / 4 {
+        if count > self.remaining() / 4 {
             return None; // length prefix larger than the remaining bytes
         }
         let mut values = Vec::with_capacity(count);
@@ -312,6 +312,11 @@ impl<'a> Reader<'a> {
             1 => Some(NegSet::CoFinite(values.into_iter().collect())),
             _ => None,
         }
+    }
+
+    /// Bytes left to read.
+    pub(crate) fn remaining(&self) -> usize {
+        self.bytes.len().saturating_sub(self.pos)
     }
 
     pub(crate) fn done(&self) -> bool {

@@ -1546,20 +1546,45 @@ mod tests {
 
     /// `poll` is a floor between caught-up polls: against a leader that
     /// answers `CaughtUp` at once (the in-process transport never parks)
-    /// `run` keeps the old pace instead of spinning.
+    /// `run` keeps the old pace instead of spinning. The bounds are counter
+    /// arithmetic that holds however the threads are scheduled: caught-up
+    /// polls start at least `poll` apart, so `elapsed` (taken around spawn
+    /// and join) holds at most `1 + elapsed / poll` of them; and the test
+    /// stops the follower only after the transport has answered one.
     #[test]
     fn run_paces_caught_up_polls_against_a_leader_that_never_parks() {
+        use std::sync::atomic::AtomicU64;
+        /// Counts the `CaughtUp` answers the follower receives.
+        struct Counting(LocalTransport, Arc<AtomicU64>);
+        impl ShipTransport for Counting {
+            fn ship(&mut self, req: &ShipRequest) -> Result<ShipResponse> {
+                let resp = self.0.ship(req)?;
+                if matches!(resp, ShipResponse::CaughtUp { .. }) {
+                    self.1.fetch_add(1, Ordering::Release);
+                }
+                Ok(resp)
+            }
+            fn fetch_snapshot(&mut self) -> Result<SnapshotBlob> {
+                self.0.fetch_snapshot()
+            }
+        }
         let ldir = fresh_dir("pace-l");
         let fdir = fresh_dir("pace-f");
         let leader = seed_leader(&ldir, 5);
         let mut follower = Follower::open(&fdir).expect("open follower");
         let stop = Arc::new(AtomicBool::new(false));
+        let answered = Arc::new(AtomicU64::new(0));
+        let poll = Duration::from_millis(100);
+        let started = Instant::now();
         let runner = {
             let stop = Arc::clone(&stop);
-            let mut transport = LocalTransport::new(leader.store.clone());
+            let mut transport = Counting(
+                LocalTransport::new(leader.store.clone()),
+                Arc::clone(&answered),
+            );
             std::thread::spawn(move || {
                 let cfg = FollowConfig {
-                    poll: Duration::from_millis(100),
+                    poll,
                     ..FollowConfig::default()
                 };
                 follower.run(&mut transport, &cfg, &stop);
@@ -1567,11 +1592,23 @@ mod tests {
             })
         };
         std::thread::sleep(Duration::from_millis(500));
+        while answered.load(Ordering::Acquire) == 0 {
+            assert!(
+                started.elapsed() < Duration::from_secs(60),
+                "no caught-up answer in 60 s"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
         stop.store(true, Ordering::Release);
         let follower = runner.join().expect("follower thread");
+        let elapsed = started.elapsed();
         assert_eq!(follower.watermark(), leader.store.last_committed_lsn());
         let polls = follower.counters().caught_up;
-        assert!((1..=6).contains(&polls), "{polls} caught-up polls in 0.5 s");
+        let most = 1 + (elapsed.as_nanos() / poll.as_nanos()) as u64;
+        assert!(
+            (1..=most).contains(&polls),
+            "{polls} caught-up polls in {elapsed:?} (at most {most})"
+        );
         let _ = std::fs::remove_dir_all(&ldir);
         let _ = std::fs::remove_dir_all(&fdir);
     }

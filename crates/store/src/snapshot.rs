@@ -28,7 +28,7 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use trustmap_core::signed::ExplicitBelief;
-use trustmap_core::{format, Error, Result, TrustNetwork, User};
+use trustmap_core::{format, Error, Mapping, Result, TrustNetwork, User};
 
 /// Magic bytes opening the binary flavor (the trailing byte is a format
 /// version).
@@ -101,7 +101,9 @@ pub(crate) fn encode_net_into(buf: &mut Vec<u8>, net: &TrustNetwork) {
 }
 
 /// Decodes an [`encode_net_into`] image; `None` on any structural
-/// violation (including a sign-state check-byte mismatch).
+/// violation (including a sign-state check-byte mismatch). The mappings
+/// are declared in one [`TrustNetwork::with_mappings`], so a decode
+/// builds no edge index.
 pub(crate) fn decode_net(r: &mut Reader<'_>) -> Option<TrustNetwork> {
     let has_constraints = r.u8()? != 0;
     let mut net = TrustNetwork::new();
@@ -113,13 +115,22 @@ pub(crate) fn decode_net(r: &mut Reader<'_>) -> Option<TrustNetwork> {
     for _ in 0..values {
         net.value(r.str()?);
     }
-    let mappings = r.u32()? as usize;
-    for _ in 0..mappings {
+    let count = r.u32()? as usize;
+    if count > r.remaining() / 16 {
+        return None; // more mappings than bytes left to hold them
+    }
+    let mut mappings = Vec::with_capacity(count);
+    for _ in 0..count {
         let child = User(r.u32()?);
         let parent = User(r.u32()?);
         let priority = r.i64()?;
-        net.trust(child, parent, priority).ok()?;
+        mappings.push(Mapping {
+            parent,
+            child,
+            priority,
+        });
     }
+    let mut net = net.with_mappings(mappings).ok()?;
     for i in 0..users {
         let u = User(i as u32);
         match r.u8()? {
@@ -376,6 +387,80 @@ mod tests {
                 panic!("flip at byte {byte} still decoded (lsn {})", snap.lsn);
             }
         }
+    }
+
+    /// A binary image of users `0..users` and `mappings`, no values and
+    /// no beliefs, with a valid CRC: what `decode_net`'s own checks see.
+    fn image(users: u32, mappings: &[(u32, u32, i64)]) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        put_u64(&mut buf, 7);
+        put_u64(&mut buf, 99);
+        buf.push(0);
+        put_u32(&mut buf, users);
+        for u in 0..users {
+            put_str(&mut buf, &format!("u{u}"));
+        }
+        put_u32(&mut buf, 0);
+        put_u32(&mut buf, mappings.len() as u32);
+        for &(child, parent, priority) in mappings {
+            put_u32(&mut buf, child);
+            put_u32(&mut buf, parent);
+            put_i64(&mut buf, priority);
+        }
+        buf.resize(buf.len() + users as usize, 0);
+        let crc = crc32(&buf[MAGIC.len()..]);
+        put_u32(&mut buf, crc);
+        buf
+    }
+
+    #[test]
+    fn decode_refuses_a_bad_mapping_behind_a_valid_crc() {
+        assert!(decode(&image(3, &[(0, 1, 5), (2, 0, 1)])).is_some());
+        assert!(
+            decode(&image(3, &[(0, 1, 5), (2, 3, 1)])).is_none(),
+            "parent"
+        );
+        assert!(decode(&image(3, &[(3, 1, 5)])).is_none(), "child");
+        assert!(
+            decode(&image(3, &[(0, 1, 5), (2, 2, 1)])).is_none(),
+            "self-loop"
+        );
+        // A mapping count larger than the bytes left is refused up front.
+        let mut short = image(3, &[(0, 1, 5)]);
+        let at = MAGIC.len() + 16 + 1 + 4 + 3 * 6 + 4;
+        short[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let body = short.len() - 4;
+        let crc = crc32(&short[MAGIC.len()..body]);
+        short[body..].copy_from_slice(&crc.to_le_bytes());
+        assert!(decode(&short).is_none(), "count");
+    }
+
+    #[test]
+    fn decode_upserts_a_repeated_mapping() {
+        let declared = [
+            (0, 1, 5),
+            (2, 1, 4),
+            (0, 2, 3),
+            (0, 1, -2),
+            (1, 0, 6),
+            (0, 1, 8),
+        ];
+        let snap = decode(&image(3, &declared)).expect("repeats are legal");
+        let mut twin = TrustNetwork::new();
+        twin.add_users(3);
+        for (child, parent, priority) in declared {
+            twin.trust(User(child), User(parent), priority).unwrap();
+        }
+        assert_eq!(snap.net.mappings(), twin.mappings());
+        assert_eq!(snap.net.mapping_count(), 4);
+        for child in twin.users() {
+            for parent in twin.users() {
+                let got = snap.net.priority_of(child, parent);
+                assert_eq!(got, twin.priority_of(child, parent));
+            }
+        }
+        // Re-encoding writes the upserted network, not the repeats.
+        assert_eq!(encode(&snap.net, 7, 99), encode(&twin, 7, 99));
     }
 
     #[test]

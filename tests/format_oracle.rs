@@ -106,23 +106,44 @@ fn reference_parse(text: &str) -> Result<TrustNetwork, FormatError> {
     Ok(net)
 }
 
-/// Both parsers on `text`: equal errors, or equal networks.
+/// Whether two loaded networks are the same: ids, names, beliefs,
+/// mappings in order, the priority of every ordered user pair and the
+/// rendering.
+fn same(new: &TrustNetwork, old: &TrustNetwork) -> bool {
+    new.user_count() == old.user_count()
+        && new.domain().len() == old.domain().len()
+        && new.mappings() == old.mappings()
+        && new
+            .users()
+            .all(|u| new.user_name(u) == old.user_name(u) && new.belief(u) == old.belief(u))
+        && new.users().all(|c| {
+            new.users()
+                .all(|p| new.priority_of(c, p) == old.priority_of(c, p))
+        })
+        && new
+            .domain()
+            .values()
+            .all(|v| new.domain().name(v) == old.domain().name(v))
+        && render_network(new) == render_network(old)
+}
+
+/// Both parsers on `text`: equal errors, or equal networks — also after
+/// one `trust` re-declaration on each, the first upsert a load's lazily
+/// built edge index serves.
 fn agree(text: &str) -> Result<(), String> {
     match (parse_network(text), reference_parse(text)) {
         (Err(new), Err(old)) if new == old => Ok(()),
-        (Ok(new), Ok(old)) => {
-            let same = new.user_count() == old.user_count()
-                && new.domain().len() == old.domain().len()
-                && new.mappings() == old.mappings()
-                && new.users().all(|u| {
-                    new.user_name(u) == old.user_name(u) && new.belief(u) == old.belief(u)
-                })
-                && new
-                    .domain()
-                    .values()
-                    .all(|v| new.domain().name(v) == old.domain().name(v))
-                && render_network(&new) == render_network(&old);
-            if same {
+        (Ok(mut new), Ok(mut old)) => {
+            let mut same_before = same(&new, &old);
+            if let Some(&m) = new.mappings().get(new.mapping_count() / 2) {
+                let priority = m.priority.wrapping_add(1);
+                new.trust(m.child, m.parent, priority)
+                    .expect("a loaded edge");
+                old.trust(m.child, m.parent, priority)
+                    .expect("a loaded edge");
+                same_before &= new.mapping_count() == old.mapping_count();
+            }
+            if same_before && same(&new, &old) {
                 Ok(())
             } else {
                 Err(format!(
@@ -190,15 +211,33 @@ const TOKENS: [&str; 36] = [
 /// How a line ends; the empty ending glues it to the next one.
 const ENDINGS: [&str; 5] = ["\n", "\n", "\r\n", "\r", ""];
 
-/// One line: half the time a directive with the right number of
-/// arguments (so files get past their first line), else free soup.
+/// The ordered pairs of distinct names over a 3-name pool.
+const POOL: [(&str, &str); 6] = [
+    ("a", "b"),
+    ("a", "c"),
+    ("b", "a"),
+    ("b", "c"),
+    ("c", "a"),
+    ("c", "b"),
+];
+
+/// One line: 5 in 13 a directive with the right number of arguments (so
+/// files get past their first line), 3 in 13 a well-formed `trust` over
+/// the 3-name pool (so files re-declare edges), else free soup.
 fn line() -> impl Strategy<Value = String> {
     let picks = proptest::collection::vec((0..SEPARATORS.len(), 0..TOKENS.len()), 0..7);
-    (0..10usize, picks, 0..SEPARATORS.len(), 0..ENDINGS.len()).prop_map(
+    (0..13usize, picks, 0..SEPARATORS.len(), 0..ENDINGS.len()).prop_map(
         |(shape, picks, lead, ending)| {
             let mut text = SEPARATORS[lead].to_owned();
             let arity = [3, 2, 2, 1, 1];
-            if shape < arity.len() {
+            if (5..8).contains(&shape) {
+                let (sep, token) = picks.first().copied().unwrap_or((0, 0));
+                let (child, parent) = POOL[token % POOL.len()];
+                // A priority in range: `5`, `-7`, `+3` or either end of `i64`.
+                let priority = TOKENS[17 + (token + shape) % 5];
+                let sep = SEPARATORS[sep % 10];
+                text += &["trust", child, parent, priority].join(sep);
+            } else if shape < arity.len() {
                 text += TOKENS[shape];
                 for i in 0..arity[shape] {
                     let (sep, token) = picks.get(i).copied().unwrap_or((0, 7 + i));
@@ -294,6 +333,14 @@ fn named_corner_cases_agree() {
         "user a\n\n",
         "user \u{feff}a",
         "\u{feff}user a",
+        "trust a b 1\ntrust a b 2\ntrust a b 3",
+        "trust a b 5\ntrust b a 1\nbelieve a v\ntrust a b -7\ntrust a c 2\ntrust a b 5",
+        "trust a b 1\nuser d\ntrust c a 4\ntrust a b 9223372036854775807\ntrust c a -1\n\
+         trust a b -9223372036854775808\n# again\ntrust a b 0 # last wins\ntrust c a 4",
+        "trust a b 1\ntrust a c 1\ntrust a b 2\ntrust b c 3\ntrust a c 4\ntrust a b 5\n\
+         trust b c 6\ntrust c b 7\ntrust a b 8",
+        "trust a b 1\ntrust a b 2\ntrust b b 3",
+        "trust a b 1\ntrust a b 2\ntrust a b x",
     ] {
         agree(text).unwrap_or_else(|why| panic!("{text:?}: {why}"));
     }
